@@ -41,7 +41,13 @@ def solve_h(law, s):
 
     For s < 1 the root in [0, 1) is unique under criticality: g(x) =
     s*phi(x) - x has g(0) = s*q > 0, g(1) = s - 1 <= 0 and phi is convex.
+
+    s may be a float or a numpy array; an array is solved in one vectorised
+    pass that runs the scalar algorithm on every element, with the same
+    result bit for bit.
     """
+    if isinstance(s, np.ndarray) and s.ndim:
+        return _solve_h_array(law, s)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s = {s!r} outside [0, 1]")
     if s == 0.0:
@@ -95,6 +101,91 @@ def solve_h(law, s):
             f"fixed-point residual {g(x)!r} exceeds {RESIDUAL_TOL} at s={s!r}"
         )
     return x
+
+
+def _solve_h_array(law, s):
+    """solve_h on every element of an array.
+
+    Each element takes its scalar branch and stops on its own criterion;
+    a stopped element is frozen while the others keep iterating.
+    """
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    inside = (0.0 <= flat) & (flat <= 1.0)
+    if not inside.all():
+        raise ValueError(f"s = {flat[~inside][0]!r} outside [0, 1]")
+    x = (flat == 1.0).astype(float)  # s = 0 and s = 1 are their own roots
+    inner = (flat > 0.0) & (flat < 1.0)
+    bisect_only = inner & (flat > BISECT_ONLY_ABOVE)
+    newton = inner & ~bisect_only
+    if bisect_only.any():
+        lo, hi = _bisect_array(law, flat[bisect_only], 64, 1e-15)
+        x[bisect_only] = 0.5 * (lo + hi)
+    if newton.any():
+        x[newton] = _newton_array(law, flat[newton])
+    if inner.any():
+        si, xi = flat[inner], x[inner]
+        res = si * law.phi(xi) - xi
+        over = np.abs(res) > RESIDUAL_TOL
+        if over.any():
+            i = np.flatnonzero(over)[0]
+            raise ConvergenceError(
+                f"fixed-point residual {res[i]!r} exceeds {RESIDUAL_TOL} "
+                f"at s={si[i]!r}"
+            )
+    return x.reshape(s.shape)
+
+
+def _bisect_array(law, s, steps, tol):
+    """Bisection for the root on every element, each stopping on its own
+    once hi - lo <= tol; returns the brackets (lo, hi)."""
+    lo, hi = np.zeros_like(s), np.ones_like(s)
+    moving = np.ones(len(s), dtype=bool)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        up = s * law.phi(mid) - mid > 0.0
+        lo = np.where(moving & up, mid, lo)
+        hi = np.where(moving & ~up, mid, hi)
+        moving &= hi - lo > tol
+        if not moving.any():
+            break
+    return lo, hi
+
+
+def _newton_array(law, s):
+    """The bisection-then-Newton branch of solve_h, elementwise."""
+    lo, hi = _bisect_array(law, s, 40, -1.0)  # 40 steps, no early stop
+    x = 0.5 * (lo + hi)
+    act = np.arange(len(s))
+    for _ in range(60):
+        sa, xa, la, ha = s[act], x[act], lo[act], hi[act]
+        gx = sa * law.phi(xa) - xa
+        moving = np.abs(gx) > 1e-16
+        act, sa, xa, la, ha, gx = (
+            v[moving] for v in (act, sa, xa, la, ha, gx)
+        )
+        if not act.size:
+            break
+        gp = sa * law.phi_prime(xa) - 1.0
+        mid = 0.5 * (la + ha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = np.where(gp != 0.0, xa - gx / gp, mid)
+        x_new = np.where((la < x_new) & (x_new < ha), x_new, mid)
+        up = sa * law.phi(x_new) - x_new > 0.0
+        la = np.where(up, x_new, la)
+        ha = np.where(up, ha, x_new)
+        lo[act], hi[act], x[act] = la, ha, x_new
+        act = act[ha - la > 1e-17 + 1e-16 * ha]
+        if not act.size:
+            break
+    # min((lo, hi, x), key=|g|): the first of the smallest residuals
+    best, g_best = lo, np.abs(s * law.phi(lo) - lo)
+    for v in (hi, x):
+        g_v = np.abs(s * law.phi(v) - v)
+        better = g_v < g_best
+        best = np.where(better, v, best)
+        g_best = np.where(better, g_v, g_best)
+    return best
 
 
 def h_deriv(law, s):

@@ -102,9 +102,18 @@ class IncrementLaw:
 
     def phi(self, s):
         """phi(s) = q + sum_n p_n s^(n+1), the step PGF reparameterization."""
-        _check_unit_interval(s)
         if self.is_stable:
-            return s + self.gamma / (1.0 + self.beta) * (1.0 - s) ** (1.0 + self.beta)
+            # A float is range-tested inline.  Anything else, one-element
+            # arrays included, takes the full check and np.float_power,
+            # which calls the C library's pow as float ** does; np.power may
+            # run a vectorised pow that differs in the last bit, and arrays
+            # must give the same bits as floats.
+            c, e = self.gamma / (1.0 + self.beta), 1.0 + self.beta
+            if s.__class__ is float and 0.0 <= s <= 1.0:
+                return s + c * (1.0 - s) ** e
+            _check_unit_interval(s)
+            return s + c * np.float_power(1.0 - s, e)
+        _check_unit_interval(s)
         # Horner on q + s*(p_0 + s*(p_1 + ...))
         acc = 0.0
         for v in reversed(self.p):
@@ -112,9 +121,12 @@ class IncrementLaw:
         return self.q + s * acc
 
     def phi_prime(self, s):
+        if self.is_stable:  # dispatched as in phi
+            if s.__class__ is float and 0.0 <= s <= 1.0:
+                return 1.0 - self.gamma * (1.0 - s) ** self.beta
+            _check_unit_interval(s)
+            return 1.0 - self.gamma * np.float_power(1.0 - s, self.beta)
         _check_unit_interval(s)
-        if self.is_stable:
-            return 1.0 - self.gamma * (1.0 - s) ** self.beta
         acc = 0.0
         for n in range(len(self.p) - 1, -1, -1):
             acc = (n + 1) * self.p[n] + s * acc
@@ -161,8 +173,16 @@ class IncrementLaw:
 
 
 def _check_unit_interval(s):
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s = {s!r} outside [0, 1]")
+    # The float comparison comes first, as a branch condition: phi runs
+    # millions of times on scalars, and a type test or a stored comparison
+    # result ahead of it costs every one of those calls.
+    try:
+        if 0.0 <= s <= 1.0:
+            return
+    except ValueError:  # numpy refuses the truth value of an array
+        if np.all((0.0 <= s) & (s <= 1.0)):
+            return
+    raise ValueError(f"s = {s!r} outside [0, 1]")
 
 
 # -- module-level operation surface ----------------------------------------

@@ -1,9 +1,13 @@
 """Monte Carlo estimation of the weak-record tail.
 
-Paths are driven by a counter-based Philox stream: path i consumes uniforms
-[i*n, (i+1)*n) of a single logical sequence keyed by the seed, and paths are
-processed in fixed-size blocks whose integer count histograms are summed.
-The result is therefore bit-identical for any worker count.
+Paths are driven by a counter-based Philox stream keyed by the seed, and
+processed in fixed blocks of BLOCK_SIZE paths whose integer count histograms
+are summed.  The block starting at path `start` reads n uniforms per path,
+one 64-bit word each, from word 4*start*n of the stream on:
+Philox.advance(d) skips d counter values of four words each.  So the
+uniforms of a path depend on BLOCK_SIZE, blocks never overlap, and since
+the block boundaries do not depend on the worker count, the result is
+bit-identical for any worker count.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ import numpy as np
 
 from .fixed_point import f0_series, one_minus_s_phi_prime_h, solve_h
 from .laws import Orientation
+from .series import series_eval
 
 T_SERIES_SWITCH = 0.5
 SERIES_ORDER = 256
@@ -73,7 +74,13 @@ def _boundary_log(law):
 
 
 def cumulant(law, lam):
-    """Lambda(lambda) for lambda < 0; nonpositive, increasing."""
+    """Lambda(lambda) for lambda < 0; nonpositive, increasing.
+
+    lam may be a float or a numpy array; an array takes each element down
+    the same branch as the scalar call, in one vectorised pass per branch.
+    """
+    if isinstance(lam, np.ndarray) and lam.ndim:
+        return _cumulant_array(law, lam)
     if lam >= 0.0:
         raise ValueError("lambda must be negative")
     if lam <= LAMBDA_FLOOR:
@@ -81,15 +88,36 @@ def cumulant(law, lam):
         return lam + (-_boundary_log(law))
     t = math.exp(lam)
     if t <= T_SERIES_SWITCH:
-        f, m = _tau_series(law)
+        f, _ = _tau_series(law)
         # Lambda = lambda + ln( sum_m f_m t^(m-1) ), stable for tiny t.
-        g = float(np.polyval(f[::-1][:-1], t))  # sum f_m t^(m-1)
-        return lam + math.log(g)
+        return lam + math.log(series_eval(f[1:], t))
     h = solve_h(law, t)
     w = 1.0 - h
     if law.orientation is Orientation.RIGHT:
         return math.log1p(-law.q * t * w / h)
     return math.log1p(-(1.0 - t) / w)
+
+
+def _cumulant_array(law, lam):
+    """cumulant on every element of an array, split by the scalar branches."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam >= 0.0):
+        raise ValueError("lambda must be negative")
+    out = lam + (-_boundary_log(law))  # the lam <= LAMBDA_FLOOR branch
+    t = np.exp(lam)
+    deep = lam <= LAMBDA_FLOOR
+    series = ~deep & (t <= T_SERIES_SWITCH)
+    closed = ~deep & ~series
+    f, _ = _tau_series(law)
+    out[series] = lam[series] + np.log(series_eval(f[1:], t[series]))
+    t = t[closed]
+    h = solve_h(law, t)
+    w = 1.0 - h
+    if law.orientation is Orientation.RIGHT:
+        out[closed] = np.log1p(-law.q * t * w / h)
+    else:
+        out[closed] = np.log1p(-(1.0 - t) / w)
+    return out
 
 
 def cumulant_deriv(law, lam):

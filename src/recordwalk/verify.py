@@ -35,6 +35,12 @@ class Check:
     passed: bool
     provenance: str
 
+    def __post_init__(self):
+        # Numeric checks hand in numpy scalars; json needs Python ones.
+        for name in ("target", "observed", "tolerance"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -68,8 +74,7 @@ def _suite_h_limits(law):
 
 
 def _suite_lambda_limits(law):
-    boundary = -math.log(law.q + law.p0) if law.orientation is Orientation.RIGHT \
-        else -math.log(1.0 - law.q)
+    boundary = rates._boundary_log(law)
     d20 = rates.cumulant_deriv(law, -20.0)
     d4 = rates.cumulant_deriv(law, -1e-4)
     d8 = rates.cumulant_deriv(law, -1e-8)
@@ -86,7 +91,7 @@ def _suite_lambda_limits(law):
 def _suite_legendre(law):
     out = []
     lam_vals = -np.exp(np.linspace(math.log(1e-8), math.log(40.0), 20001))
-    Lam = np.array([rates.cumulant(law, float(l)) for l in lam_vals])
+    Lam = rates.cumulant(law, lam_vals)
     max_dev = 0.0
     for x in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0):
         direct = rates.legendre(law, x)

@@ -1,0 +1,100 @@
+"""Array inputs of solve_h and cumulant against the scalar calls they
+vectorise, on every bundled law."""
+
+import math
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from recordwalk import (
+    IncrementLaw,
+    bundled_law_path,
+    cumulant,
+    legendre,
+    run_suite,
+    solve_h,
+)
+from recordwalk import fixed_point, rates
+from recordwalk.fixed_point import BISECT_ONLY_ABOVE, ConvergenceError
+
+BUNDLED_LAWS = sorted(
+    f.name for f in resources.files("recordwalk.data").iterdir()
+    if f.name.endswith(".json")
+)
+
+# 0 and 1, a dense grid, and points on both sides of the bisection-only edge
+S_POINTS = np.concatenate([
+    [0.0, 1e-300, 1e-12, 1e-6, BISECT_ONLY_ABOVE - 1e-9, BISECT_ONLY_ABOVE,
+     BISECT_ONLY_ABOVE + 1e-9, 1.0 - 1e-8, 1.0 - 1e-12, 1.0],
+    np.linspace(0.0, 1.0, 301),
+    1.0 - np.logspace(-11, -1, 41),
+])
+
+# Deep asymptote, truncated tau series, and closed form in h
+LAM_DEEP = [-1e4, -745.0, -700.5, rates.LAMBDA_FLOOR]
+LAM_SERIES = [-699.5, -40.0, -5.0, -1.0, -0.7, math.log(rates.T_SERIES_SWITCH)]
+LAM_CLOSED = [-0.69, -0.5, -0.1, -1e-3, -1e-6, -1e-8, -1e-12]
+
+
+@pytest.fixture(params=BUNDLED_LAWS)
+def law(request):
+    return IncrementLaw.from_json(bundled_law_path(request.param).read_text())
+
+
+def test_solve_h_array_bit_equal_to_scalar(law):
+    h = solve_h(law, S_POINTS)
+    assert h.shape == S_POINTS.shape
+    expected = np.array([solve_h(law, float(s)) for s in S_POINTS])
+    np.testing.assert_array_equal(h, expected)
+
+
+def test_solve_h_array_keeps_shape(law):
+    s = S_POINTS[:12].reshape(3, 4)
+    np.testing.assert_array_equal(solve_h(law, s),
+                                  solve_h(law, s.ravel()).reshape(3, 4))
+
+
+@pytest.mark.parametrize("bad", [1.5, -1e-300, math.nan])
+def test_solve_h_array_rejects_point_outside_unit_interval(law, bad):
+    with pytest.raises(ValueError):
+        solve_h(law, np.array([0.2, bad, 0.7]))
+
+
+def test_residual_check_applies_to_scalar_and_array(law, monkeypatch):
+    monkeypatch.setattr(fixed_point, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(ConvergenceError):
+        solve_h(law, 0.5)
+    with pytest.raises(ConvergenceError):
+        solve_h(law, np.array([0.5]))
+    with pytest.raises(ConvergenceError):
+        solve_h(law, np.array([0.0, 1.0 - 1e-9, 1.0]))
+
+
+def test_cumulant_array_matches_scalar_in_each_branch(law):
+    assert max(LAM_DEEP) <= rates.LAMBDA_FLOOR < min(LAM_SERIES)
+    assert math.exp(min(LAM_CLOSED)) > rates.T_SERIES_SWITCH
+    assert math.exp(max(LAM_SERIES)) <= rates.T_SERIES_SWITCH
+    for lams in (LAM_DEEP, LAM_SERIES, LAM_CLOSED):
+        lam = np.array(lams)
+        expected = np.array([cumulant(law, float(v)) for v in lam])
+        np.testing.assert_allclose(cumulant(law, lam), expected, rtol=0,
+                                   atol=1e-11)
+
+
+def test_cumulant_array_rejects_nonnegative_lambda(law):
+    with pytest.raises(ValueError):
+        cumulant(law, np.array([-1.0, 0.0]))
+
+
+def test_legendre_suite_unchanged_by_the_array_sweep(law):
+    # The suite's grid, evaluated one scalar call at a time
+    lam_vals = -np.exp(np.linspace(math.log(1e-8), math.log(40.0), 20001))
+    lam_scalar = np.array([cumulant(law, float(v)) for v in lam_vals])
+    assert np.max(np.abs(cumulant(law, lam_vals) - lam_scalar)) <= 1e-11
+    max_dev = max(
+        abs(legendre(law, x) - float(np.max(x * lam_vals - lam_scalar)))
+        for x in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
+    )
+    observed = run_suite(law, "legendre").checks[0].observed
+    assert abs(observed - max_dev) <= 1e-15

@@ -1,14 +1,19 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+from importlib import resources
 
 import pytest
 
-from recordwalk import IncrementLaw, bundled_law_path
+from recordwalk import SUITES, IncrementLaw, bundled_law_path
 from recordwalk.cli import main
 
 SYM_PATH = str(bundled_law_path("sym.json"))
 STABLE_PATH = str(bundled_law_path("stable_g05_b05.json"))
+BUNDLED_LAWS = sorted(
+    f.name for f in resources.files("recordwalk.data").iterdir()
+    if f.name.endswith(".json")
+)
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +148,17 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--law", SYM_PATH, "--suite", "nope"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_every_suite_round_trips_json(self, capsys, suite, name):
+        code, out = run_cli(capsys, "verify", "--law",
+                            str(bundled_law_path(name)), "--suite", suite)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["suite"] == suite
+        assert doc["passed"] is True
+        assert all(c["passed"] is True for c in doc["checks"])
 
 
 class TestErrors:

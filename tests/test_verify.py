@@ -43,3 +43,11 @@ def test_legendre_suite_on_symmetric_walk():
     report = run_suite(SYM, "legendre")
     assert report.passed
     assert all(c.provenance for c in report.checks)
+
+
+def test_checks_hold_python_scalars():
+    # numpy scalars from numeric checks would not serialise to JSON
+    for suite in ("tauberian", "lambda-limits"):
+        for c in run_suite(SYM, suite).checks:
+            assert type(c.passed) is bool
+            assert all(type(v) is float for v in (c.target, c.observed, c.tolerance))
