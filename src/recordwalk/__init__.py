@@ -10,15 +10,12 @@ from .laws import (  # noqa: F401
     LawValidationError,
     Orientation,
     expand_coefficients,
-    phi_deriv,
-    phi_eval,
     truncated_explicit,
 )
 from .series import SeriesPoly  # noqa: F401
 from .fixed_point import (  # noqa: F401
     f0_series,
     h_deriv,
-    h_limit_checks,
     h_series,
     solve_h,
 )

@@ -9,21 +9,12 @@ precision doubling.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import expand_coefficients
-from .series import (
-    SeriesPoly,
-    series_compose_val1,
-    series_exp,
-    series_log,
-    series_mul,
-    series_reciprocal,
-)
+from .laws import Orientation
+from .series import SeriesPoly, series_mul, series_reciprocal
 
 RESIDUAL_TOL = 1e-13
 # Near s = 1 the root is double-root-like; plain bisection with a tight
@@ -210,50 +201,18 @@ def h_series(law, order):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if law.is_stable:
-        return SeriesPoly(_h_series_stable(law, order))
-    a = expand_coefficients(law, max(order, 1))
-    ap = a[1:] * np.arange(1, len(a))  # coefficients of phi'
     h = np.array([0.0, law.q])  # h = q*s + O(s^2)
     m = 1
     while m < order:
         m = min(2 * m, order)
         h = np.concatenate([h, np.zeros(m + 1 - len(h))])[: m + 1]
-        phi_h = series_compose_val1(a, h, m)
-        phip_h = series_compose_val1(np.concatenate([ap, [0.0]]), h, m)
+        phi_h, phip_h = law.phi_series(h, m)
         # F = H - s*phi(H); F' = 1 - s*phi'(H)
         f = h - _shift(phi_h, m)
         fp = -_shift(phip_h, m)
         fp[0] += 1.0
         h = h - series_mul(f, series_reciprocal(fp, m), m)
     return SeriesPoly(h)
-
-
-def _h_series_stable(law, order):
-    """Series Newton for the stable family, with phi(H) and phi'(H) from
-    their closed forms in 1 - H via series log/exp.
-
-    Avoids composing with the coefficient expansion, whose dense outer
-    series makes composition quadratic in both order and support.
-    """
-    g, b = law.gamma, law.beta
-    h = np.array([0.0, law.q])
-    m = 1
-    while m < order:
-        m = min(2 * m, order)
-        h = np.concatenate([h, np.zeros(m + 1 - len(h))])[: m + 1]
-        w = -h.copy()
-        w[0] += 1.0  # w = 1 - H
-        lw = series_log(w, m)
-        # phi(H) = H + (g/(1+b)) * w^(1+b); phi'(H) = 1 - g * w^b
-        phi_h = h + (g / (1.0 + b)) * series_exp((1.0 + b) * lw, m)
-        phip_h = -g * series_exp(b * lw, m)
-        phip_h[0] += 1.0
-        f = h - _shift(phi_h, m)
-        fp = -_shift(phip_h, m)
-        fp[0] += 1.0
-        h = h - series_mul(f, series_reciprocal(fp, m), m)
-    return h
 
 
 def _shift(c, order):
@@ -271,8 +230,6 @@ def f0_series(law, order):
     identity 1 - f0 = (1-s)/(1-h), a consequence of h = s*phi(h).
     """
     h = h_series(law, order + 1).coeffs
-    from .laws import Orientation
-
     if law.orientation is Orientation.RIGHT:
         hs = h[1:]  # h/s, constant term q > 0
         r = series_reciprocal(hs, order)  # s/h
@@ -289,102 +246,6 @@ def f0_series(law, order):
     return SeriesPoly(f0)
 
 
-@dataclass(frozen=True)
-class LimitCheck:
-    name: str
-    coarse: float
-    fine: float
-    extrapolant: float
-    target: float
-    tol: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class HLimitReport:
-    checks: tuple
-
-    @property
-    def all_converged(self):
-        return all(c.converged for c in self.checks)
-
-
-def h_limit_checks(law):
-    """Evaluate the small-s and near-1 limits of h numerically.
-
-    Each limit is reported at two consecutive geometric grid points together
-    with their Richardson-style extrapolant; non-convergence is reported,
-    not raised.
-    """
-    checks = []
-
-    def richardson(v1, v2):
-        return v2 + (v2 - v1) / 9.0
-
-    # h(s)/s -> q as s -> 0+
-    v1 = solve_h(law, 1e-5) / 1e-5
-    v2 = solve_h(law, 1e-6) / 1e-6
-    checks.append(
-        LimitCheck(
-            "h(s)/s -> q",
-            v1,
-            v2,
-            richardson(v1, v2),
-            law.q,
-            1e-6,
-            abs(v2 - law.q) <= 1e-6,
-        )
-    )
-
-    # (h(s) - q s)/s^2 -> q*p_0 as s -> 0+
-    target = law.q * law.p0
-    v1 = (solve_h(law, 1e-3) - law.q * 1e-3) / 1e-6
-    v2 = (solve_h(law, 1e-4) - law.q * 1e-4) / 1e-8
-    checks.append(
-        LimitCheck(
-            "(h(s)-qs)/s^2 -> q*p0",
-            v1,
-            v2,
-            richardson(v1, v2),
-            target,
-            1e-3,
-            abs(v2 - target) <= 1e-3,
-        )
-    )
-
-    # (1 - s*phi'(h))/(1-s)^alpha -> c near s = 1; alpha = 1/2 and
-    # c = sqrt(2)*sigma in the finite-variance case.
-    if law.sigma2 is not None:
-        alpha = 0.5
-        target = math.sqrt(2.0 * law.sigma2)
-        name = "(1-s phi'(h))/sqrt(1-s) -> sqrt(2)*sigma"
-    else:
-        alpha = law.beta / (1.0 + law.beta)
-        target = law.gamma ** (1.0 / (1.0 + law.beta)) * (1.0 + law.beta) ** (
-            law.beta / (1.0 + law.beta)
-        )
-        name = "(1-s phi'(h))/(1-s)^alpha -> c"
-    v1 = one_minus_s_phi_prime_h(law, 1.0 - 1e-7) / (1e-7**alpha)
-    v2 = one_minus_s_phi_prime_h(law, 1.0 - 1e-8) / (1e-8**alpha)
-    checks.append(
-        LimitCheck(
-            name,
-            v1,
-            v2,
-            richardson(v1, v2),
-            target,
-            0.01 * target,
-            abs(v2 - target) <= 0.01 * target,
-        )
-    )
-    return HLimitReport(tuple(checks))
-
-
 def one_minus_s_phi_prime_h(law, s):
     """1 - s*phi'(h(s)), evaluated without cancellation where possible."""
-    h = solve_h(law, s)
-    if law.is_stable:
-        # phi'(x) = 1 - gamma*(1-x)^beta, so the quantity is
-        # (1-s) + s*gamma*(1-h)^beta, a sum of positives.
-        return (1.0 - s) + s * law.gamma * (1.0 - h) ** law.beta
-    return 1.0 - s * law.phi_prime(h)
+    return law.one_minus_s_phi_prime(s, solve_h(law, s))

@@ -2,9 +2,14 @@
 
 A law is either an explicit finite-support p.m.f. (q, p_0..p_N) or a member
 of the one-parameter family phi(s) = s + gamma/(1+beta) * (1-s)^(1+beta),
-which has a regularly-varying jump tail and infinite variance.  Both carry
-the step generating function phi and its derivatives.  Criticality
+which has a regularly-varying jump tail and infinite variance.  Criticality
 (phi'(1) = 1, i.e. zero drift) is enforced at construction.
+
+Every quantity that depends on the family is a method of IncrementLaw,
+written once per family here: phi and its derivatives, phi(H) and phi'(H)
+on a power series, the cancellation-free 1 - s*phi'(x), the closed-form
+moderate-deviation constants, and the jump p.m.f. that simulation samples.
+No other module asks which family a law belongs to.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from typing import Optional
 
 import numpy as np
 
+from .series import series_compose_val1, series_exp, series_log
+
 MASS_TOL = 1e-12
 CRITICALITY_TOL = 1e-10
 
@@ -29,6 +36,12 @@ class Orientation(str, Enum):
 
 class LawValidationError(ValueError):
     """Raised when a proposed increment law violates its invariants."""
+
+
+class MdpRegime(str, Enum):
+    FINITE_VARIANCE = "FiniteVariance"
+    STABLE_FAMILY = "StableFamily"
+    NUMERIC_ESTIMATE = "NumericEstimate"
 
 
 @dataclass(frozen=True)
@@ -143,6 +156,67 @@ class IncrementLaw:
             acc = (n + 1) * n * self.p[n] + s * acc
         return acc
 
+    # -- what the consumers need ---------------------------------------------
+
+    def phi_series(self, h, order):
+        """phi(H) and phi'(H) through s^order, for H = h with h[0] = 0 and
+        len(h) = order + 1.
+
+        An explicit law composes its polynomial with H.  The stable family
+        uses its closed forms in W = 1 - H through series log/exp, because
+        composing with its dense coefficient expansion is quadratic in both
+        order and support.
+        """
+        if self.is_stable:
+            g, b = self.gamma, self.beta
+            w = -h.copy()
+            w[0] += 1.0  # w = 1 - H
+            lw = series_log(w, order)
+            # phi(H) = H + (g/(1+b)) * w^(1+b); phi'(H) = 1 - g * w^b
+            phi_h = h + (g / (1.0 + b)) * series_exp((1.0 + b) * lw, order)
+            phip_h = -g * series_exp(b * lw, order)
+            phip_h[0] += 1.0
+            return phi_h, phip_h
+        a = np.array([self.q, *self.p[: order + 1]])
+        ap = a[1:] * np.arange(1, len(a))  # coefficients of phi'
+        return (series_compose_val1(a, h, order),
+                series_compose_val1(ap, h, order))
+
+    def one_minus_s_phi_prime(self, s, x):
+        """1 - s*phi'(x), without cancellation where the family allows."""
+        if self.is_stable:
+            # phi'(x) = 1 - gamma*(1-x)^beta, so the quantity is
+            # (1-s) + s*gamma*(1-x)^beta, a sum of positives.
+            return (1.0 - s) + s * self.gamma * (1.0 - x) ** self.beta
+        return 1.0 - s * self.phi_prime(x)
+
+    def mdp_closed_form(self):
+        """(alpha, c, regime) with 1 - s*phi'(h(s)) ~ c*(1-s)^alpha as s -> 1.
+
+        alpha = 1/2 and c = sqrt(2)*sigma for finite-variance laws;
+        alpha = beta/(1+beta) and c = gamma^(1/(1+beta)) (1+beta)^(beta/(1+beta))
+        for the stable family.
+        """
+        if self.is_stable:
+            beta = self.beta
+            alpha = beta / (1.0 + beta)
+            c = self.gamma ** (1.0 / (1.0 + beta)) * (1.0 + beta) ** (
+                beta / (1.0 + beta)
+            )
+            return alpha, c, MdpRegime.STABLE_FAMILY
+        return 0.5, math.sqrt(2.0 * self.sigma2), MdpRegime.FINITE_VARIANCE
+
+    def jump_pmf(self, order):
+        """(p, tail): p_n = P(opposite jump of size n), and the mass beyond.
+
+        An explicit law lists its whole support, with tail 0.0; the stable
+        family lists p_0..p_{order-1} and the mass of the jumps it leaves out.
+        """
+        if self.is_stable:
+            p = expand_coefficients(self, order)[1:]
+            return p, 1.0 - self.q - float(p.sum())
+        return np.asarray(self.p), 0.0
+
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
@@ -185,21 +259,7 @@ def _check_unit_interval(s):
     raise ValueError(f"s = {s!r} outside [0, 1]")
 
 
-# -- module-level operation surface ----------------------------------------
-
-def phi_eval(law, s):
-    """Evaluate phi(s) for s in [0, 1]."""
-    return law.phi(s)
-
-
-def phi_deriv(law, s, order=1):
-    """First or second derivative of phi at s in [0, 1]."""
-    if order == 1:
-        return law.phi_prime(s)
-    if order == 2:
-        return law.phi_second(s)
-    raise ValueError("order must be 1 or 2")
-
+# -- coefficient expansions ------------------------------------------------
 
 def expand_coefficients(law, order):
     """Coefficients a_0..a_order of phi(s) = sum_k a_k s^k.

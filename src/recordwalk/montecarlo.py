@@ -12,15 +12,15 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import IncrementLaw, Orientation, expand_coefficients
+from .laws import IncrementLaw, Orientation
 from .oracle import Provenance, TailTable
 
 BLOCK_SIZE = 8192
@@ -44,27 +44,21 @@ class SimConfig:
             raise ValueError("workers must be positive")
 
 
+@functools.lru_cache(maxsize=32)
 def _jump_cdf(law):
     """CDF over [+unit jump, then jumps of size 0, 1, 2, ...].
 
     Fixed ordering: the skip-free unit step comes first (mass q), then the
-    opposite-direction jump sizes in increasing order.
+    opposite-direction jump sizes in increasing order.  A law with no mass
+    beyond its listed jumps ends at 1 or above, so rounding in the
+    cumulative sum cannot leave uniforms below 1 past its last jump.
     """
-    if law.is_stable:
-        a = expand_coefficients(law, STABLE_CDF_ORDER + STABLE_TAIL_ORDER)
-        p = a[1:]
-    else:
-        p = np.asarray(law.p)
-    return law.q + np.concatenate([[0.0], np.cumsum(p)])
-
-
-_CDF_CACHE = {}
-
-
-def _cached_cdf(law):
-    if law not in _CDF_CACHE:
-        _CDF_CACHE[law] = _jump_cdf(law)
-    return _CDF_CACHE[law]
+    p, tail = law.jump_pmf(STABLE_CDF_ORDER + STABLE_TAIL_ORDER)
+    cdf = law.q + np.concatenate([[0.0], np.cumsum(p)])
+    if tail == 0.0:
+        cdf[-1] = max(cdf[-1], 1.0)
+    cdf.setflags(write=False)  # one cached array serves every block
+    return cdf
 
 
 def sample_increment(law, uniform):
@@ -76,9 +70,11 @@ def sample_increment(law, uniform):
 
 def _sample_block(law, uniforms):
     """Vectorized inverse-CDF sampling; uniforms has shape (paths, n)."""
-    cdf = _cached_cdf(law)
+    cdf = _jump_cdf(law)
     idx = np.searchsorted(cdf, uniforms, side="right")
-    if law.is_stable and np.any(uniforms >= cdf[-1]):
+    # Only a CDF cut short of its tail ends below 1; the test of the
+    # endpoint spares every other law a pass over the block.
+    if cdf[-1] < 1.0 and np.any(uniforms >= cdf[-1]):
         warnings.warn(
             "uniform beyond the precomputed stable CDF tail; jump clamped",
             RuntimeWarning,

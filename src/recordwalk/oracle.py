@@ -3,16 +3,19 @@
 Two independent routes to P(A_n >= k):
 
 * dynamic programming over the reflected chain (level, zero-visit count),
-  which is exact once the level cap reaches the horizon -- levels above n
-  cannot return to 0 within n steps, so lumping them loses nothing;
+  which is exact once the level cap reaches the horizon: a right-continuous
+  chain falls at most one level per step, so levels above n cannot return
+  to 0 within n steps, and a left-continuous chain rises at most one level
+  per step, so it never reaches them;
 * renewal convolution of the return-time p.m.f., extracted as the power
   series of f0.
 
-For DP-vs-renewal comparisons, stable-family laws are run through the same
-truncated-and-renormalized coefficient expansion on both sides; exactness
-is then relative to the truncated law and the removed tail mass is
-surfaced in the error bound.  tau_pmf and the return-probability sums work
-with the exact stable generating function directly.
+Both routes run on truncated_explicit(law): an explicit law as it is, a
+stable-family law as its expansion truncated at STABLE_TRUNCATION_ORDER and
+renormalized to mass 1 and zero drift.  Exactness is then relative to the
+truncated law, and n times the removed tail mass is added to the error
+bound.  tau_pmf and return_prob_partial_sums take the law as given, so a
+stable law's series come from its exact generating function.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .fixed_point import f0_series
-from .laws import IncrementLaw, Orientation, truncated_explicit
+from .laws import Orientation, truncated_explicit
 from .series import SeriesPoly
 
 STABLE_TRUNCATION_ORDER = 10000
@@ -73,17 +76,11 @@ class TailTable:
         return float(self.tail[k])
 
 
-def _explicit_for_oracle(law, order=STABLE_TRUNCATION_ORDER):
-    if law.is_stable:
-        return truncated_explicit(law, order)
-    return law, 0.0
-
-
 def build_kernel(law, level_cap):
     """Assemble the reflected-chain kernel for levels 0..level_cap."""
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
-    law, trunc = _explicit_for_oracle(law)
+    law, trunc = truncated_explicit(law, STABLE_TRUNCATION_ORDER)
     L = level_cap
     q, p = law.q, np.asarray(law.p)
     K = np.zeros((L + 2, L + 2))
@@ -193,7 +190,7 @@ def renewal_tail_table(law, n, kmax=None):
     if kmax is None:
         kmax = n
     kmax = min(kmax, n)
-    law2, trunc = _explicit_for_oracle(law)
+    law2, trunc = truncated_explicit(law, STABLE_TRUNCATION_ORDER)
     f = tau_pmf(law2, n).coeffs[: n + 1]
     tail = np.ones(kmax + 1)
     dist = np.zeros(n + 1)

@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .fixed_point import f0_series, one_minus_s_phi_prime_h, solve_h
-from .laws import Orientation
+from .laws import MdpRegime, Orientation
 from .series import series_eval
 
 T_SERIES_SWITCH = 0.5
@@ -39,12 +38,6 @@ class RatePoint:
     Lambda: float
     Lambda_star: float
     ldp_rate: float
-
-
-class MdpRegime(str, Enum):
-    FINITE_VARIANCE = "FiniteVariance"
-    STABLE_FAMILY = "StableFamily"
-    NUMERIC_ESTIMATE = "NumericEstimate"
 
 
 @dataclass(frozen=True)
@@ -236,24 +229,13 @@ def mdp_constants(law, method="auto"):
     """Power-law constants (alpha, c) of 1 - s*phi'(h(s)) near s = 1, plus
     the moderate-deviation rate coefficient and exponent they induce.
 
-    method="auto" uses the closed forms: alpha = 1/2, c = sqrt(2)*sigma for
-    finite-variance laws; alpha = beta/(1+beta),
-    c = gamma^(1/(1+beta)) (1+beta)^(beta/(1+beta)) for the stable family.
+    method="auto" uses the law's closed form (IncrementLaw.mdp_closed_form).
     method="numeric" fits (alpha, c) by log-log regression on
     s = 1 - 10^-k, k = 2..8, using the three finest points, and reports the
     pairwise-slope spread as an uncertainty.
     """
     if method == "auto":
-        if law.is_stable:
-            beta = law.beta
-            alpha = beta / (1.0 + beta)
-            c = law.gamma ** (1.0 / (1.0 + beta)) * (1.0 + beta) ** (
-                beta / (1.0 + beta)
-            )
-            return _fill_mdp(law, alpha, c, MdpRegime.STABLE_FAMILY)
-        alpha = 0.5
-        c = math.sqrt(2.0 * law.sigma2)
-        return _fill_mdp(law, alpha, c, MdpRegime.FINITE_VARIANCE)
+        return _fill_mdp(law, *law.mdp_closed_form())
     if method != "numeric":
         raise ValueError("method must be 'auto' or 'numeric'")
 

@@ -66,10 +66,18 @@ def run_suite(law, suite):
 
 
 def _suite_h_limits(law):
-    report = fixed_point.h_limit_checks(law)
+    """The small-s limits of h and the power law of 1 - s*phi'(h) near 1."""
+    q = law.q
+    alpha, c, _ = law.mdp_closed_form()
+    near_one = fixed_point.one_minus_s_phi_prime_h(law, 1.0 - 1e-8) / 1e-8**alpha
     return [
-        Check(c.name, c.target, c.fine, c.tol, c.converged, "grid limit")
-        for c in report.checks
+        _check("h(s)/s -> q", q, fixed_point.solve_h(law, 1e-6) / 1e-6,
+               1e-6, "grid limit"),
+        _check("(h(s)-qs)/s^2 -> q*p0", q * law.p0,
+               (fixed_point.solve_h(law, 1e-4) - q * 1e-4) / 1e-8, 1e-3,
+               "grid limit"),
+        _check("(1-s phi'(h))/(1-s)^alpha -> c", c, near_one, 0.01 * c,
+               "grid limit"),
     ]
 
 

@@ -12,8 +12,8 @@ from recordwalk import (
     IncrementLaw,
     f0_series,
     h_deriv,
-    h_limit_checks,
     h_series,
+    run_suite,
     solve_h,
     truncated_explicit,
 )
@@ -130,9 +130,9 @@ class TestF0Series:
 
 @pytest.mark.parametrize("law", ALL_LAWS)
 def test_h_limit_checks_converge(law):
-    report = h_limit_checks(law)
+    report = run_suite(law, "h-limits")
     assert len(report.checks) == 3
-    assert report.all_converged
+    assert all(c.passed for c in report.checks)
 
 
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-9))

@@ -12,11 +12,17 @@ from recordwalk import (
     IncrementLaw,
     LawValidationError,
     Orientation,
+    bundled_law_path,
     expand_coefficients,
-    phi_deriv,
-    phi_eval,
+    h_series,
+    mdp_constants,
+    solve_h,
     truncated_explicit,
 )
+from recordwalk.series import series_eval
+
+BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
+           "stable_g05_b05_left.json"]
 
 
 def sym_law(orientation="right"):
@@ -85,26 +91,54 @@ class TestStableFactory:
 class TestGeneratingFunction:
     def test_explicit_values(self):
         law = sym_law()
-        assert phi_eval(law, 0.6) == pytest.approx(0.5 + 0.5 * 0.36, abs=1e-15)
-        assert phi_eval(law, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert phi_deriv(law, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert phi_deriv(law, 1.0, order=2) == pytest.approx(law.sigma2)
+        assert law.phi(0.6) == pytest.approx(0.5 + 0.5 * 0.36, abs=1e-15)
+        assert law.phi(1.0) == pytest.approx(1.0, abs=1e-15)
+        assert law.phi_prime(1.0) == pytest.approx(1.0, abs=1e-15)
+        assert law.phi_second(1.0) == pytest.approx(law.sigma2)
 
     def test_stable_values(self):
         law = stable_law()
-        assert phi_eval(law, 0.0) == pytest.approx(law.q, abs=1e-15)
-        assert phi_eval(law, 1.0) == 1.0
-        assert phi_deriv(law, 1.0) == 1.0
-        assert phi_deriv(law, 1.0, order=2) == math.inf
-        assert phi_deriv(law, 0.75, order=2) == pytest.approx(
+        assert law.phi(0.0) == pytest.approx(law.q, abs=1e-15)
+        assert law.phi(1.0) == 1.0
+        assert law.phi_prime(1.0) == 1.0
+        assert law.phi_second(1.0) == math.inf
+        assert law.phi_second(0.75) == pytest.approx(
             0.25 * 0.25**-0.5, abs=1e-15
         )
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            phi_eval(sym_law(), 1.5)
-        with pytest.raises(ValueError):
-            phi_deriv(sym_law(), 0.5, order=3)
+            sym_law().phi(1.5)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+class TestLawInterface:
+    """The family-specific methods every consumer calls, against the scalar
+    generating function."""
+
+    @staticmethod
+    def law(name):
+        return IncrementLaw.from_json(bundled_law_path(name).read_text())
+
+    @pytest.mark.parametrize("s", [0.1, 0.25])
+    def test_phi_series_sums_to_phi_at_h(self, name, s):
+        law, order = self.law(name), 128
+        phi_h, phip_h = law.phi_series(h_series(law, order).coeffs, order)
+        h = solve_h(law, s)
+        assert abs(series_eval(phi_h, s) - law.phi(h)) <= 1e-13
+        assert abs(series_eval(phip_h, s) - law.phi_prime(h)) <= 1e-13
+
+    def test_one_minus_s_phi_prime(self, name):
+        law, s = self.law(name), 0.5
+        for x in (0.0, 0.3, solve_h(law, s), 0.9):
+            direct = 1.0 - s * law.phi_prime(x)
+            assert abs(law.one_minus_s_phi_prime(s, x) - direct) <= 1e-12
+
+    def test_mdp_constants_are_the_closed_form(self, name):
+        law = self.law(name)
+        alpha, c, regime = law.mdp_closed_form()
+        consts = mdp_constants(law)
+        assert (consts.alpha, consts.c, consts.regime) == (alpha, c, regime)
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 """Monte Carlo sampling, record counting, and reproducibility."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,15 @@ class TestSampling:
         assert sample_increment(ASYM, 0.5) == 0
         assert sample_increment(ASYM, 0.8) == -1
         assert sample_increment(ASYM, 0.9) == -2
+
+    def test_top_uniform_stays_in_support(self):
+        # Support {+1, 0, -1}; the float running sum of q, p_0, p_1 ends at
+        # 0.9999999999999999, the largest uniform Generator.random returns.
+        law = IncrementLaw.explicit("right", 0.35, [0.3, 0.35])
+        u = np.nextafter(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_increment(law, float(u)) == -1
 
     def test_uniform_domain(self):
         with pytest.raises(ValueError):
