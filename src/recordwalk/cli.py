@@ -45,6 +45,16 @@ def _emit_csv(header_meta, columns, rows, out):
         out.write("\n")
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_grid(spec):
     try:
         a, b, num = spec.split(":")
@@ -192,7 +202,7 @@ def build_parser():
     p.add_argument("--law", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["dp", "renewal"], required=True)
-    p.add_argument("--kmax", type=int)
+    p.add_argument("--kmax", type=_nonnegative_int)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="Monte Carlo tail estimates")
@@ -200,7 +210,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--kmax", type=int)
+    p.add_argument("--kmax", type=_nonnegative_int)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 

@@ -10,6 +10,15 @@ Two independent routes to P(A_n >= k):
 * renewal convolution of the return-time p.m.f., extracted as the power
   series of f0.
 
+The DP multiplies only the live block of its state at each step: rows up to
+the step count (the count cannot exceed it), levels up to the highest one
+reachable so far, and only levels that can still reach 0 in the steps left.
+Mass leaving that block has a final count and is added to a per-count
+settled total as a sum of kernel entries, never by subtraction, so tails
+near 2^-n keep their relative accuracy.  A step then costs about
+rows * width^2 instead of (kmax+1) * (level_cap+2)^2.  The renewal table
+skips the known zeros: after k convolutions nothing sits below index k.
+
 Both routes run on truncated_explicit(law): an explicit law as it is, a
 stable-family law as its expansion truncated at STABLE_TRUNCATION_ORDER and
 renormalized to mass 1 and zero drift.  Exactness is then relative to the
@@ -116,35 +125,94 @@ def build_kernel(law, level_cap):
     return ChainKernel(law.orientation, L, K, trunc)
 
 
+def _window_limits(pattern, n):
+    """Bounds of the DP's live window from the level-to-level nonzero pattern.
+
+    Returns (reach, live): mass on levels 0..w-1 can reach no level above
+    reach[w-1] in one step, and with r steps left no level above live[r]-1
+    can still reach level 0.  live comes from a breadth-first search from
+    level 0 over the reversed pattern.
+    """
+    top = len(pattern) - 1 - np.argmax(pattern[:, ::-1], axis=1)
+    reach = np.maximum.accumulate(top)
+    dist = np.full(len(pattern), n + 1)
+    dist[0] = 0
+    frontier = dist == 0
+    for step in range(1, n + 1):
+        frontier = pattern[:, frontier].any(axis=1) & (dist > n)
+        if not frontier.any():
+            break
+        dist[frontier] = step
+    levels = np.flatnonzero(dist <= n)
+    highest = np.zeros(n + 1, dtype=int)
+    np.maximum.at(highest, dist[levels], levels)
+    return reach, np.maximum.accumulate(highest) + 1
+
+
 def exact_An_distribution(kernel, n, kmax=None):
     """Exact joint DP over (step, level, zero-visit count).
 
     Starts at level 0 with count 0; returns P(A_n >= k) for k = 0..kmax.
     The count dimension is capped at kmax with aggregation above, so memory
     is O(level_cap * kmax).
+
+    Each step multiplies only the live block of the state, bounded by three
+    exact facts that hold for any kernel:
+
+    * after t steps the count is at most t, so only rows 0..min(t, kmax)
+      can hold mass;
+    * the highest level holding mass follows from the kernel's nonzero
+      pattern over the levels already reached;
+    * a level that cannot reach level 0 in the steps left never adds
+      another zero visit, so its count is final.
+
+    Mass leaving the window (to a dead level, past the reach, or into the
+    overflow state) is added to a per-count settled total as a sum of
+    kernel entries beyond the window, never as a row total minus the live
+    mass, so tiny tails keep their relative accuracy.  The cost is about
+    sum_t min(t, kmax) * w(t)^2 for live width w(t), against n * kmax * L^2
+    for the dense product.  With level_cap < n, the error bound adds the
+    mass that entered the overflow state from the live window.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if kmax is None:
         kmax = n
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
     kmax = min(kmax, n)
     K = kernel.matrix
-    nstates = K.shape[0]
-    dist = np.zeros((kmax + 1, nstates))
-    dist[0, 0] = 1.0
-    for _ in range(n):
-        landed = dist @ K
-        nxt = np.zeros_like(landed)
-        nxt[:, 1:] = landed[:, 1:]
-        nxt[1:, 0] = landed[:-1, 0]
-        nxt[kmax, 0] += landed[kmax, 0]  # counts >= kmax stay lumped
-        dist = nxt
-    by_count = dist.sum(axis=1)
+    over = kernel.overflow_index
+    # beyond[j, i]: what level i sends to states >= j, a sum of kernel entries
+    beyond = np.cumsum(K[:over, ::-1].T, axis=0)[::-1]
+    reach, live = _window_limits(K[:over, :over] > 0.0, n)
+    cur = np.zeros((kmax + 1, over))
+    nxt = np.empty_like(cur)
+    cur[0, 0] = 1.0
+    settled = np.zeros(kmax + 1)
+    overflow = 0.0
+    rows, width = 1, 1
+    for t in range(1, n + 1):
+        new_rows = min(t, kmax) + 1
+        new_width = min(reach[width - 1] + 1, live[n - t])
+        block = cur[:rows, :width]
+        settled[:rows] += block @ beyond[new_width, :width]
+        overflow += block.sum(axis=0) @ K[:width, over]
+        landed = np.matmul(block, K[:width, :new_width],
+                           out=nxt[:rows, :new_width])
+        nxt[rows:new_rows, :new_width] = 0.0
+        zero = landed[:, 0].copy()
+        nxt[0, 0] = 0.0
+        nxt[1:new_rows, 0] = zero[: new_rows - 1]
+        nxt[new_rows - 1, 0] += zero[new_rows - 1 :].sum()  # counts >= kmax stay lumped
+        cur, nxt = nxt, cur
+        rows, width = new_rows, new_width
+    by_count = cur[:, :width].sum(axis=1) + settled
     tail = np.minimum(1.0, np.cumsum(by_count[::-1])[::-1])
-    overflow = float(dist[:, kernel.overflow_index].sum())
+    tail[0] = 1.0
     err = kernel.truncation_mass * n
     if kernel.level_cap < n:
-        err += overflow  # lumped mass may have been denied later zero visits
+        err += float(overflow)  # lumped mass may have been denied later zero visits
     return TailTable(n, tail, Provenance.DP, err)
 
 
@@ -168,6 +236,23 @@ def tau_pmf(law, order):
     return f0
 
 
+def _renewal_masses(f, n, kmax):
+    """P(Y_1 + ... + Y_k <= n) for k = 0..kmax and i.i.d. Y with p.m.f. f.
+
+    Y >= 1, so after k convolutions nothing sits below index k: only that
+    part, indices k..n, is kept and convolved with f[1:] by nonnegative
+    direct convolution.
+    """
+    mass = np.ones(kmax + 1)
+    part = np.ones(1)
+    step = f[1 : n + 1]
+    for k in range(1, kmax + 1):
+        m = n + 1 - k
+        part = np.convolve(part[:m], step[:m])[:m]
+        mass[k] = part.sum()
+    return mass
+
+
 def renewal_tail(tau, n, k):
     """P(Y_1 + ... + Y_k <= n) for i.i.d. Y ~ tau.
 
@@ -178,27 +263,22 @@ def renewal_tail(tau, n, k):
     f = np.asarray(tau.coeffs if isinstance(tau, SeriesPoly) else tau)
     if len(f) < n + 1:
         raise ValueError("tau p.m.f. must be truncated at >= n")
-    f = f[: n + 1]
-    dist = f.copy()
-    for _ in range(k - 1):
-        dist = np.convolve(dist, f)[: n + 1]
-    return float(dist.sum())
+    if f[0] != 0.0:
+        raise ValueError("tau p.m.f. must put no mass at 0")
+    return float(_renewal_masses(f, n, k)[k])
 
 
 def renewal_tail_table(law, n, kmax=None):
     """TailTable of P(A_n >= k) from the renewal representation."""
     if kmax is None:
         kmax = n
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
     kmax = min(kmax, n)
     law2, trunc = truncated_explicit(law, STABLE_TRUNCATION_ORDER)
-    f = tau_pmf(law2, n).coeffs[: n + 1]
-    tail = np.ones(kmax + 1)
-    dist = np.zeros(n + 1)
-    dist[0] = 1.0
-    for k in range(1, kmax + 1):
-        dist = np.convolve(dist, f)[: n + 1]
-        tail[k] = dist.sum()
-    return TailTable(n, tail, Provenance.RENEWAL, trunc * n)
+    f = tau_pmf(law2, n).coeffs
+    return TailTable(n, _renewal_masses(f, n, kmax), Provenance.RENEWAL,
+                     trunc * n)
 
 
 def return_prob_partial_sums(law, n):

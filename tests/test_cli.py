@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import recordwalk
 from recordwalk import SUITES, IncrementLaw, bundled_law_path
 from recordwalk.cli import main
 
@@ -92,6 +97,16 @@ class TestOracle:
         for a, b in zip(rows_dp, rows_rn):
             assert abs(float(a[1]) - float(b[1])) <= 1e-12
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "10", "--mode", "dp"],
+        ["oracle", "--n", "10", "--mode", "renewal"],
+        ["simulate", "--n", "10", "--paths", "200", "--seed", "1"],
+    ])
+    def test_negative_kmax_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--law", SYM_PATH, "--kmax", "-1"])
+        assert exc.value.code == 2
+
     def test_bad_n_is_numeric_failure(self, capsys):
         code, _ = run_cli(capsys, "oracle", "--law", SYM_PATH,
                           "--n", "0", "--mode", "dp")
@@ -159,6 +174,20 @@ class TestVerify:
         assert doc["suite"] == suite
         assert doc["passed"] is True
         assert all(c["passed"] is True for c in doc["checks"])
+
+
+def test_runs_as_module():
+    src = str(Path(recordwalk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "recordwalk", "oracle", "--law", SYM_PATH,
+         "--n", "5", "--mode", "dp"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    _, header, rows = parse_csv(proc.stdout)
+    assert header[0] == "k" and len(rows) == 6
 
 
 class TestErrors:

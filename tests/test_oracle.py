@@ -15,6 +15,8 @@ from recordwalk import (
     return_prob_partial_sums,
     tau_pmf,
 )
+from recordwalk.laws import truncated_explicit
+from recordwalk.oracle import STABLE_TRUNCATION_ORDER
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
@@ -23,6 +25,43 @@ STABLE = IncrementLaw.stable("right", 0.5, 0.5)
 STABLE_LEFT = IncrementLaw.stable("left", 0.5, 0.5)
 
 ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE, STABLE_LEFT]
+
+
+def _dense_dp(kernel, n, kmax=None):
+    """Reference for exact_An_distribution: the whole (kmax+1) x (L+2)
+    state times the whole kernel at every step.  Returns (tail, error_bound).
+    """
+    if kmax is None:
+        kmax = n
+    kmax = min(kmax, n)
+    K = kernel.matrix
+    dist = np.zeros((kmax + 1, K.shape[0]))
+    dist[0, 0] = 1.0
+    for _ in range(n):
+        landed = dist @ K
+        nxt = np.zeros_like(landed)
+        nxt[:, 1:] = landed[:, 1:]
+        nxt[1:, 0] = landed[:-1, 0]
+        nxt[kmax, 0] += landed[kmax, 0]
+        dist = nxt
+    tail = np.minimum(1.0, np.cumsum(dist.sum(axis=1)[::-1])[::-1])
+    err = kernel.truncation_mass * n
+    if kernel.level_cap < n:
+        err += float(dist[:, kernel.overflow_index].sum())
+    return tail, err
+
+
+def _full_convolution_renewal(f, n, kmax):
+    """Reference for the renewal table: P(S_k <= n) by convolving the whole
+    length-(n+1) distribution with the whole p.m.f. k times."""
+    f = f[: n + 1]
+    tail = np.ones(kmax + 1)
+    dist = np.zeros(n + 1)
+    dist[0] = 1.0
+    for k in range(1, kmax + 1):
+        dist = np.convolve(dist, f)[: n + 1]
+        tail[k] = dist.sum()
+    return tail
 
 
 class TestKernel:
@@ -83,6 +122,39 @@ class TestExactDistribution:
         table = exact_An_distribution(build_kernel(SYM, 5), 30)
         assert table.error_bound > 0.0
 
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_matches_dense_reference(self, law, n):
+        for cap in sorted({n, max(1, n // 3)}):
+            kernel = build_kernel(law, cap)
+            for kmax in (None, 0, 3):
+                table = exact_An_distribution(kernel, n, kmax)
+                tail, err = _dense_dp(kernel, n, kmax)
+                assert table.tail[0] == 1.0
+                assert table.tail.shape == tail.shape
+                assert np.all(tail > 0.0)
+                assert np.all(np.abs(table.tail - tail) <= 1e-14 * tail)
+                if cap >= n:
+                    assert table.error_bound == err
+                else:
+                    assert table.error_bound <= err + 1e-15
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_capped_error_bound_is_a_bound(self, law):
+        for n in (12, 30, 60):
+            exact = exact_An_distribution(build_kernel(law, n), n).tail
+            for cap in (1, 3, 5, 10, 25):
+                if cap >= n:
+                    continue
+                kernel = build_kernel(law, cap)
+                table = exact_An_distribution(kernel, n)
+                slack = table.error_bound - n * kernel.truncation_mass
+                assert np.max(np.abs(table.tail - exact)) <= slack + 1e-14
+
+    def test_kmax_check(self):
+        with pytest.raises(ValueError, match="kmax"):
+            exact_An_distribution(build_kernel(SYM, 5), 5, kmax=-1)
+
     def test_n_check(self):
         with pytest.raises(ValueError):
             exact_An_distribution(build_kernel(SYM, 5), 0)
@@ -127,6 +199,21 @@ class TestRenewal:
             renewal_tail(tau, 10, 11)
         with pytest.raises(ValueError):
             renewal_tail(tau, 50, 2)  # pmf truncated too short
+        with pytest.raises(ValueError):
+            renewal_tail(np.r_[0.5, 0.5, np.zeros(9)], 10, 2)  # mass at 0
+        with pytest.raises(ValueError, match="kmax"):
+            renewal_tail_table(SYM, 10, kmax=-1)
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_table_matches_full_convolution(self, law):
+        n = 120
+        f = tau_pmf(truncated_explicit(law, STABLE_TRUNCATION_ORDER)[0], n).coeffs
+        for kmax in (None, 0, 7):
+            table = renewal_tail_table(law, n, kmax)
+            ref = _full_convolution_renewal(f, n, n if kmax is None else kmax)
+            assert table.tail[0] == 1.0
+            assert np.all(ref > 0.0)
+            assert np.all(np.abs(table.tail - ref) <= 1e-14 * ref)
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_dp_equals_renewal(self, law):
