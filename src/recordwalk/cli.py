@@ -55,22 +55,35 @@ def _nonnegative_int(text):
     return value
 
 
-def _parse_grid(spec):
+def _record_density(text):
+    """A finite record density 0 < x <= 1 whose slope 1/x is finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (0.0 < value <= 1.0 and math.isfinite(1.0 / value)):
+        raise argparse.ArgumentTypeError(
+            f"record density must lie in (0, 1] with a finite 1/x, got {text}")
+    return value
+
+
+def _density_grid(spec):
+    """An a:b:n grid of record densities, each checked as --x is."""
     try:
         a, b, num = spec.split(":")
-        a, b, num = float(a), float(b), int(num)
+        grid = np.linspace(float(a), float(b), int(num))
     except ValueError:
-        raise SystemExit(2)
-    return np.linspace(a, b, num)
+        raise argparse.ArgumentTypeError(f"invalid grid {spec!r}; want a:b:n")
+    return [_record_density(x) for x in grid]
 
 
 def cmd_rate(args, out):
     law = _load_law(args.law)
     if args.grid:
         rows = []
-        for x_rec in _parse_grid(args.grid):
-            pt = rates.rate_point(law, float(x_rec))
-            rows.append((pt.x, float(x_rec), pt.lam, pt.Lambda, pt.Lambda_star,
+        for x_rec in args.grid:
+            pt = rates.rate_point(law, x_rec)
+            rows.append((pt.x, x_rec, pt.lam, pt.Lambda, pt.Lambda_star,
                          pt.ldp_rate))
         _emit_csv(_meta(law),
                   ["x", "x_rec", "lambda", "Lambda", "Lambda_star", "ldp_rate"],
@@ -78,12 +91,12 @@ def cmd_rate(args, out):
         return 0
     pt = rates.rate_point(law, args.x)
     _emit_json({
-        "x": pt.x,
+        "x": _jsonable(pt.x),
         "x_rec": args.x,
-        "lambda": pt.lam,
-        "Lambda": pt.Lambda,
-        "Lambda_star": pt.Lambda_star,
-        "ldp_rate": pt.ldp_rate,
+        "lambda": _jsonable(pt.lam),
+        "Lambda": _jsonable(pt.Lambda),
+        "Lambda_star": _jsonable(pt.Lambda_star),
+        "ldp_rate": _jsonable(pt.ldp_rate),
         "meta": _meta(law),
     }, out)
     return 0
@@ -188,8 +201,9 @@ def build_parser():
 
     p = sub.add_parser("rate", help="LDP rate evaluation at a record density")
     p.add_argument("--law", required=True)
-    p.add_argument("--x", type=float, help="record density in (0, 1]")
-    p.add_argument("--grid", help="a:b:n grid of record densities (CSV output)")
+    p.add_argument("--x", type=_record_density, help="record density in (0, 1]")
+    p.add_argument("--grid", type=_density_grid,
+                   help="a:b:n grid of record densities (CSV output)")
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("mdp", help="moderate-deviation constants")

@@ -4,11 +4,14 @@ h(s) is the generating function of the descending first-passage time of the
 reflected chain; everything downstream (return-time law, cumulants, rate
 functions) is built from it.  Scalar evaluation uses a bracketed
 bisection/Newton hybrid; the coefficient expansion uses series Newton with
-precision doubling.
+precision doubling.  Where w = 1 - h must keep its relative precision, a
+point of the curve is found by bisection in u = log(h/w) instead
+(bisect_logit).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +24,7 @@ RESIDUAL_TOL = 1e-13
 # absolute tolerance is the robust choice there.
 BISECT_ONLY_ABOVE = 1.0 - 1e-6
 NEAR_SINGULAR = 1e-12
+U_MAX = 750.0  # |log(h/w)| beyond which h or w is 0 in double precision
 
 
 class ConvergenceError(RuntimeError):
@@ -246,6 +250,38 @@ def f0_series(law, order):
     return SeriesPoly(f0)
 
 
+def _logistic_hw(u):
+    """(h, w) with log(h/w) = u and h + w = 1, each to full relative
+    precision."""
+    t = math.exp(-abs(u))
+    small, big = t / (1.0 + t), 1.0 / (1.0 + t)
+    return (small, big) if u < 0.0 else (big, small)
+
+
+def bisect_logit(f, target):
+    """(h, w) where f(h, w), nondecreasing in u = log(h/w), crosses target.
+
+    Bisection in u over [-U_MAX, U_MAX], whose ends are h = 0 and w = 0,
+    until the bracket ends are adjacent doubles.
+    """
+    lo, hi = -U_MAX, U_MAX
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(*_logistic_hw(mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return _logistic_hw(mid)
+
+
 def one_minus_s_phi_prime_h(law, s):
-    """1 - s*phi'(h(s)), evaluated without cancellation where possible."""
-    return law.one_minus_s_phi_prime(s, solve_h(law, s))
+    """1 - s*phi'(h(s)) = (D + h*D')/(D + h), without cancellation.
+
+    h is found in u = log(h/w) from s*D = (1 - s)*h, the fixed-point
+    equation in D, so that w = 1 - h keeps its relative precision as s -> 1.
+    """
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s = {s!r} outside [0, 1]")
+    h, w = bisect_logit(lambda h, w: (1.0 - s) * h - s * law.gaps(h, w)[0],
+                        0.0)
+    d, dp, _ = law.gaps(h, w)
+    return float((d + h * dp) / (d + h))

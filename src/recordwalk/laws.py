@@ -7,13 +7,15 @@ which has a regularly-varying jump tail and infinite variance.  Criticality
 
 Every quantity that depends on the family is a method of IncrementLaw,
 written once per family here: phi and its derivatives, phi(H) and phi'(H)
-on a power series, the cancellation-free 1 - s*phi'(x), the closed-form
-moderate-deviation constants, and the jump p.m.f. that simulation samples.
+on a power series, the cancellation-free gaps D, D' and psi of the rate
+curve, the closed-form moderate-deviation constants, and the jump p.m.f.
+that simulation samples.
 No other module asks which family a law belongs to.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -27,6 +29,7 @@ from .series import series_compose_val1, series_exp, series_log
 
 MASS_TOL = 1e-12
 CRITICALITY_TOL = 1e-10
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class Orientation(str, Enum):
@@ -182,13 +185,44 @@ class IncrementLaw:
         return (series_compose_val1(a, h, order),
                 series_compose_val1(ap, h, order))
 
-    def one_minus_s_phi_prime(self, s, x):
-        """1 - s*phi'(x), without cancellation where the family allows."""
-        if self.is_stable:
-            # phi'(x) = 1 - gamma*(1-x)^beta, so the quantity is
-            # (1-s) + s*gamma*(1-x)^beta, a sum of positives.
-            return (1.0 - s) + s * self.gamma * (1.0 - x) ** self.beta
-        return 1.0 - s * self.phi_prime(x)
+    def gaps(self, h, w):
+        """(D, D', psi) at h = 1 - w, without cancellation; floats or arrays.
+
+        D = phi(h) - h, D' = 1 - phi'(h) (its derivative in w) and
+        psi = (phi(h) - q)/h, which is p_0 at h = 0; on the curve
+        s = h/phi(h), 1 - s*phi'(h) = (D + h*D')/(D + h).  The stable family
+        has D = gamma/(1+beta) * w^(1+beta).  An explicit law takes D from
+        its Taylor polynomial in w where w < 1/2, which has no constant or
+        linear term, so a drift residual within CRITICALITY_TOL is dropped.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.is_stable:
+                g, e = self.gamma, 1.0 + self.beta
+                # log w from h while h < 1/2, where w = 1 - h has rounded
+                lw = np.where(h < 0.5, np.log1p(-h), np.log(w))
+                psi = np.where(h < _SMALLEST_NORMAL, 1.0 - g,
+                               1.0 + g / e * np.expm1(e * lw) / h)
+                return (g / e * np.float_power(w, e),
+                        g * np.float_power(w, self.beta), psi)
+            psi = dphi = taylor = taylor_p = 0.0
+            for n in range(len(self.p) - 1, -1, -1):
+                psi = self.p[n] + h * psi
+                dphi = (n + 1) * self.p[n] + h * dphi
+            # D = w^2 sum_j t_j w^(j-2) and D' = w sum_j j t_j w^(j-2), j >= 2
+            for j in range(len(self.p), 1, -1):
+                taylor = self._w_taylor[j] + w * taylor
+                taylor_p = j * self._w_taylor[j] + w * taylor_p
+            far = w >= 0.5
+            return (np.where(far, self.q - h * (1.0 - psi), taylor * w * w),
+                    np.where(far, 1.0 - dphi, taylor_p * w), psi)
+
+    @functools.cached_property
+    def _w_taylor(self):
+        """t_j with phi(1 - w) = sum_j t_j w^j: (-1)^j sum_k a_k C(k, j)."""
+        a = (self.q, *self.p)
+        return [(-1) ** j * math.fsum(a[k] * math.comb(k, j)
+                                      for k in range(j, len(a)))
+                for j in range(len(a))]
 
     def mdp_closed_form(self):
         """(alpha, c, regime) with 1 - s*phi'(h(s)) ~ c*(1-s)^alpha as s -> 1.

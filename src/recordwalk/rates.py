@@ -5,28 +5,23 @@ reflected chain to 0, its derivative, the inverse slope map G, the
 Legendre-Fenchel transform Lambda*, the resulting large-deviation rate, and
 the moderate-deviation constants.
 
-Internally everything is parameterized by t = e^lambda in (0, 1).  For
-t <= 1/2 both Lambda and Lambda' are evaluated from the truncated tau
-series (geometric convergence, no cancellation even at lambda = -700); for
-t > 1/2 the closed forms in h(t) are used.
+Every quantity is explicit in the fixed point h, since e^lambda = h/phi(h).
+The curve is evaluated at h and w = 1 - h together, from the law's gaps
+(IncrementLaw.gaps), so that no formula subtracts nearly equal numbers as
+h -> 0 (lambda -> -inf) or w -> 0 (lambda -> 0).  cumulant and
+cumulant_deriv solve for h once at s = e^lambda; invert_slope, legendre and
+rate_point bisect the slope in u = log(h/w) and never solve for h.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import f0_series, one_minus_s_phi_prime_h, solve_h
+from .fixed_point import bisect_logit, one_minus_s_phi_prime_h, solve_h
 from .laws import MdpRegime, Orientation
-from .series import series_eval
-
-T_SERIES_SWITCH = 0.5
-SERIES_ORDER = 256
-LAMBDA_FLOOR = -700.0
-LAMBDA_CLAMP = -745.0  # below this e^lambda underflows to 0
 
 
 @dataclass(frozen=True)
@@ -52,13 +47,6 @@ class MdpConstants:
     uncertainty: float = 0.0
 
 
-@functools.lru_cache(maxsize=32)
-def _tau_series(law):
-    f = f0_series(law, SERIES_ORDER).coeffs
-    m = np.arange(len(f))
-    return f, m
-
-
 def _boundary_log(law):
     """-ln(q+p_0) (right) or -ln(1-q) (left): Lambda*(1)."""
     if law.orientation is Orientation.RIGHT:
@@ -66,102 +54,76 @@ def _boundary_log(law):
     return -math.log(1.0 - law.q)
 
 
+def _curve(law, h, w, lam=None):
+    """(lambda, Lambda, Lambda') at the point h = 1 - w of the curve.
+
+    lambda = -log1p(D/h) unless the caller hands in the lambda it has.
+    With phi = D + h and A = D + h*D' (so 1 - s*phi'(h) = A/phi):
+      right: f0/s = psi + q, and Lambda = log1p(-q*w/phi) while that
+             argument is small, else lambda + log(psi + q);
+             Lambda' = q*(phi + w*phi'(h)) / ((psi + q)*A);
+      left:  f0/s = 1 - D/w, so Lambda = lambda + log1p(-D/w), and with
+             r = D/w, Lambda' = (h*(D' - r)/w + r*(1 - r)) / ((1 - r)*A).
+    No numerator or denominator subtracts nearly equal numbers, and the
+    scaling by w keeps the left one clear of underflow as w -> 0.
+    """
+    d, dp, psi = law.gaps(h, w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if lam is None:
+            lam = -np.log1p(d / h)
+        a = d + h * dp
+        if law.orientation is Orientation.RIGHT:
+            q = law.q
+            phi = d + h
+            g = q * w / phi
+            Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(psi + q))
+            slope = q * (phi + w * (1.0 - dp)) / ((psi + q) * a)
+        else:
+            r = d / w
+            Lam = lam + np.log1p(-r)
+            slope = (h * (dp - r) / w + r * (1.0 - r)) / ((1.0 - r) * a)
+    return lam, Lam, slope
+
+
+def _at_lambda(law, lam):
+    """_curve at s = e^lambda, for a float or an array of lambda < 0."""
+    if np.any(np.asarray(lam) >= 0.0):
+        raise ValueError("lambda must be negative")
+    h = solve_h(law, np.exp(lam) if np.ndim(lam) else math.exp(lam))
+    out = _curve(law, h, 1.0 - h, lam)
+    return out if np.ndim(lam) else [float(v) for v in out]
+
+
 def cumulant(law, lam):
     """Lambda(lambda) for lambda < 0; nonpositive, increasing.
 
-    lam may be a float or a numpy array; an array takes each element down
-    the same branch as the scalar call, in one vectorised pass per branch.
+    lam may be a float or a numpy array; both take the same body.
     """
-    if isinstance(lam, np.ndarray) and lam.ndim:
-        return _cumulant_array(law, lam)
-    if lam >= 0.0:
-        raise ValueError("lambda must be negative")
-    if lam <= LAMBDA_FLOOR:
-        # deep-lambda asymptote: lambda - Lambda -> Lambda*(1)
-        return lam + (-_boundary_log(law))
-    t = math.exp(lam)
-    if t <= T_SERIES_SWITCH:
-        f, _ = _tau_series(law)
-        # Lambda = lambda + ln( sum_m f_m t^(m-1) ), stable for tiny t.
-        return lam + math.log(series_eval(f[1:], t))
-    h = solve_h(law, t)
-    w = 1.0 - h
-    if law.orientation is Orientation.RIGHT:
-        return math.log1p(-law.q * t * w / h)
-    return math.log1p(-(1.0 - t) / w)
-
-
-def _cumulant_array(law, lam):
-    """cumulant on every element of an array, split by the scalar branches."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam >= 0.0):
-        raise ValueError("lambda must be negative")
-    out = lam + (-_boundary_log(law))  # the lam <= LAMBDA_FLOOR branch
-    t = np.exp(lam)
-    deep = lam <= LAMBDA_FLOOR
-    series = ~deep & (t <= T_SERIES_SWITCH)
-    closed = ~deep & ~series
-    f, _ = _tau_series(law)
-    out[series] = lam[series] + np.log(series_eval(f[1:], t[series]))
-    t = t[closed]
-    h = solve_h(law, t)
-    w = 1.0 - h
-    if law.orientation is Orientation.RIGHT:
-        out[closed] = np.log1p(-law.q * t * w / h)
-    else:
-        out[closed] = np.log1p(-(1.0 - t) / w)
-    return out
+    return _at_lambda(law, lam)[1]
 
 
 def cumulant_deriv(law, lam):
-    """Lambda'(lambda) in (1, inf), strictly increasing."""
-    if lam >= 0.0:
-        raise ValueError("lambda must be negative")
-    if lam <= LAMBDA_CLAMP:
-        return 1.0
-    t = math.exp(lam)
-    if t <= T_SERIES_SWITCH:
-        f, m = _tau_series(law)
-        tp = t ** (m[1:] - 1)
-        den = float(np.dot(f[1:], tp))
-        num = float(np.dot(f[1:] * m[1:], tp))
-        return num / den
-    h = solve_h(law, t)
-    php = law.phi_prime(h)
-    if law.orientation is Orientation.RIGHT:
-        num = law.q * t * (h * (1.0 - t * php) + t * php)
-        den = (1.0 - t * php) * ((1.0 + law.q * t) * h - law.q * t)
-        return num / den
-    hp = law.phi(h) / (1.0 - t * php)
-    # 1 - phi(h) = (t - h)/t since h = t*phi(h)
-    return 1.0 + hp * t / (1.0 - h) - php * hp * t * t / (t - h)
+    """Lambda'(lambda) in (1, inf), strictly increasing; a float or an
+    array, as cumulant."""
+    return _at_lambda(law, lam)[2]
+
+
+def _slope_point(law, x):
+    """(lambda, Lambda) where Lambda' = x, for finite x > 1.
+
+    Bisection in u = log(h/w): Lambda' rises from 1 at h = 0 to infinity
+    at w = 0.
+    """
+    if not 1.0 < x < math.inf:
+        raise ValueError("x must be finite and > 1 (G(1) = -infinity)")
+    h, w = bisect_logit(lambda h, w: _curve(law, h, w)[2], x)
+    lam, Lam, _ = _curve(law, h, w)
+    return float(lam), float(Lam)
 
 
 def invert_slope(law, x):
-    """G(x): the unique lambda < 0 with Lambda'(lambda) = x, for x > 1.
-
-    Monotonicity of Lambda' guarantees plain bisection; the bracket is
-    grown by doubling on the left.  Clamped at lambda = -745 when x is so
-    close to 1 that the slope never drops below it in double precision.
-    """
-    if x <= 1.0:
-        raise ValueError("x must be > 1 (G(1) = -infinity)")
-    lam_hi = -1e-14
-    lam_lo = -1.0
-    while cumulant_deriv(law, lam_lo) >= x:
-        lam_lo *= 2.0
-        if lam_lo <= LAMBDA_CLAMP:
-            return LAMBDA_CLAMP
-    for _ in range(200):
-        mid = 0.5 * (lam_lo + lam_hi)
-        d = cumulant_deriv(law, mid)
-        if abs(d - x) <= 1e-10 * x:
-            return mid
-        if d < x:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-    return 0.5 * (lam_lo + lam_hi)
+    """G(x): the unique lambda < 0 with Lambda'(lambda) = x, for x > 1."""
+    return _slope_point(law, x)[0]
 
 
 def legendre(law, x):
@@ -174,8 +136,8 @@ def legendre(law, x):
         return math.inf
     if x == 1.0:
         return _boundary_log(law)
-    lam = invert_slope(law, x)
-    return x * lam - cumulant(law, lam)
+    lam, Lam = _slope_point(law, x)
+    return x * lam - Lam
 
 
 def ldp_rate(law, x_rec):
@@ -184,11 +146,9 @@ def ldp_rate(law, x_rec):
     +inf for record densities above 1 (A_n <= n); tends to 0 as
     x_rec -> 0+ (degenerate lower edge of the LDP).
     """
-    if x_rec <= 0.0:
-        raise ValueError("record density must be positive")
     if x_rec > 1.0:
         return math.inf
-    return x_rec * legendre(law, 1.0 / x_rec)
+    return rate_point(law, x_rec).ldp_rate
 
 
 def rate_point(law, x_rec):
@@ -196,14 +156,11 @@ def rate_point(law, x_rec):
     if not 0.0 < x_rec <= 1.0:
         raise ValueError("record density must lie in (0, 1]")
     x = 1.0 / x_rec
-    if x == 1.0:
-        lam = -math.inf
-        Lam = -math.inf
+    if x == 1.0:  # the supremum is attained at lambda = -infinity
         lstar = _boundary_log(law)
-    else:
-        lam = invert_slope(law, x)
-        Lam = cumulant(law, lam)
-        lstar = x * lam - Lam
+        return RatePoint(x, -math.inf, -math.inf, lstar, lstar)
+    lam, Lam = _slope_point(law, x)
+    lstar = x * lam - Lam
     return RatePoint(x, lam, Lam, lstar, x_rec * lstar)
 
 

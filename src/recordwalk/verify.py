@@ -88,7 +88,7 @@ def _suite_lambda_limits(law):
     d8 = rates.cumulant_deriv(law, -1e-8)
     gap = (-30.0 - rates.cumulant(law, -30.0)) - boundary
     return [
-        _check("Lambda'(-20) -> 1", 1.0, d20, 1e-3, "series cumulant"),
+        _check("Lambda'(-20) -> 1", 1.0, d20, 1e-3, "closed form in h"),
         Check("Lambda' diverges at 0-: ratio(-1e-8/-1e-4) > 10", 10.0,
               d8 / d4, math.inf, d8 > 10.0 * d4, "slope blow-up at 0-"),
         _check("lambda - Lambda(lambda) at -30 vs boundary", 0.0, gap, 1e-6,

@@ -15,7 +15,7 @@ from recordwalk import (
     run_suite,
     solve_h,
 )
-from recordwalk import fixed_point, rates
+from recordwalk import fixed_point
 from recordwalk.fixed_point import BISECT_ONLY_ABOVE, ConvergenceError
 
 BUNDLED_LAWS = sorted(
@@ -31,9 +31,9 @@ S_POINTS = np.concatenate([
     1.0 - np.logspace(-11, -1, 41),
 ])
 
-# Deep asymptote, truncated tau series, and closed form in h
-LAM_DEEP = [-1e4, -745.0, -700.5, rates.LAMBDA_FLOOR]
-LAM_SERIES = [-699.5, -40.0, -5.0, -1.0, -0.7, math.log(rates.T_SERIES_SWITCH)]
+# Deep asymptote (lambda <= -700), e^lambda <= 1/2, and e^lambda > 1/2
+LAM_DEEP = [-1e4, -745.0, -700.5, -700.0]
+LAM_SERIES = [-699.5, -40.0, -5.0, -1.0, -0.7, math.log(0.5)]
 LAM_CLOSED = [-0.69, -0.5, -0.1, -1e-3, -1e-6, -1e-8, -1e-12]
 
 
@@ -72,9 +72,9 @@ def test_residual_check_applies_to_scalar_and_array(law, monkeypatch):
 
 
 def test_cumulant_array_matches_scalar_in_each_branch(law):
-    assert max(LAM_DEEP) <= rates.LAMBDA_FLOOR < min(LAM_SERIES)
-    assert math.exp(min(LAM_CLOSED)) > rates.T_SERIES_SWITCH
-    assert math.exp(max(LAM_SERIES)) <= rates.T_SERIES_SWITCH
+    assert max(LAM_DEEP) <= -700.0 < min(LAM_SERIES)
+    assert math.exp(min(LAM_CLOSED)) > 0.5
+    assert math.exp(max(LAM_SERIES)) <= 0.5
     for lams in (LAM_DEEP, LAM_SERIES, LAM_CLOSED):
         lam = np.array(lams)
         expected = np.array([cumulant(law, float(v)) for v in lam])

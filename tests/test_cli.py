@@ -67,6 +67,39 @@ class TestRate:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("x", ["1e-320", "0", "1.5", "nan"])
+    def test_density_out_of_range_is_usage_error(self, capsys, x):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--law", SYM_PATH, "--x", x])
+        assert exc.value.code == 2
+
+    def test_grid_point_out_of_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--law", SYM_PATH, "--grid", "0:1:3"])
+        assert exc.value.code == 2
+
+    def test_full_density_prints_strict_json(self, capsys):
+        code, out = run_cli(capsys, "rate", "--law", SYM_PATH, "--x", "1")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["lambda"] == doc["Lambda"] == "-inf"
+        assert doc["ldp_rate"] == doc["Lambda_star"] > 0.0
+
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
+    @pytest.mark.parametrize("x", ["1e-6", "1e-12", "1e-300"])
+    def test_tiny_density_gives_a_finite_nonnegative_rate(self, capsys, name,
+                                                          x):
+        code, out = run_cli(capsys, "rate", "--law",
+                            str(bundled_law_path(name)), "--x", x)
+        assert code == 0
+        rate = json.loads(out)["ldp_rate"]
+        assert isinstance(rate, float) and 0.0 <= rate < 1.0
+
+
 class TestMdp:
     def test_closed_form(self, capsys):
         code, out = run_cli(capsys, "mdp", "--law", SYM_PATH)

@@ -19,6 +19,7 @@ from recordwalk import (
     solve_h,
     truncated_explicit,
 )
+from recordwalk.fixed_point import one_minus_s_phi_prime_h
 from recordwalk.series import series_eval
 
 BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
@@ -128,11 +129,21 @@ class TestLawInterface:
         assert abs(series_eval(phi_h, s) - law.phi(h)) <= 1e-13
         assert abs(series_eval(phip_h, s) - law.phi_prime(h)) <= 1e-13
 
-    def test_one_minus_s_phi_prime(self, name):
+    def test_gaps(self, name):
         law, s = self.law(name), 0.5
-        for x in (0.0, 0.3, solve_h(law, s), 0.9):
-            direct = 1.0 - s * law.phi_prime(x)
-            assert abs(law.one_minus_s_phi_prime(s, x) - direct) <= 1e-12
+        h = solve_h(law, s)
+        d, dp, _ = law.gaps(h, 1.0 - h)
+        direct = 1.0 - s * law.phi_prime(h)
+        assert abs((d + h * dp) / (d + h) - direct) <= 1e-12
+        assert abs(one_minus_s_phi_prime_h(law, s) - direct) <= 1e-12
+        hs = np.array([1e-9, 0.3, 0.5, 0.9])
+        d, dp, psi = law.gaps(hs, 1.0 - hs)
+        for i, h in enumerate(hs):
+            assert abs(d[i] - (law.phi(h) - h)) <= 1e-12
+            assert abs(dp[i] - (1.0 - law.phi_prime(h))) <= 1e-12
+            assert abs(psi[i] * h - (law.phi(h) - law.q)) <= 1e-12
+            assert (d[i], dp[i], psi[i]) == tuple(law.gaps(h, 1.0 - h))
+        assert law.gaps(0.0, 1.0)[2] == law.p0
 
     def test_mdp_constants_are_the_closed_form(self, name):
         law = self.law(name)

@@ -136,6 +136,23 @@ class TestLdpRate:
         assert pt.Lambda_star == legendre(SYM, 1.0)
 
 
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_ldp_rate_curve_down_to_tiny_densities(law):
+    xs = [10.0 ** -k for k in range(30, 0, -1)]  # increasing
+    vals = [ldp_rate(law, x) for x in xs]
+    assert all(math.isfinite(v) and v >= 0.0 for v in vals)
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    slopes = np.diff(vals) / np.diff(xs)
+    assert all(b >= a for a, b in zip(slopes, slopes[1:]))
+    consts = mdp_constants(law)
+    for x, v in zip(xs, vals):
+        if x <= 1e-3:
+            assert abs(v / mdp_rate(consts, x) - 1.0) <= 0.01, x
+    for x in (1e-100, 1e-300):
+        v = ldp_rate(law, x)
+        assert math.isfinite(v) and v >= 0.0
+
+
 class TestMdpConstants:
     def test_finite_variance_closed_forms(self):
         c = mdp_constants(SYM)
