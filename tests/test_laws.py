@@ -129,13 +129,20 @@ class TestLawInterface:
         assert abs(series_eval(phi_h, s) - law.phi(h)) <= 1e-13
         assert abs(series_eval(phip_h, s) - law.phi_prime(h)) <= 1e-13
 
-    def test_gaps(self, name):
+    def test_one_minus_s_phi_prime(self, name):
         law, s = self.law(name), 0.5
         h = solve_h(law, s)
+        for x in (0.0, 0.3, h, 0.9):
+            direct = 1.0 - s * law.phi_prime(x)
+            _, dp, _ = law.gaps(x, 1.0 - x)
+            assert abs((1.0 - s) + s * dp - direct) <= 1e-12
         d, dp, _ = law.gaps(h, 1.0 - h)
         direct = 1.0 - s * law.phi_prime(h)
         assert abs((d + h * dp) / (d + h) - direct) <= 1e-12
         assert abs(one_minus_s_phi_prime_h(law, s) - direct) <= 1e-12
+
+    def test_gaps(self, name):
+        law = self.law(name)
         hs = np.array([1e-9, 0.3, 0.5, 0.9])
         d, dp, psi = law.gaps(hs, 1.0 - hs)
         for i, h in enumerate(hs):
