@@ -79,7 +79,7 @@ def _density_grid(spec):
 
 def cmd_rate(args, out):
     law = _load_law(args.law)
-    if args.grid:
+    if args.grid is not None:
         rows = []
         for x_rec in args.grid:
             pt = rates.rate_point(law, x_rec)

@@ -2,16 +2,14 @@
 
 h(s) is the generating function of the descending first-passage time of the
 reflected chain; everything downstream (return-time law, cumulants, rate
-functions) is built from it.  Scalar evaluation uses a bracketed
-bisection/Newton hybrid; the coefficient expansion uses series Newton with
-precision doubling.  Where w = 1 - h must keep its relative precision, a
-point of the curve is found by bisection in u = log(h/w) instead
-(bisect_logit).
+functions) is built from it.  solve_h uses a bracketed bisection/Newton
+hybrid; near s = 1, where w = 1 - h must keep its relative precision, it
+bisects in u = log(h/w) instead (bisect_logit), and solve_hw returns w with
+h.  The coefficient expansion uses series Newton with precision doubling.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -20,8 +18,8 @@ from .laws import Orientation
 from .series import SeriesPoly, series_mul, series_reciprocal
 
 RESIDUAL_TOL = 1e-13
-# Near s = 1 the root is double-root-like; plain bisection with a tight
-# absolute tolerance is the robust choice there.
+# Near s = 1 the root is double-root-like; bisection is the robust choice
+# there.
 BISECT_ONLY_ABOVE = 1.0 - 1e-6
 NEAR_SINGULAR = 1e-12
 U_MAX = 750.0  # |log(h/w)| beyond which h or w is 0 in double precision
@@ -41,32 +39,34 @@ def solve_h(law, s):
     pass that runs the scalar algorithm on every element, with the same
     result bit for bit.
     """
+    return solve_hw(law, s)[0]
+
+
+def solve_hw(law, s):
+    """(h(s), w) with w = 1 - h, as solve_h takes s.
+
+    Above BISECT_ONLY_ABOVE the root is bisected in u = log(h/w) on
+    (1 - s)*h = s*D, the fixed-point equation in the gap D = phi(h) - h, so
+    that w keeps its relative precision as s -> 1.  Below, a bracketed
+    bisection/Newton hybrid finds h, and one Newton step in w on the same
+    equation gives w.
+    """
     if isinstance(s, np.ndarray) and s.ndim:
-        return _solve_h_array(law, s)
+        return _solve_hw_array(law, s)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s = {s!r} outside [0, 1]")
-    if s == 0.0:
-        return 0.0
-    if s == 1.0:
-        return 1.0
+    if s == 0.0 or s == 1.0:
+        return float(s), 1.0 - s
 
     def g(x):
         return s * law.phi(x) - x
 
-    lo, hi = 0.0, 1.0
     if s > BISECT_ONLY_ABOVE:
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15:
-                break
-        x = 0.5 * (lo + hi)
+        x, w = bisect_logit(lambda h, w: _gap_equation(law, s, h, w), 0.0)
     else:
         # Coarse bisection to localize, then Newton with the analytic
         # derivative for machine-precision tail convergence.
+        lo, hi = 0.0, 1.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             if g(mid) > 0.0:
@@ -91,15 +91,30 @@ def solve_h(law, s):
                 break
             x = x_new
         x = min((lo, hi, x), key=lambda v: abs(g(v)))
+        w = _polish_w(law, s, x)
     if abs(g(x)) > RESIDUAL_TOL:
         raise ConvergenceError(
             f"fixed-point residual {g(x)!r} exceeds {RESIDUAL_TOL} at s={s!r}"
         )
-    return x
+    return x, w
 
 
-def _solve_h_array(law, s):
-    """solve_h on every element of an array.
+def _gap_equation(law, s, h, w):
+    """(1 - s)*h - s*D: g(x) = s*phi(x) - x with the sign flipped, written
+    in D; it changes sign once on [0, 1], from - to +."""
+    return (1.0 - s) * h - s * law.gaps(h, w)[0]
+
+
+def _polish_w(law, s, h):
+    """w = 1 - h after one Newton step in w on (1 - s)*h = s*D, which
+    restores the relative precision that 1 - h loses as w -> 0."""
+    w = 1.0 - h
+    d, dp, _, _ = law.gaps(h, w)
+    return w + ((1.0 - s) * h - s * d) / ((1.0 - s) + s * dp)
+
+
+def _solve_hw_array(law, s):
+    """solve_hw on every element of an array.
 
     Each element takes its scalar branch and stops on its own criterion;
     a stopped element is frozen while the others keep iterating.
@@ -113,11 +128,13 @@ def _solve_h_array(law, s):
     inner = (flat > 0.0) & (flat < 1.0)
     bisect_only = inner & (flat > BISECT_ONLY_ABOVE)
     newton = inner & ~bisect_only
-    if bisect_only.any():
-        lo, hi = _bisect_array(law, flat[bisect_only], 64, 1e-15)
-        x[bisect_only] = 0.5 * (lo + hi)
+    w = 1.0 - x
     if newton.any():
         x[newton] = _newton_array(law, flat[newton])
+        w[newton] = _polish_w(law, flat[newton], x[newton])
+    if bisect_only.any():
+        x[bisect_only], w[bisect_only] = _bisect_logit_array(
+            law, flat[bisect_only])
     if inner.any():
         si, xi = flat[inner], x[inner]
         res = si * law.phi(xi) - xi
@@ -128,28 +145,57 @@ def _solve_h_array(law, s):
                 f"fixed-point residual {res[i]!r} exceeds {RESIDUAL_TOL} "
                 f"at s={si[i]!r}"
             )
-    return x.reshape(s.shape)
+    return x.reshape(s.shape), w.reshape(s.shape)
 
 
-def _bisect_array(law, s, steps, tol):
-    """Bisection for the root on every element, each stopping on its own
-    once hi - lo <= tol; returns the brackets (lo, hi)."""
-    lo, hi = np.zeros_like(s), np.ones_like(s)
-    moving = np.ones(len(s), dtype=bool)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        up = s * law.phi(mid) - mid > 0.0
+def _bisect_logit_array(law, s):
+    """bisect_logit on _gap_equation for every element, each stopping on
+    its own."""
+    lo, hi = np.full_like(s, -U_MAX), np.full_like(s, U_MAX)
+    mid = 0.5 * (lo + hi)
+    while (moving := (lo < mid) & (mid < hi)).any():
+        up = _gap_equation(law, s, *_logistic_hw(mid)) < 0.0
         lo = np.where(moving & up, mid, lo)
         hi = np.where(moving & ~up, mid, hi)
-        moving &= hi - lo > tol
-        if not moving.any():
-            break
-    return lo, hi
+        mid = 0.5 * (lo + hi)
+    return _logistic_hw(mid)
+
+
+def _logistic_hw(u):
+    """(h, w) with log(h/w) = u and h + w = 1, each to full relative
+    precision; u a float or an array.  Both take np.exp, so that they give
+    the same bits."""
+    t = np.exp(-abs(u))
+    small, big = t / (1.0 + t), 1.0 / (1.0 + t)
+    if np.ndim(u):
+        return np.where(u < 0.0, small, big), np.where(u < 0.0, big, small)
+    small, big = float(small), float(big)
+    return (small, big) if u < 0.0 else (big, small)
+
+
+def bisect_logit(f, target):
+    """(h, w) where f(h, w) crosses target once, upwards in u = log(h/w).
+
+    Bisection in u over [-U_MAX, U_MAX], whose ends are h = 0 and w = 0,
+    until the bracket ends are adjacent doubles.
+    """
+    lo, hi = -U_MAX, U_MAX
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(*_logistic_hw(mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return _logistic_hw(mid)
 
 
 def _newton_array(law, s):
-    """The bisection-then-Newton branch of solve_h, elementwise."""
-    lo, hi = _bisect_array(law, s, 40, -1.0)  # 40 steps, no early stop
+    """The bisection-then-Newton branch of solve_hw, elementwise."""
+    lo, hi = np.zeros_like(s), np.ones_like(s)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        up = s * law.phi(mid) - mid > 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
     x = 0.5 * (lo + hi)
     act = np.arange(len(s))
     for _ in range(60):
@@ -187,14 +233,13 @@ def h_deriv(law, s):
     """h'(s) = phi(h)/(1 - s*phi'(h)) for s in (0, 1)."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"s = {s!r} outside (0, 1)")
-    h = solve_h(law, s)
-    denom = 1.0 - s * law.phi_prime(h)
+    phi, denom = _phi_and_slope_gap(law, s)
     if denom < NEAR_SINGULAR:
         warnings.warn(
             f"h'(s) near-singular at s={s!r}: 1 - s*phi'(h) = {denom!r}",
             RuntimeWarning,
         )
-    return law.phi(h) / denom
+    return float(phi / denom)
 
 
 def h_series(law, order):
@@ -250,38 +295,13 @@ def f0_series(law, order):
     return SeriesPoly(f0)
 
 
-def _logistic_hw(u):
-    """(h, w) with log(h/w) = u and h + w = 1, each to full relative
-    precision."""
-    t = math.exp(-abs(u))
-    small, big = t / (1.0 + t), 1.0 / (1.0 + t)
-    return (small, big) if u < 0.0 else (big, small)
-
-
-def bisect_logit(f, target):
-    """(h, w) where f(h, w), nondecreasing in u = log(h/w), crosses target.
-
-    Bisection in u over [-U_MAX, U_MAX], whose ends are h = 0 and w = 0,
-    until the bracket ends are adjacent doubles.
-    """
-    lo, hi = -U_MAX, U_MAX
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if f(*_logistic_hw(mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return _logistic_hw(mid)
-
-
 def one_minus_s_phi_prime_h(law, s):
-    """1 - s*phi'(h(s)) = (D + h*D')/(D + h), without cancellation.
+    """1 - s*phi'(h(s)) = (D + h*D')/(D + h), without cancellation."""
+    return float(_phi_and_slope_gap(law, s)[1])
 
-    h is found in u = log(h/w) from s*D = (1 - s)*h, the fixed-point
-    equation in D, so that w = 1 - h keeps its relative precision as s -> 1.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s = {s!r} outside [0, 1]")
-    h, w = bisect_logit(lambda h, w: (1.0 - s) * h - s * law.gaps(h, w)[0],
-                        0.0)
-    d, dp, _ = law.gaps(h, w)
-    return float((d + h * dp) / (d + h))
+
+def _phi_and_slope_gap(law, s):
+    """(phi(h), 1 - s*phi'(h)) at h = h(s), from the gaps at h and w."""
+    h, w = solve_hw(law, s)
+    d, dp, _, _ = law.gaps(h, w)
+    return d + h, (d + h * dp) / (d + h)

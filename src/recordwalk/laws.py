@@ -7,8 +7,8 @@ which has a regularly-varying jump tail and infinite variance.  Criticality
 
 Every quantity that depends on the family is a method of IncrementLaw,
 written once per family here: phi and its derivatives, phi(H) and phi'(H)
-on a power series, the cancellation-free gaps D, D' and psi of the rate
-curve, the closed-form moderate-deviation constants, and the jump p.m.f.
+on a power series, the cancellation-free gaps D, D', psi and chi of the
+rate curve, the closed-form moderate-deviation constants, and the jump p.m.f.
 that simulation samples.
 No other module asks which family a law belongs to.
 """
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import series_compose_val1, series_exp, series_log
+from .series import series_compose_val1, series_eval, series_exp, series_log
 
 MASS_TOL = 1e-12
 CRITICALITY_TOL = 1e-10
@@ -130,11 +130,7 @@ class IncrementLaw:
             _check_unit_interval(s)
             return s + c * np.float_power(1.0 - s, e)
         _check_unit_interval(s)
-        # Horner on q + s*(p_0 + s*(p_1 + ...))
-        acc = 0.0
-        for v in reversed(self.p):
-            acc = v + s * acc
-        return self.q + s * acc
+        return self.q + s * series_eval(self.p, s)
 
     def phi_prime(self, s):
         if self.is_stable:  # dispatched as in phi
@@ -143,10 +139,7 @@ class IncrementLaw:
             _check_unit_interval(s)
             return 1.0 - self.gamma * np.float_power(1.0 - s, self.beta)
         _check_unit_interval(s)
-        acc = 0.0
-        for n in range(len(self.p) - 1, -1, -1):
-            acc = (n + 1) * self.p[n] + s * acc
-        return acc
+        return series_eval([(n + 1) * v for n, v in enumerate(self.p)], s)
 
     def phi_second(self, s):
         _check_unit_interval(s)
@@ -154,10 +147,8 @@ class IncrementLaw:
             if s == 1.0:
                 return math.inf
             return self.gamma * self.beta * (1.0 - s) ** (self.beta - 1.0)
-        acc = 0.0
-        for n in range(len(self.p) - 1, 0, -1):
-            acc = (n + 1) * n * self.p[n] + s * acc
-        return acc
+        d2 = [(n + 1) * n * v for n, v in enumerate(self.p)]
+        return series_eval(d2[1:], s)
 
     # -- what the consumers need ---------------------------------------------
 
@@ -186,43 +177,50 @@ class IncrementLaw:
                 series_compose_val1(ap, h, order))
 
     def gaps(self, h, w):
-        """(D, D', psi) at h = 1 - w, without cancellation; floats or arrays.
+        """(D, D', psi, chi) at h = 1 - w, without cancellation; floats or
+        arrays.
 
-        D = phi(h) - h, D' = 1 - phi'(h) (its derivative in w) and
-        psi = (phi(h) - q)/h, which is p_0 at h = 0; on the curve
-        s = h/phi(h), 1 - s*phi'(h) = (D + h*D')/(D + h).  The stable family
-        has D = gamma/(1+beta) * w^(1+beta).  An explicit law takes D from
-        its Taylor polynomial in w where w < 1/2, which has no constant or
-        linear term, so a drift residual within CRITICALITY_TOL is dropped.
+        D = phi(h) - h, D' = 1 - phi'(h) (its derivative in w),
+        psi = (phi(h) - q)/h and chi = (phi'(h) - psi)/h = sum_n n p_n h^(n-1),
+        which are p_0 and p_1 at h = 0.  On the curve s = h/phi(h),
+        1 - s*phi'(h) = (D + h*D')/(D + h).  The stable family has
+        D = gamma/(1+beta) * w^(1+beta).  An explicit law has
+        D = w^2 sum_j c_j h^j and D' = w sum_j e_j h^j with the nonnegative
+        c_j = sum_{k>=j+2} (k-1-j) a_k and e_j = sum_{k>=j+2} k a_k of
+        phi(s) = sum_k a_k s^k; that form takes the law as exactly critical,
+        so a drift residual within CRITICALITY_TOL is dropped.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.is_stable:
-                g, e = self.gamma, 1.0 + self.beta
+                g, b, e = self.gamma, self.beta, 1.0 + self.beta
                 # log w from h while h < 1/2, where w = 1 - h has rounded
                 lw = np.where(h < 0.5, np.log1p(-h), np.log(w))
                 psi = np.where(h < _SMALLEST_NORMAL, 1.0 - g,
                                1.0 + g / e * np.expm1(e * lw) / h)
+                # chi = g/e * (b*(w^e - 1) - e*(w^b - 1))/h^2 cancels to
+                # O(h^2) as h -> 0, so its power series serves below 1/4
+                chi = np.where(h < 0.25, series_eval(self._coefficients, h),
+                               g / e * (b * np.expm1(e * lw)
+                                        - e * np.expm1(b * lw)) / (h * h))
                 return (g / e * np.float_power(w, e),
-                        g * np.float_power(w, self.beta), psi)
-            psi = dphi = taylor = taylor_p = 0.0
-            for n in range(len(self.p) - 1, -1, -1):
-                psi = self.p[n] + h * psi
-                dphi = (n + 1) * self.p[n] + h * dphi
-            # D = w^2 sum_j t_j w^(j-2) and D' = w sum_j j t_j w^(j-2), j >= 2
-            for j in range(len(self.p), 1, -1):
-                taylor = self._w_taylor[j] + w * taylor
-                taylor_p = j * self._w_taylor[j] + w * taylor_p
-            far = w >= 0.5
-            return (np.where(far, self.q - h * (1.0 - psi), taylor * w * w),
-                    np.where(far, 1.0 - dphi, taylor_p * w), psi)
+                        g * np.float_power(w, b), psi, chi)
+            c, e, n_p = self._coefficients
+            return (w * w * series_eval(c, h), w * series_eval(e, h),
+                    series_eval(self.p, h), series_eval(n_p, h))
 
     @functools.cached_property
-    def _w_taylor(self):
-        """t_j with phi(1 - w) = sum_j t_j w^j: (-1)^j sum_k a_k C(k, j)."""
-        a = (self.q, *self.p)
-        return [(-1) ** j * math.fsum(a[k] * math.comb(k, j)
-                                      for k in range(j, len(a)))
-                for j in range(len(a))]
+    def _coefficients(self):
+        """Power-series coefficients for gaps, lowest power first: of chi,
+        through h^24, for the stable family; else c_j, e_j and n*p_n."""
+        if self.is_stable:
+            a = expand_coefficients(self, 26).tolist()
+            return [n * a[n + 1] for n in range(1, 26)]
+        a = np.array((self.q, *self.p))
+        # sums over k >= j + 2 of nonnegative terms, as reversed cumsums
+        c = np.cumsum(np.cumsum(a[::-1])[:-2])[::-1]
+        e = np.cumsum((np.arange(len(a)) * a)[:1:-1])[::-1]
+        return (c.tolist(), e.tolist(),
+                [n * v for n, v in enumerate(self.p)][1:])
 
     def mdp_closed_form(self):
         """(alpha, c, regime) with 1 - s*phi'(h(s)) ~ c*(1-s)^alpha as s -> 1.

@@ -9,8 +9,9 @@ Every quantity is explicit in the fixed point h, since e^lambda = h/phi(h).
 The curve is evaluated at h and w = 1 - h together, from the law's gaps
 (IncrementLaw.gaps), so that no formula subtracts nearly equal numbers as
 h -> 0 (lambda -> -inf) or w -> 0 (lambda -> 0).  cumulant and
-cumulant_deriv solve for h once at s = e^lambda; invert_slope, legendre and
-rate_point bisect the slope in u = log(h/w) and never solve for h.
+cumulant_deriv solve for h and w once at s = e^lambda; invert_slope,
+legendre and rate_point bisect the slope in u = log(h/w) and never solve
+for h.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import bisect_logit, one_minus_s_phi_prime_h, solve_h
+from .fixed_point import bisect_logit, one_minus_s_phi_prime_h, solve_hw
 from .laws import MdpRegime, Orientation
 
 
@@ -61,27 +62,26 @@ def _curve(law, h, w, lam=None):
     With phi = D + h and A = D + h*D' (so 1 - s*phi'(h) = A/phi):
       right: f0/s = psi + q, and Lambda = log1p(-q*w/phi) while that
              argument is small, else lambda + log(psi + q);
-             Lambda' = q*(phi + w*phi'(h)) / ((psi + q)*A);
+             Lambda' - 1 = h*chi*phi / ((psi + q)*A);
       left:  f0/s = 1 - D/w, so Lambda = lambda + log1p(-D/w), and with
-             r = D/w, Lambda' = (h*(D' - r)/w + r*(1 - r)) / ((1 - r)*A).
-    No numerator or denominator subtracts nearly equal numbers, and the
-    scaling by w keeps the left one clear of underflow as w -> 0.
+             r = D/w, Lambda' - 1 = h*phi*((D' - r)/w) / ((1 - r)*A).
+    Lambda' - 1 is formed without subtracting 1, and no numerator or
+    denominator subtracts nearly equal numbers.
     """
-    d, dp, psi = law.gaps(h, w)
+    d, dp, psi, chi = law.gaps(h, w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if lam is None:
             lam = -np.log1p(d / h)
-        a = d + h * dp
+        phi, a = d + h, d + h * dp
         if law.orientation is Orientation.RIGHT:
             q = law.q
-            phi = d + h
             g = q * w / phi
             Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(psi + q))
-            slope = q * (phi + w * (1.0 - dp)) / ((psi + q) * a)
+            slope = 1.0 + h * chi * phi / ((psi + q) * a)
         else:
             r = d / w
             Lam = lam + np.log1p(-r)
-            slope = (h * (dp - r) / w + r * (1.0 - r)) / ((1.0 - r) * a)
+            slope = 1.0 + h * phi * ((dp - r) / w) / ((1.0 - r) * a)
     return lam, Lam, slope
 
 
@@ -89,8 +89,8 @@ def _at_lambda(law, lam):
     """_curve at s = e^lambda, for a float or an array of lambda < 0."""
     if np.any(np.asarray(lam) >= 0.0):
         raise ValueError("lambda must be negative")
-    h = solve_h(law, np.exp(lam) if np.ndim(lam) else math.exp(lam))
-    out = _curve(law, h, 1.0 - h, lam)
+    h, w = solve_hw(law, np.exp(lam) if np.ndim(lam) else math.exp(lam))
+    out = _curve(law, h, w, lam)
     return out if np.ndim(lam) else [float(v) for v in out]
 
 

@@ -42,7 +42,8 @@ class SeriesPoly:
 
 
 def series_eval(coeffs, s):
-    """Horner evaluation of the truncated series at a scalar s."""
+    """Horner evaluation of the truncated series at s, a float or an
+    array."""
     acc = 0.0
     for c in coeffs[::-1]:
         acc = c + s * acc

@@ -66,6 +66,12 @@ class TestRate:
             main(["rate", "--law", SYM_PATH, "--x", "0.5", "--grid", "0:1:3"])
         assert exc.value.code == 2
 
+    def test_empty_grid_prints_header_only(self, capsys):
+        code, out = run_cli(capsys, "rate", "--law", SYM_PATH,
+                            "--grid", "0.1:0.5:0")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header[0] == "x" and rows == []
 
     @pytest.mark.parametrize("x", ["1e-320", "0", "1.5", "nan"])
     def test_density_out_of_range_is_usage_error(self, capsys, x):

@@ -134,9 +134,9 @@ class TestLawInterface:
         h = solve_h(law, s)
         for x in (0.0, 0.3, h, 0.9):
             direct = 1.0 - s * law.phi_prime(x)
-            _, dp, _ = law.gaps(x, 1.0 - x)
+            _, dp, _, _ = law.gaps(x, 1.0 - x)
             assert abs((1.0 - s) + s * dp - direct) <= 1e-12
-        d, dp, _ = law.gaps(h, 1.0 - h)
+        d, dp, _, _ = law.gaps(h, 1.0 - h)
         direct = 1.0 - s * law.phi_prime(h)
         assert abs((d + h * dp) / (d + h) - direct) <= 1e-12
         assert abs(one_minus_s_phi_prime_h(law, s) - direct) <= 1e-12
@@ -144,12 +144,13 @@ class TestLawInterface:
     def test_gaps(self, name):
         law = self.law(name)
         hs = np.array([1e-9, 0.3, 0.5, 0.9])
-        d, dp, psi = law.gaps(hs, 1.0 - hs)
+        d, dp, psi, chi = law.gaps(hs, 1.0 - hs)
         for i, h in enumerate(hs):
             assert abs(d[i] - (law.phi(h) - h)) <= 1e-12
             assert abs(dp[i] - (1.0 - law.phi_prime(h))) <= 1e-12
             assert abs(psi[i] * h - (law.phi(h) - law.q)) <= 1e-12
-            assert (d[i], dp[i], psi[i]) == tuple(law.gaps(h, 1.0 - h))
+            assert abs(chi[i] * h - (law.phi_prime(h) - psi[i])) <= 1e-12
+            assert (d[i], dp[i], psi[i], chi[i]) == tuple(law.gaps(h, 1.0 - h))
         assert law.gaps(0.0, 1.0)[2] == law.p0
 
     def test_mdp_constants_are_the_closed_form(self, name):
@@ -219,6 +220,17 @@ class TestTruncation:
         law = sym_law()
         out, deficit = truncated_explicit(law, 100)
         assert out is law and deficit == 0.0
+
+    @pytest.mark.parametrize("order", [200, 2000])
+    def test_gaps_of_a_long_support(self, order):
+        # the gaps of a high-degree polynomial stay sums of nonnegative terms
+        law, _ = truncated_explicit(stable_law(), order)
+        for h in (1e-9, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            d, dp, psi, chi = law.gaps(h, 1.0 - h)
+            assert abs(d - (law.phi(h) - h)) <= 1e-14
+            assert abs(dp - (1.0 - law.phi_prime(h))) <= 1e-14
+            assert abs(psi * h - (law.phi(h) - law.q)) <= 1e-14
+            assert abs(chi * h - (law.phi_prime(h) - psi)) <= 1e-14
 
 
 @st.composite

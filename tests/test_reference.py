@@ -1,7 +1,8 @@
-"""The rate curve and 1 - s*phi'(h(s)) against high-precision references.
+"""The rate curve, h(s), w = 1 - h(s) and 1 - s*phi'(h(s)) against
+high-precision references.
 
-The references come from mpmath at 160 significant digits (60 for
-1 - s*phi'(h), where w = 1 - h >= 1e-9) and use the definitions alone:
+The references come from mpmath at 160 significant digits (60 for the
+fixed point, where w = 1 - h >= 1e-11) and use the definitions alone:
 phi and phi' of the law with its decimal coefficients (so that the explicit
 laws are exactly critical), s = h/phi(h), lambda = log s, f0 = E[s^tau]
 from the fixed point (right orientation 1 + q*s - q*s/h, left
@@ -16,8 +17,9 @@ import json
 import mpmath
 import pytest
 
-from recordwalk import IncrementLaw, bundled_law_path, rate_point
-from recordwalk.fixed_point import one_minus_s_phi_prime_h
+from recordwalk import (IncrementLaw, bundled_law_path, cumulant_deriv,
+                        rate_point)
+from recordwalk.fixed_point import one_minus_s_phi_prime_h, solve_hw
 
 BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
            "stable_g05_b05_left.json"]
@@ -84,12 +86,21 @@ class Reference:
             dlam_dx = mpmath.diff(lambda t: self.curve(t)[0], h) / slope
             return lam, lam_, (x * lam - lam_) / x, dlam_dx
 
-    def one_minus_s_phi_prime(self, s):
-        # w = 1 - h >= 1e-9 here, so 60 digits keep more than 50
+    def slope_at(self, lam):
+        """Lambda'(lambda), at the h with log(h/phi(h)) = lambda; 60 digits
+        keep 45 of Lambda' - 1 >= 1e-14."""
+        with mpmath.workdps(60):
+            lam = mpmath.mpf(lam)
+            h = self.bisect(lambda h: mpmath.log(h / self.phi(h)) - lam)
+            return self.curve(h)[2]
+
+    def fixed_point(self, s):
+        """h(s) and 1 - s*phi'(h); w = 1 - h >= 1e-11 here, so 60 digits
+        keep more than 45."""
         with mpmath.workdps(60):
             s = mpmath.mpf(s)
             h = self.bisect(lambda h: h - s * self.phi(h))
-            return 1 - s * self.dphi(h)
+            return h, 1 - s * self.dphi(h)
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,10 +131,34 @@ def test_rate_point_against_reference(name):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
+def test_cumulant_deriv_against_reference(name):
+    # Lambda' - 1 is formed without subtracting 1, so Lambda' stays within
+    # an ulp of the exact value even where it differs from 1 by 1e-13
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    ref = reference(name)
+    for lam in (-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, -2.0):
+        exact = ref.slope_at(lam)
+        tol = EPS * exact + 1e-14 * (exact - 1)
+        assert abs(cumulant_deriv(law, lam) - exact) <= tol, lam
+
+
+@pytest.mark.parametrize("name", BUNDLED)
 def test_one_minus_s_phi_prime_against_reference(name):
     law = IncrementLaw.from_json(bundled_law_path(name).read_text())
     ref = reference(name)
     for k in range(2, 13):
         s = 1.0 - 10.0 ** -k
         assert rel(one_minus_s_phi_prime_h(law, s),
-                   ref.one_minus_s_phi_prime(s)) <= 1e-10, k
+                   ref.fixed_point(s)[1]) <= 1e-10, k
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_w_against_reference(name):
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    ref = reference(name)
+    for k in range(1, 16):
+        s = 1.0 - 10.0 ** -k
+        h, w = solve_hw(law, s)
+        exact = ref.fixed_point(s)[0]
+        assert rel(h, exact) <= 1e-14, k
+        assert rel(w, 1 - exact) <= 1e-13, k
