@@ -2,10 +2,11 @@
 
 h(s) is the generating function of the descending first-passage time of the
 reflected chain; everything downstream (return-time law, cumulants, rate
-functions) is built from it.  solve_h uses a bracketed bisection/Newton
-hybrid; near s = 1, where w = 1 - h must keep its relative precision, it
-bisects in u = log(h/w) instead (bisect_logit), and solve_hw returns w with
-h.  The coefficient expansion uses series Newton with precision doubling.
+functions) is built from it.  solve_hw finds h and w = 1 - h together at
+every s in (0, 1) by one bisection in u = log(h/w) (bisect_logit) and one
+Newton step, so that both keep their relative precision as s -> 0 and as
+s -> 1.  The coefficient expansion uses series Newton with precision
+doubling.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from .laws import Orientation
 from .series import SeriesPoly, series_mul, series_reciprocal
 
 RESIDUAL_TOL = 1e-13
-# Near s = 1 the root is double-root-like; bisection is the robust choice
-# there.
-BISECT_ONLY_ABOVE = 1.0 - 1e-6
 NEAR_SINGULAR = 1e-12
 U_MAX = 750.0  # |log(h/w)| beyond which h or w is 0 in double precision
 
@@ -45,120 +43,57 @@ def solve_h(law, s):
 def solve_hw(law, s):
     """(h(s), w) with w = 1 - h, as solve_h takes s.
 
-    Above BISECT_ONLY_ABOVE the root is bisected in u = log(h/w) on
-    (1 - s)*h = s*D, the fixed-point equation in the gap D = phi(h) - h, so
-    that w keeps its relative precision as s -> 1.  Below, a bracketed
-    bisection/Newton hybrid finds h, and one Newton step in w on the same
-    equation gives w.
+    The root is bisected in u = log(h/w) on t*h = s*D, with t = 1 - s, the
+    fixed-point equation in the gap D = phi(h) - h, until the bracket ends
+    are adjacent doubles.  That leaves about |u| ulps in h and w; one Newton
+    step on the same equation in the smaller of the two removes them, so
+    both keep their relative precision on all of [0, 1].
     """
-    if isinstance(s, np.ndarray) and s.ndim:
-        return _solve_hw_array(law, s)
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s = {s!r} outside [0, 1]")
-    if s == 0.0 or s == 1.0:
-        return float(s), 1.0 - s
-
-    def g(x):
-        return s * law.phi(x) - x
-
-    if s > BISECT_ONLY_ABOVE:
-        x, w = bisect_logit(lambda h, w: _gap_equation(law, s, h, w), 0.0)
-    else:
-        # Coarse bisection to localize, then Newton with the analytic
-        # derivative for machine-precision tail convergence.
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        for _ in range(60):
-            gx = g(x)
-            if abs(gx) <= 1e-16:
-                break
-            gp = s * law.phi_prime(x) - 1.0
-            x_new = x - gx / gp if gp != 0.0 else 0.5 * (lo + hi)
-            if not lo < x_new < hi:
-                x_new = 0.5 * (lo + hi)  # fall back inside the bracket
-            if g(x_new) > 0.0:
-                lo = x_new
-            else:
-                hi = x_new
-            if hi - lo <= 1e-17 + 1e-16 * hi:
-                x = x_new
-                break
-            x = x_new
-        x = min((lo, hi, x), key=lambda v: abs(g(v)))
-        w = _polish_w(law, s, x)
-    if abs(g(x)) > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"fixed-point residual {g(x)!r} exceeds {RESIDUAL_TOL} at s={s!r}"
-        )
-    return x, w
+    return _solve_hw(law, s, 1.0 - s)
 
 
-def _gap_equation(law, s, h, w):
-    """(1 - s)*h - s*D: g(x) = s*phi(x) - x with the sign flipped, written
-    in D; it changes sign once on [0, 1], from - to +."""
-    return (1.0 - s) * h - s * law.gaps(h, w)[0]
+def _solve_hw(law, s, t):
+    """solve_hw with t = 1 - s handed in, for callers that know it to more
+    relative precision than 1.0 - s (cumulant has -expm1(lambda))."""
+    s_all = np.asarray(s, dtype=float)
+    outside = s_all[~((0.0 <= s_all) & (s_all <= 1.0))]
+    if outside.size:
+        raise ValueError(f"s = {float(outside[0])!r} outside [0, 1]")
+    if s_all.ndim:
+        h = (t == 0.0).astype(float)  # s = 0 and s = 1 are their own roots
+        w = 1.0 - h
+        inner = (s_all > 0.0) & (t > 0.0)
+        s, t = s_all[inner], t[inner]
+        h[inner], w[inner] = _polish(law, s, t, *_bisect_logit_array(
+            lambda h, w: t * h - s * law.gap(h, w), np.zeros_like(s)))
+        _check_residual(law, s, h[inner])
+        return h, w
+    s, t = float(s), float(t)
+    if s == 0.0 or t == 0.0:
+        return (0.0, 1.0) if s == 0.0 else (1.0, 0.0)
+    h, w = map(float, _polish(law, s, t, *bisect_logit(
+        lambda h, w: t * h - s * law.gap(h, w), 0.0)))
+    _check_residual(law, s, h)
+    return h, w
 
 
-def _polish_w(law, s, h):
-    """w = 1 - h after one Newton step in w on (1 - s)*h = s*D, which
-    restores the relative precision that 1 - h loses as w -> 0."""
-    w = 1.0 - h
+def _polish(law, s, t, h, w):
+    """One Newton step on t*h - s*D = 0 in the smaller of h and w; its
+    derivative is t + s*D' in h and minus that in w."""
     d, dp, _, _ = law.gaps(h, w)
-    return w + ((1.0 - s) * h - s * d) / ((1.0 - s) + s * dp)
+    step = (t * h - s * d) / (t + s * dp)
+    return np.where(h < w, h - step, h), np.where(h < w, w, w + step)
 
 
-def _solve_hw_array(law, s):
-    """solve_hw on every element of an array.
-
-    Each element takes its scalar branch and stops on its own criterion;
-    a stopped element is frozen while the others keep iterating.
-    """
-    s = np.asarray(s, dtype=float)
-    flat = s.ravel()
-    inside = (0.0 <= flat) & (flat <= 1.0)
-    if not inside.all():
-        raise ValueError(f"s = {flat[~inside][0]!r} outside [0, 1]")
-    x = (flat == 1.0).astype(float)  # s = 0 and s = 1 are their own roots
-    inner = (flat > 0.0) & (flat < 1.0)
-    bisect_only = inner & (flat > BISECT_ONLY_ABOVE)
-    newton = inner & ~bisect_only
-    w = 1.0 - x
-    if newton.any():
-        x[newton] = _newton_array(law, flat[newton])
-        w[newton] = _polish_w(law, flat[newton], x[newton])
-    if bisect_only.any():
-        x[bisect_only], w[bisect_only] = _bisect_logit_array(
-            law, flat[bisect_only])
-    if inner.any():
-        si, xi = flat[inner], x[inner]
-        res = si * law.phi(xi) - xi
-        over = np.abs(res) > RESIDUAL_TOL
-        if over.any():
-            i = np.flatnonzero(over)[0]
-            raise ConvergenceError(
-                f"fixed-point residual {res[i]!r} exceeds {RESIDUAL_TOL} "
-                f"at s={si[i]!r}"
-            )
-    return x.reshape(s.shape), w.reshape(s.shape)
-
-
-def _bisect_logit_array(law, s):
-    """bisect_logit on _gap_equation for every element, each stopping on
-    its own."""
-    lo, hi = np.full_like(s, -U_MAX), np.full_like(s, U_MAX)
-    mid = 0.5 * (lo + hi)
-    while (moving := (lo < mid) & (mid < hi)).any():
-        up = _gap_equation(law, s, *_logistic_hw(mid)) < 0.0
-        lo = np.where(moving & up, mid, lo)
-        hi = np.where(moving & ~up, mid, hi)
-        mid = 0.5 * (lo + hi)
-    return _logistic_hw(mid)
+def _check_residual(law, s, h):
+    res = np.ravel(s * law.phi(h) - h)
+    over = np.flatnonzero(np.abs(res) > RESIDUAL_TOL)
+    if over.size:
+        i = over[0]
+        raise ConvergenceError(
+            f"fixed-point residual {float(res[i])!r} exceeds {RESIDUAL_TOL} "
+            f"at s={float(np.ravel(s)[i])!r}"
+        )
 
 
 def _logistic_hw(u):
@@ -166,11 +101,12 @@ def _logistic_hw(u):
     precision; u a float or an array.  Both take np.exp, so that they give
     the same bits."""
     t = np.exp(-abs(u))
+    if isinstance(u, float):
+        t = float(t)
+        small, big = t / (1.0 + t), 1.0 / (1.0 + t)
+        return (small, big) if u < 0.0 else (big, small)
     small, big = t / (1.0 + t), 1.0 / (1.0 + t)
-    if np.ndim(u):
-        return np.where(u < 0.0, small, big), np.where(u < 0.0, big, small)
-    small, big = float(small), float(big)
-    return (small, big) if u < 0.0 else (big, small)
+    return np.where(u < 0.0, small, big), np.where(u < 0.0, big, small)
 
 
 def bisect_logit(f, target):
@@ -188,45 +124,18 @@ def bisect_logit(f, target):
     return _logistic_hw(mid)
 
 
-def _newton_array(law, s):
-    """The bisection-then-Newton branch of solve_hw, elementwise."""
-    lo, hi = np.zeros_like(s), np.ones_like(s)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        up = s * law.phi(mid) - mid > 0.0
+def _bisect_logit_array(f, target):
+    """bisect_logit on arrays: f maps arrays (h, w) to an array that crosses
+    the array target elementwise.  An element whose bracket ends are
+    adjacent keeps its mid under further steps, so it needs no mask."""
+    lo, hi = np.full_like(target, -U_MAX), np.full_like(target, U_MAX)
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        up = f(*_logistic_hw(mid)) < target
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
-    x = 0.5 * (lo + hi)
-    act = np.arange(len(s))
-    for _ in range(60):
-        sa, xa, la, ha = s[act], x[act], lo[act], hi[act]
-        gx = sa * law.phi(xa) - xa
-        moving = np.abs(gx) > 1e-16
-        act, sa, xa, la, ha, gx = (
-            v[moving] for v in (act, sa, xa, la, ha, gx)
-        )
-        if not act.size:
-            break
-        gp = sa * law.phi_prime(xa) - 1.0
-        mid = 0.5 * (la + ha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = np.where(gp != 0.0, xa - gx / gp, mid)
-        x_new = np.where((la < x_new) & (x_new < ha), x_new, mid)
-        up = sa * law.phi(x_new) - x_new > 0.0
-        la = np.where(up, x_new, la)
-        ha = np.where(up, ha, x_new)
-        lo[act], hi[act], x[act] = la, ha, x_new
-        act = act[ha - la > 1e-17 + 1e-16 * ha]
-        if not act.size:
-            break
-    # min((lo, hi, x), key=|g|): the first of the smallest residuals
-    best, g_best = lo, np.abs(s * law.phi(lo) - lo)
-    for v in (hi, x):
-        g_v = np.abs(s * law.phi(v) - v)
-        better = g_v < g_best
-        best = np.where(better, v, best)
-        g_best = np.where(better, g_v, g_best)
-    return best
+        mid = 0.5 * (lo + hi)
+    return _logistic_hw(mid)
 
 
 def h_deriv(law, s):

@@ -176,11 +176,20 @@ class IncrementLaw:
         return (series_compose_val1(a, h, order),
                 series_compose_val1(ap, h, order))
 
+    def gap(self, h, w):
+        """D = phi(h) - h at h = 1 - w, the first of gaps, alone."""
+        if self.is_stable:  # float ** and np.float_power agree, as in phi
+            e = 1.0 + self.beta
+            if w.__class__ is float:
+                return self.gamma / e * w ** e
+            return self.gamma / e * np.float_power(w, e)
+        return w * w * series_eval(self._coefficients[0], h)
+
     def gaps(self, h, w):
         """(D, D', psi, chi) at h = 1 - w, without cancellation; floats or
         arrays.
 
-        D = phi(h) - h, D' = 1 - phi'(h) (its derivative in w),
+        D = phi(h) - h (gap), D' = 1 - phi'(h) (its derivative in w),
         psi = (phi(h) - q)/h and chi = (phi'(h) - psi)/h = sum_n n p_n h^(n-1),
         which are p_0 and p_1 at h = 0.  On the curve s = h/phi(h),
         1 - s*phi'(h) = (D + h*D')/(D + h).  The stable family has
@@ -202,10 +211,9 @@ class IncrementLaw:
                 chi = np.where(h < 0.25, series_eval(self._coefficients, h),
                                g / e * (b * np.expm1(e * lw)
                                         - e * np.expm1(b * lw)) / (h * h))
-                return (g / e * np.float_power(w, e),
-                        g * np.float_power(w, b), psi, chi)
-            c, e, n_p = self._coefficients
-            return (w * w * series_eval(c, h), w * series_eval(e, h),
+                return (self.gap(h, w), g * np.float_power(w, b), psi, chi)
+            _, e, n_p = self._coefficients
+            return (self.gap(h, w), w * series_eval(e, h),
                     series_eval(self.p, h), series_eval(n_p, h))
 
     @functools.cached_property

@@ -36,7 +36,7 @@ import numpy as np
 
 from .fixed_point import f0_series
 from .laws import Orientation, truncated_explicit
-from .series import SeriesPoly
+from .series import SeriesPoly, series_reciprocal
 
 STABLE_TRUNCATION_ORDER = 10000
 
@@ -285,17 +285,14 @@ def return_prob_partial_sums(law, n):
     """Return probabilities u_m = P(chain at 0 at step m | started at 0)
     and their partial sums U_m, for m = 0..n.
 
-    u is the coefficient sequence of 1/(1 - f0(s)), computed by the
-    convolution recursion u_m = sum_{j=1..m} f_j u_{m-j} (f_0 = 0), which is
-    numerically stable for nonnegative inputs.
+    u is the coefficient sequence of 1/(1 - f0(s)), one series reciprocal
+    (f_0 = 0, so 1 - f0 has constant term 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = tau_pmf(law, n).coeffs[: n + 1]
-    u = np.zeros(n + 1)
-    u[0] = 1.0
-    for m in range(1, n + 1):
-        u[m] = np.dot(f[1 : m + 1], u[m - 1 :: -1])
+    one_minus_f0 = -tau_pmf(law, n).coeffs[: n + 1]
+    one_minus_f0[0] += 1.0
+    u = series_reciprocal(one_minus_f0, n)
     if np.any(u < 0.0):
         raise RuntimeError("series reciprocal instability in 1/(1-f0)")
     return u, np.cumsum(u)

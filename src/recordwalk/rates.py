@@ -9,7 +9,9 @@ Every quantity is explicit in the fixed point h, since e^lambda = h/phi(h).
 The curve is evaluated at h and w = 1 - h together, from the law's gaps
 (IncrementLaw.gaps), so that no formula subtracts nearly equal numbers as
 h -> 0 (lambda -> -inf) or w -> 0 (lambda -> 0).  cumulant and
-cumulant_deriv solve for h and w once at s = e^lambda; invert_slope,
+cumulant_deriv solve for h and w once at s = e^lambda, with 1 - s =
+-expm1(lambda) handed to the solver so that it keeps its relative precision
+as lambda -> 0; invert_slope,
 legendre and rate_point bisect the slope in u = log(h/w) and never solve
 for h.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import bisect_logit, one_minus_s_phi_prime_h, solve_hw
+from .fixed_point import _solve_hw, bisect_logit, one_minus_s_phi_prime_h
 from .laws import MdpRegime, Orientation
 
 
@@ -89,7 +91,7 @@ def _at_lambda(law, lam):
     """_curve at s = e^lambda, for a float or an array of lambda < 0."""
     if np.any(np.asarray(lam) >= 0.0):
         raise ValueError("lambda must be negative")
-    h, w = solve_hw(law, np.exp(lam) if np.ndim(lam) else math.exp(lam))
+    h, w = _solve_hw(law, np.exp(lam), -np.expm1(lam))
     out = _curve(law, h, w, lam)
     return out if np.ndim(lam) else [float(v) for v in out]
 

@@ -16,17 +16,18 @@ from recordwalk import (
     solve_h,
 )
 from recordwalk import fixed_point
-from recordwalk.fixed_point import BISECT_ONLY_ABOVE, ConvergenceError
+from recordwalk.fixed_point import ConvergenceError
 
 BUNDLED_LAWS = sorted(
     f.name for f in resources.files("recordwalk.data").iterdir()
     if f.name.endswith(".json")
 )
 
-# 0 and 1, a dense grid, and points on both sides of the bisection-only edge
+# 0 and 1, a dense grid, points close to 1, and s = 0.8, whose root on sym
+# is h = 1/2, at u = log(h/w) = 0
 S_POINTS = np.concatenate([
-    [0.0, 1e-300, 1e-12, 1e-6, BISECT_ONLY_ABOVE - 1e-9, BISECT_ONLY_ABOVE,
-     BISECT_ONLY_ABOVE + 1e-9, 1.0 - 1e-8, 1.0 - 1e-12, 1.0],
+    [0.0, 1e-300, 1e-12, 1e-6, 1.0 - 1e-6 - 1e-9, 1.0 - 1e-6,
+     1.0 - 1e-6 + 1e-9, 0.8, 1.0 - 1e-8, 1.0 - 1e-12, 1.0],
     np.linspace(0.0, 1.0, 301),
     1.0 - np.logspace(-11, -1, 41),
 ])

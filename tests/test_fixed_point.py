@@ -42,6 +42,10 @@ class TestSolveH:
     def test_rational_point(self):
         assert solve_h(SYM, 0.6) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
+    def test_root_at_u_zero(self):
+        # h = w = 1/2: the bisection in u = log(h/w) starts on the root
+        assert abs(solve_h(SYM, 0.8) - 0.5) <= 1e-16
+
     def test_endpoints(self):
         assert solve_h(SYM, 0.0) == 0.0
         assert solve_h(SYM, 1.0) == 1.0

@@ -246,6 +246,19 @@ class TestReturnProbabilities:
         with pytest.raises(ValueError):
             return_prob_partial_sums(SYM, 0)
 
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_matches_renewal_recursion(self, law):
+        # u_m = sum_{j=1..m} f_j u_{m-j}: a sum of nonnegative terms
+        n = 2000
+        f = tau_pmf(law, n).coeffs
+        ref = np.zeros(n + 1)
+        ref[0] = 1.0
+        for m in range(1, n + 1):
+            ref[m] = np.dot(f[1 : m + 1], ref[m - 1 :: -1])
+        u, U = return_prob_partial_sums(law, n)
+        np.testing.assert_allclose(u, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(U, np.cumsum(ref), rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("law", [ASYM, STABLE, STABLE_LEFT])
     def test_nonnegative_and_increasing(self, law):
         u, U = return_prob_partial_sums(law, 200)

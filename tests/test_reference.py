@@ -8,13 +8,15 @@ laws are exactly critical), s = h/phi(h), lambda = log s, f0 = E[s^tau]
 from the fixed point (right orientation 1 + q*s - q*s/h, left
 1 - (1 - s)/(1 - h)), Lambda = log f0, and
 Lambda' = (dLambda/dh)/(dlambda/dh).  Points are found by bisection in
-u = log(h/(1 - h)).
+u = log(h/(1 - h)), and h(s) at small s, below the bisection's range, by
+mpmath.findroot from q*s.
 """
 
 import functools
 import json
 
 import mpmath
+import numpy as np
 import pytest
 
 from recordwalk import (IncrementLaw, bundled_law_path, cumulant_deriv,
@@ -102,6 +104,13 @@ class Reference:
             h = self.bisect(lambda h: h - s * self.phi(h))
             return h, 1 - s * self.dphi(h)
 
+    def small_fixed_point(self, s):
+        """h(s) for s <= 1/2, where h <= 0.3: the root of h = s*phi(h) by
+        the secant method from its first-order value q*s."""
+        with mpmath.workdps(60):
+            s = mpmath.mpf(s)
+            return mpmath.findroot(lambda h: h - s * self.phi(h), self.q * s)
+
 
 @functools.lru_cache(maxsize=None)
 def reference(name):
@@ -143,6 +152,16 @@ def test_cumulant_deriv_against_reference(name):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
+def test_cumulant_deriv_near_zero_against_reference(name):
+    # 1 - s reaches the solver as -expm1(lambda), not as 1 - e^lambda
+    # rounded, which would carry a relative error eps/|lambda|
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    ref = reference(name)
+    for lam in (-1e-3, -1e-6, -1e-9):
+        assert rel(cumulant_deriv(law, lam), ref.slope_at(lam)) <= 1e-14, lam
+
+
+@pytest.mark.parametrize("name", BUNDLED)
 def test_one_minus_s_phi_prime_against_reference(name):
     law = IncrementLaw.from_json(bundled_law_path(name).read_text())
     ref = reference(name)
@@ -162,3 +181,15 @@ def test_w_against_reference(name):
         exact = ref.fixed_point(s)[0]
         assert rel(h, exact) <= 1e-14, k
         assert rel(w, 1 - exact) <= 1e-13, k
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_h_relative_precision_at_small_s(name):
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    ref = reference(name)
+    points = [1e-300, 1e-100, 1e-20, 1e-12, 1e-6, 1e-3, 0.1, 0.5]
+    h_array, _ = solve_hw(law, np.array(points))
+    for s, h_elem in zip(points, h_array):
+        exact = ref.small_fixed_point(s)
+        assert rel(solve_hw(law, s)[0], exact) <= 1e-15, s
+        assert rel(h_elem, exact) <= 1e-15, s
