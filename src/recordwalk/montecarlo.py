@@ -2,12 +2,12 @@
 
 Paths are driven by a counter-based Philox stream keyed by the seed, and
 processed in fixed blocks of BLOCK_SIZE paths whose integer count histograms
-are summed.  The block starting at path `start` reads n uniforms per path,
-one 64-bit word each, from word 4*start*n of the stream on:
-Philox.advance(d) skips d counter values of four words each.  So the
-uniforms of a path depend on BLOCK_SIZE, blocks never overlap, and since
-the block boundaries do not depend on the worker count, the result is
-bit-identical for any worker count.
+are summed.  Path p reads n uniforms, one 64-bit word each, from words
+p*n .. p*n + n - 1 of the stream: the block starting at path `start` calls
+Philox.advance(start*n/4), which skips counter values of four words each,
+so BLOCK_SIZE must be a multiple of 4.  The uniforms of a path therefore
+depend on neither BLOCK_SIZE nor the worker count, blocks never overlap,
+and the integer merge makes the result bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .laws import IncrementLaw, Orientation
 from .oracle import Provenance, TailTable
 
-BLOCK_SIZE = 8192
+BLOCK_SIZE = 8192  # a multiple of 4: see the module docstring
 STABLE_CDF_ORDER = 10000
 STABLE_TAIL_ORDER = 100000
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
@@ -107,7 +107,7 @@ def reflected_zero_visits(path):
 
 def _block_histogram(law, n, seed, start, count):
     bg = np.random.Philox(key=seed)
-    bg.advance(start * n)
+    bg.advance(start * n // 4)  # path p starts at word p*n
     uniforms = np.random.Generator(bg).random((count, n))
     inc = _sample_block(law, uniforms)
     s = np.cumsum(inc, axis=1)

@@ -1,13 +1,16 @@
 """Truncated power-series arithmetic on float coefficient arrays.
 
 All functions operate on 1-D numpy arrays where index n holds the
-coefficient of s^n, truncated at a common order.  Products use np.convolve;
-reciprocals use Newton doubling (R <- R(2 - F R)), which is exact through
-the truncation order after ceil(log2(order+1)) steps.
+coefficient of s^n, truncated at a common order.  Every product is a direct
+np.convolve, never an FFT, so products of nonnegative series keep relative
+accuracy.  Reciprocals use Newton doubling (R <- R(2 - F R)), exact through
+the truncation order after ceil(log2(order+1)) steps; log W integrates
+W'/W through one reciprocal; composition is Paterson-Stockmeyer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,21 +78,18 @@ def series_reciprocal(f, order):
 
 
 def series_log(w, order):
-    """log of a series with constant term 1 (zero constant term result).
-
-    Standard recursion from (log W)' = W'/W:
-    l_m = w_m - (1/m) * sum_{j=1..m-1} j l_j w_{m-j}.
-    """
+    """log of a series with constant term 1 (zero constant term result):
+    the integral of W'/W, from one reciprocal and one product through
+    order - 1."""
     w = np.asarray(w, dtype=float)[: order + 1]
     if w[0] != 1.0:
         raise ValueError("series must have constant term 1")
     l = np.zeros(order + 1)
-    wpad = np.zeros(order + 1)
-    wpad[: len(w)] = w
-    j = np.arange(order + 1)
-    for m in range(1, order + 1):
-        conv = np.dot(j[1:m] * l[1:m], wpad[m - 1 : 0 : -1])
-        l[m] = wpad[m] - conv / m
+    if order > 0:
+        dw = np.zeros(order)  # W' = sum_m m w_m s^(m-1)
+        dw[: len(w) - 1] = np.arange(1, len(w)) * w[1:]
+        l[1:] = series_mul(dw, series_reciprocal(w, order - 1), order - 1)
+        l[1:] /= np.arange(1, order + 1)
     return l
 
 
@@ -116,6 +116,12 @@ def series_compose_val1(outer, inner, order):
 
     Because inner has valuation >= 1, inner^j vanishes beyond order j, so
     only outer coefficients up to the truncation order contribute.
+
+    Paterson-Stockmeyer, about 2*sqrt(len(outer)) convolutions: one matrix
+    product of the outer coefficients in blocks of k = isqrt(len(outer)) by
+    the baby powers inner^0..inner^(k-1), then Horner in inner^k over the
+    blocks.  For nonnegative outer and inner every intermediate is a sum of
+    nonnegative products, so the result keeps relative accuracy.
     """
     inner = np.asarray(inner, dtype=float)[: order + 1]
     if inner[0] != 0.0:
@@ -123,11 +129,17 @@ def series_compose_val1(outer, inner, order):
     outer = np.asarray(outer, dtype=float)[: order + 1]
     nz = np.nonzero(outer)[0]
     outer = outer[: nz[-1] + 1] if nz.size else outer[:1]
-    out = np.zeros(order + 1)
-    out[0] = outer[0]
-    power = np.array([1.0])
-    for j in range(1, len(outer)):
-        power = np.convolve(power, inner)[: order + 1]
-        if outer[j] != 0.0:
-            out[: len(power)] += outer[j] * power
-    return out
+    k = math.isqrt(len(outer))
+    # rows j of baby: inner^j for j < k, as long as inner^(k-1) can be
+    baby = np.zeros((k, min(order + 1, (k - 1) * (len(inner) - 1) + 1)))
+    baby[0, 0] = 1.0
+    for j in range(1, k):
+        baby[j] = np.convolve(baby[j - 1], inner)[: baby.shape[1]]
+    giant = np.convolve(baby[-1], inner)[: order + 1]  # inner^k
+    blocks = np.concatenate([outer, np.zeros(-len(outer) % k)])
+    rows = blocks.reshape(-1, k) @ baby  # row i: block i as a series
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = np.convolve(acc, giant)[: order + 1]
+        acc[: len(row)] += row
+    return np.concatenate([acc, np.zeros(order + 1 - len(acc))])

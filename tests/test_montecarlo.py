@@ -18,6 +18,7 @@ from recordwalk import (
     reflected_zero_visits,
     sample_increment,
 )
+from recordwalk import montecarlo
 from recordwalk.montecarlo import _wilson
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
@@ -118,6 +119,21 @@ class TestEmpiricalTail:
         four = empirical_tail(SimConfig(ASYM, 12, 30000, 11, workers=4))
         assert np.array_equal(one.tail, four.tail)
         assert np.array_equal(one.ci_lo, four.ci_lo)
+
+    @pytest.mark.parametrize("law", [SYM, STABLE], ids=["sym", "stable-right"])
+    @pytest.mark.parametrize("n", [7, 20])
+    def test_block_size_invariance(self, monkeypatch, law, n):
+        # Path p reads stream words p*n .. p*n + n - 1 whatever the blocks.
+        tables = []
+        for block in (8192, 4096, 12):
+            monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block)
+            tables.append(empirical_tail(SimConfig(law, n, 20000, 3)))
+        for table in tables[1:]:
+            assert np.array_equal(table.tail, tables[0].tail)
+            assert np.array_equal(table.ci_lo, tables[0].ci_lo)
+
+    def test_block_size_multiple_of_four(self):
+        assert montecarlo.BLOCK_SIZE % 4 == 0
 
     def test_seed_changes_output(self):
         a = empirical_tail(SimConfig(SYM, 12, 20000, 1))

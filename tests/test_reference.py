@@ -10,17 +10,25 @@ from the fixed point (right orientation 1 + q*s - q*s/h, left
 Lambda' = (dLambda/dh)/(dlambda/dh).  Points are found by bisection in
 u = log(h/(1 - h)), and h(s) at small s, below the bisection's range, by
 mpmath.findroot from q*s.
+
+The oracle tails of the explicit laws are checked against exact rational
+arithmetic on the reflected chain M_m - S_m itself.
 """
 
+import collections
 import functools
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from recordwalk import (IncrementLaw, bundled_law_path, cumulant_deriv,
-                        rate_point)
+from recordwalk import (IncrementLaw, build_kernel, bundled_law_path,
+                        cumulant_deriv, exact_An_distribution, rate_point,
+                        renewal_tail_table)
 from recordwalk.fixed_point import one_minus_s_phi_prime_h, solve_hw
 
 BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
@@ -193,3 +201,47 @@ def test_h_relative_precision_at_small_s(name):
         exact = ref.small_fixed_point(s)
         assert rel(solve_hw(law, s)[0], exact) <= 1e-15, s
         assert rel(h_elem, exact) <= 1e-15, s
+
+
+def exact_tail(name, n):
+    """P(A_n >= k), k = 0..n, as Fractions: the reflected chain
+    Sbar = M - S of a bundled explicit law, Sbar' = max(Sbar - X, 0), run
+    exactly from the law's decimal coefficients.  A_n counts the steps
+    m = 1..n with Sbar_m = 0.  The weights are integers over a common
+    denominator, raised to the n-th power at the end."""
+    doc = json.loads(bundled_law_path(name).read_text())
+    spec = doc["spec"]
+    probs = [Fraction(repr(v)) for v in (spec["q"], *spec["p"])]
+    denom = math.lcm(*(c.denominator for c in probs))
+    # right: X = +1 w.p. q and X = -k w.p. p_k; left is the mirror image
+    sign = 1 if doc["orientation"] == "right" else -1
+    jumps = [sign] + [-sign * k for k in range(len(spec["p"]))]
+    steps = [(x, int(c * denom)) for x, c in zip(jumps, probs) if c]
+    state = {(0, 0): 1}  # (Sbar, zero visits) -> weight
+    for _ in range(n):
+        nxt = collections.defaultdict(int)
+        for (level, count), weight in state.items():
+            for x, a in steps:
+                new = max(level - x, 0)
+                nxt[new, count + (new == 0)] += weight * a
+        state = nxt
+    by_count = [0] * (n + 1)
+    for (_, count), weight in state.items():
+        by_count[count] += weight
+    tails = list(itertools.accumulate(reversed(by_count)))[::-1]
+    return [Fraction(t, denom ** n) for t in tails]
+
+
+@pytest.mark.parametrize("name", ["sym.json", "asym.json", "sym_left.json"])
+def test_oracles_against_exact_rational_chain(name):
+    n = 60
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    exact = exact_tail(name, n)
+    assert exact[0] == 1 and exact[n] > 0
+    dp = exact_An_distribution(build_kernel(law, n), n).tail
+    renewal = renewal_tail_table(law, n).tail
+    assert len(dp) == len(renewal) == n + 1
+    for k, value in enumerate(exact):
+        # relative at every k, P(A_n = n) (2^-60 on sym) included
+        assert abs(Fraction(dp[k]) - value) <= Fraction(1e-13) * value, k
+        assert abs(Fraction(renewal[k]) - value) <= Fraction(1e-12), k

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recordwalk import IncrementLaw, h_series, truncated_explicit
 from recordwalk.series import (
     SeriesPoly,
     series_compose_val1,
@@ -16,6 +17,43 @@ from recordwalk.series import (
     series_mul,
     series_reciprocal,
 )
+
+STABLE_LAWS = [IncrementLaw.stable("right", 0.5, 0.5),
+               IncrementLaw.stable("left", 0.5, 0.5)]
+
+
+def _compose_reference(outer, inner, order):
+    """One convolution per outer coefficient, the plain definition."""
+    inner = np.asarray(inner, dtype=float)[: order + 1]
+    outer = np.asarray(outer, dtype=float)[: order + 1]
+    nz = np.nonzero(outer)[0]
+    outer = outer[: nz[-1] + 1] if nz.size else outer[:1]
+    out = np.zeros(order + 1)
+    out[0] = outer[0]
+    power = np.array([1.0])
+    for j in range(1, len(outer)):
+        power = np.convolve(power, inner)[: order + 1]
+        if outer[j] != 0.0:
+            out[: len(power)] += outer[j] * power
+    return out
+
+
+def _log_reference(w, order):
+    """The recursion l_m = w_m - (1/m) sum_{j<m} j l_j w_{m-j} of
+    (log W)' = W'/W."""
+    w = np.asarray(w, dtype=float)[: order + 1]
+    l = np.zeros(order + 1)
+    wpad = np.zeros(order + 1)
+    wpad[: len(w)] = w
+    j = np.arange(order + 1)
+    for m in range(1, order + 1):
+        conv = np.dot(j[1:m] * l[1:m], wpad[m - 1 : 0 : -1])
+        l[m] = wpad[m] - conv / m
+    return l
+
+
+def _within_rel(a, b, tol):
+    return np.all(np.abs(a - b) <= tol * np.abs(b))
 
 
 class TestSeriesPoly:
@@ -119,3 +157,51 @@ def test_reciprocal_pointwise(tail, s):
     fs = series_eval(f, s * 0.3)
     rs = series_eval(r, s * 0.3)
     assert fs * rs == pytest.approx(1.0, abs=1e-6)
+
+
+_coefficient = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0))
+
+
+@given(
+    st.lists(_coefficient, min_size=1, max_size=70),
+    st.lists(_coefficient, min_size=0, max_size=60),
+    st.integers(min_value=0, max_value=60),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_compose_matches_reference(outer, inner_tail, order, zero_outer):
+    # Outer lengths 1..70 give k = 1, perfect squares and a partial last
+    # block, and outer longer than order + 1 is cut to it.
+    outer = np.zeros(len(outer)) if zero_outer else np.array(outer)
+    inner = np.array([0.0, *inner_tail])
+    out = series_compose_val1(outer, inner, order)
+    ref = _compose_reference(outer, inner, order)
+    assert len(out) == order + 1
+    assert out[0] == outer[0]
+    assert _within_rel(out, ref, 1e-13)
+
+
+@pytest.mark.parametrize("law", STABLE_LAWS, ids=["right", "left"])
+@pytest.mark.parametrize("order", [200, 800])
+def test_compose_truncated_stable_law(law, order):
+    explicit, _ = truncated_explicit(law, 10000)
+    outer = np.array([explicit.q, *explicit.p])
+    inner = h_series(law, order).coeffs
+    out = series_compose_val1(outer, inner, order)
+    assert _within_rel(out, _compose_reference(outer, inner, order), 1e-14)
+
+
+@pytest.mark.parametrize("law", STABLE_LAWS, ids=["right", "left"])
+def test_log_matches_recursion(law):
+    w = -h_series(law, 10000).coeffs
+    w[0] += 1.0
+    for order in (2000, 10000):
+        out = series_log(w, order)
+        assert out[0] == 0.0
+        assert _within_rel(out, _log_reference(w, order), 1e-14)
+
+
+def test_log_order_zero():
+    assert np.array_equal(series_log(np.array([1.0, 0.5]), 0), [0.0])
+    with pytest.raises(ValueError):
+        series_log(np.array([0.5]), 0)
