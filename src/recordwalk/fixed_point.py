@@ -65,7 +65,8 @@ def _solve_hw(law, s, t):
         inner = (s_all > 0.0) & (t > 0.0)
         s, t = s_all[inner], t[inner]
         h[inner], w[inner] = _polish(law, s, t, *_bisect_logit_array(
-            lambda h, w: t * h - s * law.gap(h, w), np.zeros_like(s)))
+            lambda h, w, i: t[i] * h - s[i] * law.gap(h, w),
+            np.zeros_like(s)))
         _check_residual(law, s, h[inner])
         return h, w
     s, t = float(s), float(t)
@@ -125,16 +126,19 @@ def bisect_logit(f, target):
 
 
 def _bisect_logit_array(f, target):
-    """bisect_logit on arrays: f maps arrays (h, w) to an array that crosses
-    the array target elementwise.  An element whose bracket ends are
-    adjacent keeps its mid under further steps, so it needs no mask."""
+    """bisect_logit on arrays: f(h, w, i) maps arrays (h, w) at the indices
+    i to an array that crosses target[i] elementwise.  Only elements whose
+    bracket ends are not yet adjacent are evaluated; the rest keep their mid."""
     lo, hi = np.full_like(target, -U_MAX), np.full_like(target, U_MAX)
-    mid = 0.5 * (lo + hi)
-    while ((lo < mid) & (mid < hi)).any():
-        up = f(*_logistic_hw(mid)) < target
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        mid = 0.5 * (lo + hi)
+    m, mid = 0.5 * (lo + hi), np.zeros_like(target)
+    i = np.arange(target.size)
+    while i.size:
+        up = f(*_logistic_hw(m), i) < target[i]
+        lo, hi = np.where(up, m, lo), np.where(up, hi, m)
+        m = 0.5 * (lo + hi)
+        if not (live := (lo < m) & (m < hi)).all():
+            mid[i] = m
+            i, lo, hi, m = i[live], lo[live], hi[live], m[live]
     return _logistic_hw(mid)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .fixed_point import f0_series
 from .laws import Orientation, truncated_explicit
-from .series import SeriesPoly, series_reciprocal
+from .series import SeriesPoly, series_mul, series_reciprocal
 
 STABLE_TRUNCATION_ORDER = 10000
 
@@ -248,7 +248,7 @@ def _renewal_masses(f, n, kmax):
     step = f[1 : n + 1]
     for k in range(1, kmax + 1):
         m = n + 1 - k
-        part = np.convolve(part[:m], step[:m])[:m]
+        part = series_mul(part, step, m - 1)
         mass[k] = part.sum()
     return mass
 
@@ -270,6 +270,8 @@ def renewal_tail(tau, n, k):
 
 def renewal_tail_table(law, n, kmax=None):
     """TailTable of P(A_n >= k) from the renewal representation."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if kmax is None:
         kmax = n
     if kmax < 0:

@@ -3,9 +3,11 @@
 All functions operate on 1-D numpy arrays where index n holds the
 coefficient of s^n, truncated at a common order.  Every product is a direct
 np.convolve, never an FFT, so products of nonnegative series keep relative
-accuracy.  Reciprocals use Newton doubling (R <- R(2 - F R)), exact through
-the truncation order after ceil(log2(order+1)) steps; log W integrates
-W'/W through one reciprocal; composition is Paterson-Stockmeyer.
+accuracy; a truncated product skips the upper half of the full one.
+Reciprocals use Newton doubling, exact through the truncation order after
+ceil(log2(order+1)) steps, each a middle product and a truncated product;
+log W integrates W'/W through one reciprocal; composition is
+Paterson-Stockmeyer.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+TRUNC_SPLIT = 1024  # up to this many terms one full np.convolve is as fast
 
 
 @dataclass(frozen=True)
@@ -54,27 +58,41 @@ def series_eval(coeffs, s):
 
 
 def series_mul(a, b, order):
-    """Product truncated at the given order."""
-    return np.convolve(a[: order + 1], b[: order + 1])[: order + 1]
+    """Product truncated at the given order: np.convolve(a, b)[:order + 1].
+    Above TRUNC_SPLIT terms, with a and b both longer than h = ceil(n/2) of
+    the n terms, the low halves' full product and the two cross terms, each
+    truncated the same way, take about n^2/2 multiplications, not n^2."""
+    n, h = order + 1, (order + 2) // 2
+    a, b = a[:n], b[:n]
+    if n <= TRUNC_SPLIT or min(len(a), len(b)) <= h:
+        return np.convolve(a, b)[:n]
+    out = np.zeros(n)
+    out[: 2 * h - 1] = np.convolve(a[:h], b[:h])
+    out[h:] += series_mul(a[: n - h], b[h:], n - h - 1)
+    out[h:] += series_mul(a[h:], b[: n - h], n - h - 1)
+    return out
 
 
 def series_reciprocal(f, order):
-    """Series inverse of f with f[0] != 0, truncated at the given order."""
+    """Series inverse of f with f[0] != 0, truncated at the given order.
+
+    Newton from r right through h - 1 to m = min(2h, order + 1) terms:
+    F r is 1 and zeros through h - 1, so only e = (F r)[h:m] is formed (a
+    middle product), and r (2 - F r) sets r[h:m] = -(r e)[:m - h].
+    """
     f = np.asarray(f, dtype=float)[: order + 1]
     if f[0] == 0.0:
         raise ZeroDivisionError("series has zero constant term")
-    r = np.array([1.0 / f[0]])
-    m = 1
-    while m <= order:
-        m = min(2 * m, order + 1)
-        fr = np.convolve(f[:m], r)[:m]
-        # r <- r*(2 - f*r)
-        corr = -fr
-        corr[0] += 2.0
-        r = np.convolve(r, corr)[:m]
-    out = np.zeros(order + 1)
-    out[: len(r)] = r
-    return out
+    f = np.concatenate([f, np.zeros(order + 1 - len(f))])
+    r = np.zeros(order + 1)
+    r[0] = 1.0 / f[0]
+    h = 1
+    while h <= order:
+        m = min(2 * h, order + 1)
+        e = np.convolve(f[1:m], r[:h], "valid")
+        r[h:m] = -series_mul(r[: m - h], e, m - h - 1)
+        h = m
+    return r
 
 
 def series_log(w, order):
@@ -103,12 +121,12 @@ def series_exp(a, order):
         raise ValueError("series must have zero constant term")
     apad = np.zeros(order + 1)
     apad[: len(a)] = a
-    e = np.zeros(order + 1)
-    e[0] = 1.0
     ja = np.arange(order + 1) * apad
+    rev = np.zeros(order + 1)  # rev[order - m] = e_m: each dot reads forward
+    rev[order] = 1.0
     for m in range(1, order + 1):
-        e[m] = np.dot(ja[1 : m + 1], e[m - 1 :: -1][: m]) / m
-    return e
+        rev[order - m] = np.dot(ja[1 : m + 1], rev[order - m + 1 :]) / m
+    return rev[::-1].copy()
 
 
 def series_compose_val1(outer, inner, order):
@@ -134,12 +152,12 @@ def series_compose_val1(outer, inner, order):
     baby = np.zeros((k, min(order + 1, (k - 1) * (len(inner) - 1) + 1)))
     baby[0, 0] = 1.0
     for j in range(1, k):
-        baby[j] = np.convolve(baby[j - 1], inner)[: baby.shape[1]]
-    giant = np.convolve(baby[-1], inner)[: order + 1]  # inner^k
+        baby[j] = series_mul(baby[j - 1], inner, baby.shape[1] - 1)
+    giant = series_mul(baby[-1], inner, order)  # inner^k
     blocks = np.concatenate([outer, np.zeros(-len(outer) % k)])
     rows = blocks.reshape(-1, k) @ baby  # row i: block i as a series
     acc = rows[-1]
     for row in rows[-2::-1]:
-        acc = np.convolve(acc, giant)[: order + 1]
+        acc = series_mul(acc, giant, order)
         acc[: len(row)] += row
     return np.concatenate([acc, np.zeros(order + 1 - len(acc))])

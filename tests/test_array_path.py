@@ -15,8 +15,8 @@ from recordwalk import (
     run_suite,
     solve_h,
 )
-from recordwalk import fixed_point
-from recordwalk.fixed_point import ConvergenceError
+from recordwalk import cumulant_deriv, fixed_point
+from recordwalk.fixed_point import U_MAX, ConvergenceError, _logistic_hw
 
 BUNDLED_LAWS = sorted(
     f.name for f in resources.files("recordwalk.data").iterdir()
@@ -99,3 +99,41 @@ def test_legendre_suite_unchanged_by_the_array_sweep(law):
     )
     observed = run_suite(law, "legendre").checks[0].observed
     assert abs(observed - max_dev) <= 1e-15
+
+
+def _bisect_every_element(f, target):
+    """_bisect_logit_array as it was: every element on every step, until
+    the slowest one is done."""
+    lo, hi = np.full_like(target, -U_MAX), np.full_like(target, U_MAX)
+    mid = 0.5 * (lo + hi)
+    every = np.arange(target.size)
+    while ((lo < mid) & (mid < hi)).any():
+        up = f(*_logistic_hw(mid), every) < target
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return _logistic_hw(mid)
+
+
+@pytest.mark.parametrize("name", ["asym.json", "stable_g05_b05_left.json"])
+def test_bisection_skips_closed_brackets_bit_for_bit(name, monkeypatch):
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    lam = -np.exp(np.linspace(math.log(1e-8), math.log(40.0), 20001))
+    evaluated = []
+    real = fixed_point._bisect_logit_array
+
+    def counting(f, target):
+        def f_counted(h, w, i):
+            evaluated.append(len(i))
+            return f(h, w, i)
+        return real(f_counted, target)
+
+    monkeypatch.setattr(fixed_point, "_bisect_logit_array", counting)
+    got = cumulant(law, lam), cumulant_deriv(law, lam)
+    monkeypatch.setattr(fixed_point, "_bisect_logit_array",
+                        _bisect_every_element)
+    ref = cumulant(law, lam), cumulant_deriv(law, lam)
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a, b)
+    # two sweeps; elements need 57-75 steps, so about a fifth is skipped
+    assert sum(evaluated) < 0.9 * len(evaluated) * lam.size

@@ -151,6 +151,13 @@ class TestOracle:
                           "--n", "0", "--mode", "dp")
         assert code == 1
 
+    @pytest.mark.parametrize("mode", ["dp", "renewal"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_bad_n_message(self, capsys, mode, n):
+        code = main(["oracle", "--law", SYM_PATH, "--n", n, "--mode", mode])
+        assert code == 1
+        assert "n must be >= 1" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_byte_identical_reruns_and_workers(self, capsys):

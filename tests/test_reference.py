@@ -13,6 +13,10 @@ mpmath.findroot from q*s.
 
 The oracle tails of the explicit laws are checked against exact rational
 arithmetic on the reflected chain M_m - S_m itself.
+
+The return-time p.m.f. is checked against its closed form
+(1 + s - sqrt(1 - s^2))/2 on sym and sym_left, and on the stable laws
+against series Newton with full products run in long double.
 """
 
 import collections
@@ -28,7 +32,7 @@ import pytest
 
 from recordwalk import (IncrementLaw, build_kernel, bundled_law_path,
                         cumulant_deriv, exact_An_distribution, rate_point,
-                        renewal_tail_table)
+                        renewal_tail_table, tau_pmf)
 from recordwalk.fixed_point import one_minus_s_phi_prime_h, solve_hw
 
 BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
@@ -245,3 +249,106 @@ def test_oracles_against_exact_rational_chain(name):
         # relative at every k, P(A_n = n) (2^-60 on sym) included
         assert abs(Fraction(dp[k]) - value) <= Fraction(1e-13) * value, k
         assert abs(Fraction(renewal[k]) - value) <= Fraction(1e-12), k
+
+
+@pytest.mark.parametrize("name, tol", [("sym.json", 1e-14),
+                                       ("sym_left.json", 7.8e-12)])
+def test_tau_pmf_against_closed_form(name, tol):
+    # Both laws have f0 = (1 + s - sqrt(1 - s^2))/2, so P(tau = 2k) =
+    # |binom(1/2, k)|/2 and tau is never odd beyond 1.  sym_left forms f0
+    # as r_(m-1) - r_m with r = 1/(1 - h), whose cancellation costs about
+    # m ulps of r: 7.7e-12 before the middle-product reciprocal, 5.7e-12
+    # with it.
+    order = 10000
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    exact = np.zeros(order + 1)
+    exact[1], exact[2] = 0.5, 0.25
+    c = mpmath.mpf(1) / 2  # |binom(1/2, k)|
+    for k in range(2, order // 2 + 1):
+        c *= mpmath.mpf(2 * k - 3) / (2 * k)
+        exact[2 * k] = float(c / 2)
+    got = tau_pmf(law, order).coeffs
+    even = exact != 0.0
+    assert np.max(np.abs(got[even] - exact[even]) / exact[even]) <= tol
+    assert np.max(np.abs(got[~even])) <= 1e-16
+
+
+LD = np.longdouble
+
+
+def _ld_reciprocal(f, order):
+    r = np.array([1 / f[0]])
+    m = 1
+    while m <= order:
+        m = min(2 * m, order + 1)
+        corr = -np.convolve(f[:m], r)[:m]
+        corr[0] += 2
+        r = np.convolve(r, corr)[:m]
+    return r
+
+
+def _ld_log(w, order):
+    k = np.arange(1, order + 1, dtype=LD)
+    dw_over_w = np.convolve(k * w[1:], _ld_reciprocal(w, order - 1))[:order]
+    return np.concatenate([[LD(0)], dw_over_w / k])
+
+
+def _ld_exp(a, order):
+    ja = np.arange(order + 1, dtype=LD) * a
+    e = np.zeros(order + 1, dtype=LD)
+    e[0] = 1
+    for m in range(1, order + 1):
+        e[m] = np.dot(ja[1 : m + 1], e[m - 1 :: -1][:m]) / m
+    return e
+
+
+def ld_tau_pmf(law, order):
+    """tau_pmf of a stable-family law in long double: series Newton for h
+    with phi(H) = H + g/(1+b) W^(1+b) and phi'(H) = 1 - g W^b through
+    log and exp of W = 1 - H, every product formed in full, then f0 from
+    h as f0_series takes it."""
+    g, b = LD(law.gamma), LD(law.beta)
+    q = g / (1 + b)
+    h = np.array([0, q], dtype=LD)
+    m = 1
+    while m < order + 1:
+        m = min(2 * m, order + 1)
+        h = np.concatenate([h, np.zeros(m + 1 - len(h), dtype=LD)])
+        w = -h
+        w[0] += 1
+        lw = _ld_log(w, m)
+        f = h.copy()  # H - s*phi(H)
+        f[1:] -= (h + g / (1 + b) * _ld_exp((1 + b) * lw, m))[:-1]
+        fp = np.zeros(m + 1, dtype=LD)  # 1 - s*phi'(H)
+        fp[0] = 1
+        fp[1:] = g * _ld_exp(b * lw, m)[:-1]
+        fp[1] -= 1
+        h = h - np.convolve(f, _ld_reciprocal(fp, m))[: m + 1]
+    if law.orientation.value == "right":
+        f0 = -q * _ld_reciprocal(h[1:], order)
+        f0[1] += q
+    else:
+        w = -h[: order + 1]
+        w[0] += 1
+        r = _ld_reciprocal(w, order)
+        f0 = -r
+        f0[1:] += r[:-1]
+    f0[0] = 0
+    return f0
+
+
+@pytest.mark.skipif(np.finfo(LD).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("side, tol", [("right", 1e-12), ("left", 1.03e-11)])
+def test_stable_tau_pmf_against_long_double(side, tol):
+    # Measured at order 3000: right 6.7e-13 before the middle-product
+    # reciprocal and 8.3e-13 with it, left 1.03e-11 and 5.3e-12.  The
+    # right side's error is h_series' (log and exp): from the long-double
+    # h, the double reciprocal alone is within 5.5e-15.
+    order = 3000
+    law = IncrementLaw.stable(side, 0.5, 0.5)
+    ref = ld_tau_pmf(law, order)
+    got = tau_pmf(law, order).coeffs
+    assert got[0] == 0.0 and np.all(ref[1:] > 0)
+    err = np.abs(got[1:] - ref[1:]) / ref[1:]
+    assert float(np.max(err)) <= tol

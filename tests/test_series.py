@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from recordwalk import IncrementLaw, h_series, truncated_explicit
 from recordwalk.series import (
+    TRUNC_SPLIT,
     SeriesPoly,
     series_compose_val1,
     series_eval,
@@ -50,6 +51,31 @@ def _log_reference(w, order):
         conv = np.dot(j[1:m] * l[1:m], wpad[m - 1 : 0 : -1])
         l[m] = wpad[m] - conv / m
     return l
+
+
+def _reciprocal_reference(f, order):
+    """Newton doubling R <- R(2 - F R) with both products formed in full."""
+    f = np.asarray(f, dtype=float)[: order + 1]
+    r = np.array([1.0 / f[0]])
+    m = 1
+    while m <= order:
+        m = min(2 * m, order + 1)
+        corr = -np.convolve(f[:m], r)[:m]
+        corr[0] += 2.0
+        r = np.convolve(r, corr)[:m]
+    return np.concatenate([r, np.zeros(order + 1 - len(r))])
+
+
+def _exp_reference(a, order):
+    """e_m = (1/m) sum_{j=1..m} j a_j e_{m-j}, reading e backwards."""
+    apad = np.zeros(order + 1)
+    apad[: min(len(a), order + 1)] = a[: order + 1]
+    ja = np.arange(order + 1) * apad
+    e = np.zeros(order + 1)
+    e[0] = 1.0
+    for m in range(1, order + 1):
+        e[m] = np.dot(ja[1 : m + 1], e[m - 1 :: -1][:m]) / m
+    return e
 
 
 def _within_rel(a, b, tol):
@@ -205,3 +231,63 @@ def test_log_order_zero():
     assert np.array_equal(series_log(np.array([1.0, 0.5]), 0), [0.0])
     with pytest.raises(ValueError):
         series_log(np.array([0.5]), 0)
+
+
+# Both sides of the split, odd and even: at odd n the halves' product ends
+# exactly at n - 1, so a split at floor(n/2) would count it twice.
+TRUNC_SIZES = [1, 2, TRUNC_SPLIT - 1, TRUNC_SPLIT, TRUNC_SPLIT + 1,
+               TRUNC_SPLIT + 2, 2 * TRUNC_SPLIT + 1, 4097, 5000]
+
+
+@pytest.mark.parametrize("n", TRUNC_SIZES)
+def test_truncated_product_matches_convolve(n):
+    rng = np.random.default_rng(n)
+    for la, lb in [(n, n), (n + 5, n + 9), (n, 3), (3, n), (n // 2 + 1, n)]:
+        a, b = rng.uniform(0.0, 1.0, la), rng.uniform(0.0, 1.0, lb)
+        ref = np.convolve(a[:n], b[:n])[:n]
+        out = series_mul(a, b, n - 1)
+        assert len(out) == len(ref)
+        assert _within_rel(out, ref, 1e-13)
+    # mixed signs: within rounding of the sum of |terms|
+    a, b = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    scale = np.convolve(np.abs(a), np.abs(b))[:n]
+    assert np.all(np.abs(series_mul(a, b, n - 1) - np.convolve(a, b)[:n])
+                  <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("order", [1, 2, 1023, 1024, 1025, 4097])
+def test_reciprocal_matches_full_newton(order):
+    # f = 1 - g with g >= 0 and sum g < 1: every coefficient of 1/f is
+    # positive, so relative error is defined everywhere
+    rng = np.random.default_rng(order)
+    g = rng.uniform(0.0, 1.0, order + 1) / np.arange(1, order + 2) ** 1.5
+    g[0] = 0.0
+    f = -0.9 * g / g.sum()
+    f[0] = 1.0
+    r = series_reciprocal(f, order)
+    assert len(r) == order + 1
+    assert r[0] == 1.0
+    assert _within_rel(r, _reciprocal_reference(f, order), 1e-13)
+
+
+def test_reciprocal_of_h_over_s_matches_full_newton():
+    # f0_series' reciprocal on a right-continuous law: s/h has one sign
+    # from s^2 on
+    hs = h_series(STABLE_LAWS[0], 4098).coeffs[1:]
+    out = series_reciprocal(hs, 4096)
+    assert _within_rel(out, _reciprocal_reference(hs, 4096), 1e-13)
+
+
+def test_reciprocal_short_input_and_order_zero():
+    assert np.array_equal(series_reciprocal(np.array([4.0]), 0), [0.25])
+    out = series_reciprocal(np.array([1.0, -0.5]), 2000)
+    assert np.allclose(out, 0.5 ** np.arange(2001), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("law", STABLE_LAWS, ids=["right", "left"])
+def test_exp_bit_identical_to_loop(law):
+    w = -h_series(law, 3000).coeffs
+    w[0] += 1.0
+    lw = series_log(w, 3000)
+    for a, order in [(1.5 * lw, 3000), (0.5 * lw, 1100), (lw[:40], 60)]:
+        assert np.array_equal(series_exp(a, order), _exp_reference(a, order))
