@@ -9,6 +9,7 @@ with the law hash, package version, and seed where applicable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -191,6 +192,7 @@ def _jsonable(v):
     return v
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="recordwalk",

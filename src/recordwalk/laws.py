@@ -9,7 +9,8 @@ Every quantity that depends on the family is a method of IncrementLaw,
 written once per family here: phi and its derivatives, phi(H) and phi'(H)
 on a power series, the cancellation-free gaps D, D', psi and chi of the
 rate curve, the closed-form moderate-deviation constants, and the jump p.m.f.
-that simulation samples.
+that the exact oracles and simulation read, with the jumps a walk of n steps
+cannot tell apart lumped.
 No other module asks which family a law belongs to.
 """
 
@@ -118,27 +119,18 @@ class IncrementLaw:
 
     def phi(self, s):
         """phi(s) = q + sum_n p_n s^(n+1), the step PGF reparameterization."""
-        if self.is_stable:
-            # A float is range-tested inline.  Anything else, one-element
-            # arrays included, takes the full check and np.float_power,
-            # which calls the C library's pow as float ** does; np.power may
-            # run a vectorised pow that differs in the last bit, and arrays
-            # must give the same bits as floats.
-            c, e = self.gamma / (1.0 + self.beta), 1.0 + self.beta
-            if s.__class__ is float and 0.0 <= s <= 1.0:
-                return s + c * (1.0 - s) ** e
-            _check_unit_interval(s)
-            return s + c * np.float_power(1.0 - s, e)
         _check_unit_interval(s)
+        if self.is_stable:
+            # np.float_power calls the C library's pow, as float ** does, so
+            # floats and arrays give the same bits; np.power may not
+            e = 1.0 + self.beta
+            return s + self.gamma / e * np.float_power(1.0 - s, e)
         return self.q + s * series_eval(self.p, s)
 
     def phi_prime(self, s):
-        if self.is_stable:  # dispatched as in phi
-            if s.__class__ is float and 0.0 <= s <= 1.0:
-                return 1.0 - self.gamma * (1.0 - s) ** self.beta
-            _check_unit_interval(s)
-            return 1.0 - self.gamma * np.float_power(1.0 - s, self.beta)
         _check_unit_interval(s)
+        if self.is_stable:
+            return 1.0 - self.gamma * np.float_power(1.0 - s, self.beta)
         return series_eval([(n + 1) * v for n, v in enumerate(self.p)], s)
 
     def phi_second(self, s):
@@ -247,15 +239,23 @@ class IncrementLaw:
         return 0.5, math.sqrt(2.0 * self.sigma2), MdpRegime.FINITE_VARIANCE
 
     def jump_pmf(self, order):
-        """(p, tail): p_n = P(opposite jump of size n), and the mass beyond.
+        """p_n = P(opposite jump of size n), with every jump of size >= order
+        lumped at index order; order >= 1.
 
-        An explicit law lists its whole support, with tail 0.0; the stable
-        family lists p_0..p_{order-1} and the mass of the jumps it leaves out.
+        A walk of n <= order steps cannot tell the lumped jumps apart: a
+        right-continuous reflected chain falls one level per step, so from
+        level order or above it never returns to 0 within the horizon, and a
+        left-continuous one rises one level per step, so such a jump always
+        lands on 0.  An explicit law lists its whole support.  The stable
+        family's lumped mass sum_{n>=order} p_n = gamma/(1+beta)
+        |binom(beta, order)| is p_order * (order+1)/(1+beta), with no
+        subtraction from 1.
         """
         if self.is_stable:
-            p = expand_coefficients(self, order)[1:]
-            return p, 1.0 - self.q - float(p.sum())
-        return np.asarray(self.p), 0.0
+            p = expand_coefficients(self, order + 1)[1:]
+            p[order] *= (order + 1.0) / (1.0 + self.beta)
+            return p
+        return np.asarray(self.p)
 
     # -- serialization -------------------------------------------------------
 
@@ -287,16 +287,8 @@ class IncrementLaw:
 
 
 def _check_unit_interval(s):
-    # The float comparison comes first, as a branch condition: phi runs
-    # millions of times on scalars, and a type test or a stored comparison
-    # result ahead of it costs every one of those calls.
-    try:
-        if 0.0 <= s <= 1.0:
-            return
-    except ValueError:  # numpy refuses the truth value of an array
-        if np.all((0.0 <= s) & (s <= 1.0)):
-            return
-    raise ValueError(f"s = {s!r} outside [0, 1]")
+    if not np.all((0.0 <= s) & (s <= 1.0)):
+        raise ValueError(f"s = {s!r} outside [0, 1]")
 
 
 # -- coefficient expansions ------------------------------------------------
@@ -336,7 +328,8 @@ def truncated_explicit(law, order=10000):
 
     Keeps p_0..p_{order-1}, then restores total mass and the zero-drift
     constraint by adding mass at the largest retained index and nudging q.
-    Returns (explicit law, removed tail mass).
+    Returns (explicit law, removed tail mass).  It is a different law: the
+    oracles and simulation read jump_pmf, which is exact for the stable law.
     """
     if not law.is_stable:
         return law, 0.0

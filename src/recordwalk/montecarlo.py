@@ -8,6 +8,10 @@ Philox.advance(start*n/4), which skips counter values of four words each,
 so BLOCK_SIZE must be a multiple of 4.  The uniforms of a path therefore
 depend on neither BLOCK_SIZE nor the worker count, blocks never overlap,
 and the integer merge makes the result bit-identical for any worker count.
+
+Jumps are drawn by inverse CDF from law.jump_pmf(order), with order at least
+the path length: the jumps of size order or more are lumped into one of size
+order, which no path of n <= order steps can tell apart from them.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from .laws import IncrementLaw, Orientation
 from .oracle import Provenance, TailTable
 
 BLOCK_SIZE = 8192  # a multiple of 4: see the module docstring
-STABLE_CDF_ORDER = 10000
-STABLE_TAIL_ORDER = 100000
+STABLE_JUMP_ORDER = 110000  # the least lumping order of a stable law's jumps
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
 
@@ -45,18 +48,17 @@ class SimConfig:
 
 
 @functools.lru_cache(maxsize=32)
-def _jump_cdf(law):
+def _jump_cdf(law, order):
     """CDF over [+unit jump, then jumps of size 0, 1, 2, ...].
 
     Fixed ordering: the skip-free unit step comes first (mass q), then the
-    opposite-direction jump sizes in increasing order.  A law with no mass
-    beyond its listed jumps ends at 1 or above, so rounding in the
-    cumulative sum cannot leave uniforms below 1 past its last jump.
+    opposite-direction jump sizes in increasing order, from
+    law.jump_pmf(order).  Its last jump carries all the mass left, so the
+    CDF ends at 1 or above and rounding in the cumulative sum cannot leave
+    uniforms below 1 past it.
     """
-    p, tail = law.jump_pmf(STABLE_CDF_ORDER + STABLE_TAIL_ORDER)
-    cdf = law.q + np.concatenate([[0.0], np.cumsum(p)])
-    if tail == 0.0:
-        cdf[-1] = max(cdf[-1], 1.0)
+    cdf = law.q + np.concatenate([[0.0], np.cumsum(law.jump_pmf(order))])
+    cdf[-1] = max(cdf[-1], 1.0)
     cdf.setflags(write=False)  # one cached array serves every block
     return cdf
 
@@ -70,16 +72,8 @@ def sample_increment(law, uniform):
 
 def _sample_block(law, uniforms):
     """Vectorized inverse-CDF sampling; uniforms has shape (paths, n)."""
-    cdf = _jump_cdf(law)
+    cdf = _jump_cdf(law, max(uniforms.shape[1], STABLE_JUMP_ORDER))
     idx = np.searchsorted(cdf, uniforms, side="right")
-    # Only a CDF cut short of its tail ends below 1; the test of the
-    # endpoint spares every other law a pass over the block.
-    if cdf[-1] < 1.0 and np.any(uniforms >= cdf[-1]):
-        warnings.warn(
-            "uniform beyond the precomputed stable CDF tail; jump clamped",
-            RuntimeWarning,
-        )
-        idx = np.minimum(idx, len(cdf) - 1)
     # idx 0 -> unit jump; idx j >= 1 -> opposite jump of size j-1
     if law.orientation is Orientation.RIGHT:
         return np.where(idx == 0, 1, -(idx - 1))
@@ -119,7 +113,7 @@ def _block_histogram(law, n, seed, start, count):
     return np.bincount(counts, minlength=n + 1)
 
 
-def empirical_tail(config, thresholds=None):
+def empirical_tail(config):
     """Monte Carlo TailTable with Wilson 95% intervals.
 
     Deterministic for a fixed (seed, paths, n) regardless of the worker
@@ -148,8 +142,7 @@ def empirical_tail(config, thresholds=None):
             )
     hist = np.sum(hists, axis=0)
     tail_counts = np.cumsum(hist[::-1])[::-1]
-    ks = np.arange(n + 1) if thresholds is None else np.asarray(thresholds)
-    x = tail_counts[ks].astype(float)
+    x = tail_counts.astype(float)
     est = x / paths
     lo, hi, hw = _wilson(x, paths)
     small = est[(est > 0) & (est < 10.0 / paths)]
@@ -159,13 +152,7 @@ def empirical_tail(config, thresholds=None):
             "plain MC is unreliable that deep",
             RuntimeWarning,
         )
-    full = np.zeros(int(ks.max()) + 1)
-    full_lo = np.zeros_like(full)
-    full_hi = np.zeros_like(full)
-    full[ks], full_lo[ks], full_hi[ks] = est, lo, hi
-    return TailTable(
-        n, full, Provenance.MONTE_CARLO, float(hw.max()), full_lo, full_hi
-    )
+    return TailTable(n, est, Provenance.MONTE_CARLO, float(hw.max()), lo, hi)
 
 
 def _wilson(successes, trials):

@@ -19,12 +19,14 @@ near 2^-n keep their relative accuracy.  A step then costs about
 rows * width^2 instead of (kmax+1) * (level_cap+2)^2.  The renewal table
 skips the known zeros: after k convolutions nothing sits below index k.
 
-Both routes run on truncated_explicit(law): an explicit law as it is, a
-stable-family law as its expansion truncated at STABLE_TRUNCATION_ORDER and
-renormalized to mass 1 and zero drift.  Exactness is then relative to the
-truncated law, and n times the removed tail mass is added to the error
-bound.  tau_pmf and return_prob_partial_sums take the law as given, so a
-stable law's series come from its exact generating function.
+Both routes are exact for both families.  The kernel reads
+law.jump_pmf(level_cap + 1), which lumps every jump that leaves the capped
+levels: a right-continuous chain sends them all to the overflow state, and a
+left-continuous chain, whose level never exceeds the cap, lands them all on
+0.  The renewal route takes tau_pmf of the law itself, so a stable law's
+series come from its exact generating function.  The error bound is the
+mass that entered the overflow state when the level cap is below the
+horizon, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from enum import Enum
 import numpy as np
 
 from .fixed_point import f0_series
-from .laws import Orientation, truncated_explicit
+from .laws import Orientation
 from .series import SeriesPoly, series_mul, series_reciprocal
-
-STABLE_TRUNCATION_ORDER = 10000
 
 
 class Provenance(str, Enum):
@@ -59,7 +59,6 @@ class ChainKernel:
     orientation: Orientation
     level_cap: int
     matrix: np.ndarray
-    truncation_mass: float = 0.0
 
     @property
     def overflow_index(self):
@@ -89,9 +88,8 @@ def build_kernel(law, level_cap):
     """Assemble the reflected-chain kernel for levels 0..level_cap."""
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
-    law, trunc = truncated_explicit(law, STABLE_TRUNCATION_ORDER)
     L = level_cap
-    q, p = law.q, np.asarray(law.p)
+    q, p = law.q, law.jump_pmf(L + 1)
     K = np.zeros((L + 2, L + 2))
     K[L + 1, L + 1] = 1.0  # overflow absorbs
     if law.orientation is Orientation.RIGHT:
@@ -122,7 +120,7 @@ def build_kernel(law, level_cap):
                 K[i, i + 1] = q
             else:
                 K[i, L + 1] = q
-    return ChainKernel(law.orientation, L, K, trunc)
+    return ChainKernel(law.orientation, L, K)
 
 
 def _window_limits(pattern, n):
@@ -210,9 +208,8 @@ def exact_An_distribution(kernel, n, kmax=None):
     by_count = cur[:, :width].sum(axis=1) + settled
     tail = np.minimum(1.0, np.cumsum(by_count[::-1])[::-1])
     tail[0] = 1.0
-    err = kernel.truncation_mass * n
-    if kernel.level_cap < n:
-        err += float(overflow)  # lumped mass may have been denied later zero visits
+    # mass lumped into the overflow state may have been denied zero visits
+    err = float(overflow) if kernel.level_cap < n else 0.0
     return TailTable(n, tail, Provenance.DP, err)
 
 
@@ -277,10 +274,8 @@ def renewal_tail_table(law, n, kmax=None):
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     kmax = min(kmax, n)
-    law2, trunc = truncated_explicit(law, STABLE_TRUNCATION_ORDER)
-    f = tau_pmf(law2, n).coeffs
-    return TailTable(n, _renewal_masses(f, n, kmax), Provenance.RENEWAL,
-                     trunc * n)
+    f = tau_pmf(law, n).coeffs
+    return TailTable(n, _renewal_masses(f, n, kmax), Provenance.RENEWAL, 0.0)
 
 
 def return_prob_partial_sums(law, n):

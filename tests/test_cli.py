@@ -11,7 +11,7 @@ import pytest
 
 import recordwalk
 from recordwalk import SUITES, IncrementLaw, bundled_law_path
-from recordwalk.cli import main
+from recordwalk.cli import build_parser, main
 
 SYM_PATH = str(bundled_law_path("sym.json"))
 STABLE_PATH = str(bundled_law_path("stable_g05_b05.json"))
@@ -220,6 +220,25 @@ class TestVerify:
         assert doc["suite"] == suite
         assert doc["passed"] is True
         assert all(c["passed"] is True for c in doc["checks"])
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys):
+    # main builds its parser once per process; a usage error and another
+    # subcommand in between leave the next rate call's output unchanged
+    assert build_parser() is build_parser()
+    argv = ["rate", "--law", SYM_PATH, "--x", "0.3"]
+    code, first = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--law", SYM_PATH, "--x", "0.5", "--grid", "0:1:3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, "oracle", "--law", SYM_PATH, "--n", "6",
+                        "--mode", "dp")
+    assert code == 0 and parse_csv(out)[1][0] == "k"
+    code, again = run_cli(capsys, *argv)
+    assert code == 0
+    assert again == first
 
 
 def test_runs_as_module():

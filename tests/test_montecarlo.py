@@ -65,6 +65,22 @@ class TestSampling:
             warnings.simplefilter("error")
             assert sample_increment(law, float(u)) == -1
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_top_uniform_draws_the_lumped_stable_jump(self, side):
+        # A stable law's CDF ends with all jumps of size >= the lumping
+        # order in one, the larger of STABLE_JUMP_ORDER and the path length.
+        law = IncrementLaw.stable(side, 0.5, 0.5)
+        u = np.nextafter(1.0, 0.0)
+        sign = -1 if side == "right" else 1
+        order = montecarlo.STABLE_JUMP_ORDER
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            short = montecarlo._sample_block(law, np.full((2, 3), u))
+            long = montecarlo._sample_block(law, np.full((1, order + 5), u))
+            assert sample_increment(law, float(u)) == sign * order
+        assert np.all(short == sign * order)
+        assert np.all(long == sign * (order + 5))
+
     def test_uniform_domain(self):
         with pytest.raises(ValueError):
             sample_increment(SYM, 1.0)

@@ -15,8 +15,7 @@ from recordwalk import (
     return_prob_partial_sums,
     tau_pmf,
 )
-from recordwalk.laws import truncated_explicit
-from recordwalk.oracle import STABLE_TRUNCATION_ORDER
+from recordwalk.laws import Orientation
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
@@ -45,9 +44,9 @@ def _dense_dp(kernel, n, kmax=None):
         nxt[kmax, 0] += landed[kmax, 0]
         dist = nxt
     tail = np.minimum(1.0, np.cumsum(dist.sum(axis=1)[::-1])[::-1])
-    err = kernel.truncation_mass * n
+    err = 0.0
     if kernel.level_cap < n:
-        err += float(dist[:, kernel.overflow_index].sum())
+        err = float(dist[:, kernel.overflow_index].sum())
     return tail, err
 
 
@@ -148,8 +147,8 @@ class TestExactDistribution:
                     continue
                 kernel = build_kernel(law, cap)
                 table = exact_An_distribution(kernel, n)
-                slack = table.error_bound - n * kernel.truncation_mass
-                assert np.max(np.abs(table.tail - exact)) <= slack + 1e-14
+                assert np.max(np.abs(table.tail - exact)) <= (
+                    table.error_bound + 1e-14)
 
     def test_kmax_check(self):
         with pytest.raises(ValueError, match="kmax"):
@@ -207,7 +206,7 @@ class TestRenewal:
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_table_matches_full_convolution(self, law):
         n = 120
-        f = tau_pmf(truncated_explicit(law, STABLE_TRUNCATION_ORDER)[0], n).coeffs
+        f = tau_pmf(law, n).coeffs
         for kmax in (None, 0, 7):
             table = renewal_tail_table(law, n, kmax)
             ref = _full_convolution_renewal(f, n, n if kmax is None else kmax)
@@ -222,6 +221,13 @@ class TestRenewal:
         rn = renewal_tail_table(law, n)
         assert rn.provenance is Provenance.RENEWAL
         assert np.max(np.abs(dp.tail - rn.tail)) <= 1e-13
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_dp_equals_renewal_at_400(self, law):
+        n = 400
+        dp = exact_An_distribution(build_kernel(law, n), n)
+        rn = renewal_tail_table(law, n)
+        assert np.max(np.abs(dp.tail - rn.tail)) <= 1e-12
 
     def test_table_matches_pointwise(self):
         tab = renewal_tail_table(ASYM, 15)
@@ -267,8 +273,23 @@ class TestReturnProbabilities:
         assert np.all(np.diff(U) >= 0.0)
 
 
-def test_stable_truncation_surfaces_error_bound():
-    kernel = build_kernel(STABLE, 20)
-    assert kernel.truncation_mass > 0.0
-    table = exact_An_distribution(kernel, 20)
-    assert table.error_bound >= 20 * kernel.truncation_mass
+@pytest.mark.parametrize("law", [STABLE, STABLE_LEFT])
+@pytest.mark.parametrize("n", [60, 400])
+def test_stable_boundary_law_is_exact(law, n):
+    # A_n = n forces every step to end at the running maximum: a right
+    # walk steps up or by 0 (q + p0), a left walk never steps down (1 - q)
+    base = law.q + law.p0 if law.orientation is Orientation.RIGHT \
+        else 1.0 - law.q
+    expected = base**n
+    for table in (exact_An_distribution(build_kernel(law, n), n),
+                  renewal_tail_table(law, n)):
+        assert table.error_bound == 0.0
+        assert abs(table.tail[n] - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_error_bound_is_zero_once_the_cap_reaches_n(law):
+    for n, cap in ((12, 12), (12, 30), (1, 1)):
+        table = exact_An_distribution(build_kernel(law, cap), n)
+        assert table.error_bound == 0.0
+    assert exact_An_distribution(build_kernel(law, 3), 12).error_bound > 0.0

@@ -12,7 +12,9 @@ u = log(h/(1 - h)), and h(s) at small s, below the bisection's range, by
 mpmath.findroot from q*s.
 
 The oracle tails of the explicit laws are checked against exact rational
-arithmetic on the reflected chain M_m - S_m itself.
+arithmetic on the reflected chain M_m - S_m itself, and those of the stable
+laws against the same chain in 40-digit arithmetic, with the lumped jump
+mass of jump_pmf checked against 1 - q - sum p_n.
 
 The return-time p.m.f. is checked against its closed form
 (1 + s - sqrt(1 - s^2))/2 on sym and sym_left, and on the stable laws
@@ -249,6 +251,68 @@ def test_oracles_against_exact_rational_chain(name):
         # relative at every k, P(A_n = n) (2^-60 on sym) included
         assert abs(Fraction(dp[k]) - value) <= Fraction(1e-13) * value, k
         assert abs(Fraction(renewal[k]) - value) <= Fraction(1e-12), k
+
+
+def stable_chain_tail(side, gamma, beta, n):
+    """P(A_n >= k), k = 0..n, in 40-digit mpmath: the reflected chain
+    Sbar' = max(Sbar - X, 0) of a stable law, with p_0..p_(n-1) from the
+    binomial recurrence of (1 - s)^(1+beta) and every jump of size >= n
+    lumped at n with mass 1 - q - sum p.  A right chain falls one level per
+    step, so a level above n never returns to 0 within n steps and all of
+    them are kept as level n + 1; a left chain never rises above n, so a
+    jump of n or more lands on 0."""
+    with mpmath.workdps(40):
+        g, b = mpmath.mpf(repr(gamma)), mpmath.mpf(repr(beta))
+        q = g / (1 + b)
+        d = [mpmath.mpf(1)]  # d_k = (-1)^k binom(1 + beta, k)
+        for k in range(n):
+            d.append(d[-1] * (k - 1 - b) / (k + 1))
+        probs = [q, q * d[1] + 1] + [q * v for v in d[2:]]
+        probs.append(1 - mpmath.fsum(probs))
+        sign = 1 if side == "right" else -1
+        jumps = [sign] + [-sign * k for k in range(n + 1)]
+        state = {(0, 0): mpmath.mpf(1)}  # (Sbar, zero visits) -> probability
+        for _ in range(n):
+            nxt = collections.defaultdict(mpmath.mpf)
+            for (level, count), weight in state.items():
+                for x, a in zip(jumps, probs):
+                    new = min(max(level - x, 0), n + 1)
+                    nxt[new, count + (new == 0)] += weight * a
+            state = nxt
+        by_count = [mpmath.mpf(0)] * (n + 1)
+        for (_, count), weight in state.items():
+            by_count[count] += weight
+        return list(itertools.accumulate(reversed(by_count)))[::-1]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_stable_oracles_against_chain(side):
+    n = 20
+    law = IncrementLaw.stable(side, 0.5, 0.5)
+    exact = stable_chain_tail(side, 0.5, 0.5, n)
+    dp = exact_An_distribution(build_kernel(law, n), n).tail
+    renewal = renewal_tail_table(law, n).tail
+    assert len(dp) == len(renewal) == n + 1
+    with mpmath.workdps(40):
+        for k, value in enumerate(exact):
+            assert rel(dp[k], value) <= 1e-13, k
+            assert rel(renewal[k], value) <= 1e-13, k
+
+
+@pytest.mark.parametrize("gamma, beta", [(0.5, 0.5), (0.3, 0.7), (0.8, 0.2)])
+def test_lumped_jump_mass_against_reference(gamma, beta):
+    law = IncrementLaw.stable("right", gamma, beta)
+    with mpmath.workdps(40):
+        g, b = mpmath.mpf(repr(gamma)), mpmath.mpf(repr(beta))
+        q = g / (1 + b)
+        # p_n = q * (-1)^(n+1) binom(1 + beta, n + 1), plus 1 at n = 0
+        p = [q * (-1) ** (n + 1) * mpmath.binomial(1 + b, n + 1)
+             for n in range(1600)]
+        p[0] += 1
+        for order in (1, 10, 200, 1600):
+            got = law.jump_pmf(order)
+            assert len(got) == order + 1
+            assert rel(got[order], 1 - q - mpmath.fsum(p[:order])) <= 1e-13
 
 
 @pytest.mark.parametrize("name, tol", [("sym.json", 1e-14),
