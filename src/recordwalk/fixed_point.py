@@ -188,23 +188,18 @@ def f0_series(law, order):
     """Coefficients of f0(s) = E[s^tau], tau the return time of the
     reflected chain to 0.
 
-    Right orientation: f0 = 1 + q s - q s/h(s).  Left orientation uses the
-    identity 1 - f0 = (1-s)/(1-h), a consequence of h = s*phi(h).
+    Right orientation: f0 = 1 + q s - q s/h(s).  Left orientation:
+    f0 = s*rho(h) with rho(H) = (1 - phi(H))/(1 - H) = sum_j T_j H^j
+    (law.tail_series), a consequence of h = s*phi(h), with no subtraction.
     """
     h = h_series(law, order + 1).coeffs
+    f0 = np.zeros(order + 1)  # tau >= 1
     if law.orientation is Orientation.RIGHT:
-        hs = h[1:]  # h/s, constant term q > 0
-        r = series_reciprocal(hs, order)  # s/h
-        f0 = -law.q * r
+        r = series_reciprocal(h[1:], order)  # s/h; h/s has constant term q
+        f0[1:] = -law.q * r[1:]
         f0[1] += law.q
-        f0[0] = 0.0  # tau >= 1; cancels exactly in real arithmetic
     else:
-        w = -h[: order + 1].copy()  # 1 - h
-        w[0] += 1.0
-        r = series_reciprocal(w, order)
-        f0 = -r
-        f0[1:] += r[:-1]
-        f0[0] = 0.0
+        f0[1:] = law.tail_series(h[:order], order - 1)
     return SeriesPoly(f0)
 
 

@@ -8,10 +8,11 @@ which has a regularly-varying jump tail and infinite variance.  Criticality
 Every quantity that depends on the family is a method of IncrementLaw,
 written once per family here: phi and its derivatives, phi(H) and phi'(H)
 on a power series, the cancellation-free gaps D, D', psi and chi of the
-rate curve, the closed-form moderate-deviation constants, and the jump p.m.f.
+rate curve, the closed-form moderate-deviation constants, the jump p.m.f.
 that the exact oracles and simulation read, with the jumps a walk of n steps
-cannot tell apart lumped.
-No other module asks which family a law belongs to.
+cannot tell apart lumped, and the jump tails T_j = sum_{n>=j} p_n with
+their generating function.  No other module asks which family a law
+belongs to.
 """
 
 from __future__ import annotations
@@ -240,22 +241,48 @@ class IncrementLaw:
 
     def jump_pmf(self, order):
         """p_n = P(opposite jump of size n), with every jump of size >= order
-        lumped at index order; order >= 1.
+        lumped at index order, with mass T_order (jump_tails); order >= 1.
 
         A walk of n <= order steps cannot tell the lumped jumps apart: a
         right-continuous reflected chain falls one level per step, so from
         level order or above it never returns to 0 within the horizon, and a
         left-continuous one rises one level per step, so such a jump always
-        lands on 0.  An explicit law lists its whole support.  The stable
-        family's lumped mass sum_{n>=order} p_n = gamma/(1+beta)
-        |binom(beta, order)| is p_order * (order+1)/(1+beta), with no
-        subtraction from 1.
+        lands on 0.  An explicit law lists its whole support.
         """
         if self.is_stable:
-            p = expand_coefficients(self, order + 1)[1:]
-            p[order] *= (order + 1.0) / (1.0 + self.beta)
-            return p
+            return np.append(expand_coefficients(self, order)[1:],
+                             self.jump_tails(order)[order])
         return np.asarray(self.p)
+
+    def jump_tails(self, order):
+        """T_j = sum_{n>=j} p_n, the mass of the opposite jumps of size j or
+        more, for j = 0..order, each without subtraction.
+
+        An explicit law sums its support from the top; the stable family has
+        T_0 = 1 - q and T_j = q |binom(beta, j)| = p_j (j+1)/(1+beta), j >= 1.
+        """
+        if self.is_stable:
+            t = expand_coefficients(self, order + 1)[1:]
+            t *= (np.arange(order + 1) + 1.0) / (1.0 + self.beta)
+            t[0] = 1.0 - self.q
+            return t
+        t = np.cumsum(self.p[::-1])[::-1][: order + 1]
+        return np.pad(t, (0, order + 1 - len(t)))
+
+    def tail_series(self, h, order):
+        """rho(H) = sum_j T_j H^j = (1 - phi(H))/(1 - H) through s^order,
+        for H as phi_series takes it.
+
+        An explicit law composes its nonnegative tails with H.  The stable
+        family has rho = 1 - q W^beta in W = 1 - H, through series log/exp.
+        """
+        if self.is_stable:
+            w = -h[: order + 1]
+            w[0] += 1.0  # w = 1 - H
+            rho = -self.q * series_exp(self.beta * series_log(w, order), order)
+            rho[0] += 1.0
+            return rho
+        return series_compose_val1(self.jump_tails(order), h, order)
 
     # -- serialization -------------------------------------------------------
 

@@ -17,7 +17,6 @@ order, which no path of n <= order steps can tell apart from them.
 from __future__ import annotations
 
 import functools
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -75,9 +74,7 @@ def _sample_block(law, uniforms):
     cdf = _jump_cdf(law, max(uniforms.shape[1], STABLE_JUMP_ORDER))
     idx = np.searchsorted(cdf, uniforms, side="right")
     # idx 0 -> unit jump; idx j >= 1 -> opposite jump of size j-1
-    if law.orientation is Orientation.RIGHT:
-        return np.where(idx == 0, 1, -(idx - 1))
-    return np.where(idx == 0, -1, idx - 1)
+    return 1 - idx if law.orientation is Orientation.RIGHT else idx - 1
 
 
 def count_weak_records(path):
@@ -85,9 +82,14 @@ def count_weak_records(path):
     inc = np.asarray(path)
     if inc.size == 0:
         raise ValueError("path must be nonempty")
-    s = np.cumsum(inc)
-    m_prev = np.maximum.accumulate(np.concatenate([[0], s[:-1]]))
-    return int(np.count_nonzero(s >= m_prev))
+    return int(_weak_records(np.cumsum(inc)))
+
+
+def _weak_records(s):
+    """Weak records per row of s = S_1..S_n: m with S_m >= max(0, S_1..S_m)."""
+    top = np.maximum.accumulate(s, axis=-1)
+    np.maximum(top, 0, out=top)
+    return np.count_nonzero(s >= top, axis=-1)
 
 
 def reflected_zero_visits(path):
@@ -103,13 +105,7 @@ def _block_histogram(law, n, seed, start, count):
     bg = np.random.Philox(key=seed)
     bg.advance(start * n // 4)  # path p starts at word p*n
     uniforms = np.random.Generator(bg).random((count, n))
-    inc = _sample_block(law, uniforms)
-    s = np.cumsum(inc, axis=1)
-    m_prev = np.maximum.accumulate(
-        np.concatenate([np.zeros((count, 1), dtype=inc.dtype), s[:, :-1]], axis=1),
-        axis=1,
-    )
-    counts = (s >= m_prev).sum(axis=1)
+    counts = _weak_records(np.cumsum(_sample_block(law, uniforms), axis=1))
     return np.bincount(counts, minlength=n + 1)
 
 
@@ -123,23 +119,14 @@ def empirical_tail(config):
     if config.paths < 1000:
         raise ValueError("need at least 10^3 paths")
     law, n, paths = config.law, config.n, config.paths
-    env_cap = os.environ.get("RECORD_WALK_THREADS")
-    workers = config.workers
-    if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
-    starts = list(range(0, paths, BLOCK_SIZE))
-    jobs = [(s, min(BLOCK_SIZE, paths - s)) for s in starts]
-    if workers == 1:
-        hists = [
-            _block_histogram(law, n, config.seed, s, c) for s, c in jobs
-        ]
+    starts = range(0, paths, BLOCK_SIZE)
+    counts = [min(BLOCK_SIZE, paths - s) for s in starts]
+    block = functools.partial(_block_histogram, law, n, config.seed)
+    if config.workers == 1:
+        hists = list(map(block, starts, counts))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hists = list(
-                pool.map(
-                    lambda sc: _block_histogram(law, n, config.seed, *sc), jobs
-                )
-            )
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            hists = list(pool.map(block, starts, counts))
     hist = np.sum(hists, axis=0)
     tail_counts = np.cumsum(hist[::-1])[::-1]
     x = tail_counts.astype(float)

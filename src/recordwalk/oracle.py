@@ -19,14 +19,16 @@ near 2^-n keep their relative accuracy.  A step then costs about
 rows * width^2 instead of (kmax+1) * (level_cap+2)^2.  The renewal table
 skips the known zeros: after k convolutions nothing sits below index k.
 
-Both routes are exact for both families.  The kernel reads
-law.jump_pmf(level_cap + 1), which lumps every jump that leaves the capped
-levels: a right-continuous chain sends them all to the overflow state, and a
-left-continuous chain, whose level never exceeds the cap, lands them all on
-0.  The renewal route takes tau_pmf of the law itself, so a stable law's
-series come from its exact generating function.  The error bound is the
-mass that entered the overflow state when the level cap is below the
-horizon, and 0 otherwise.
+Both routes are exact for both families.  For level cap L the kernel reads
+p_0..p_L from law.jump_pmf(L + 1) and the jump tails T_j from
+law.jump_tails(L + 1), and sums no jump probabilities: a right-continuous
+chain at level i sends the jumps that leave the capped levels, mass
+T_(L+1-i), to the overflow state, and a left-continuous chain, whose level
+never exceeds the cap, lands those of size i or more, mass T_i, on 0.  The
+renewal route takes tau_pmf of the law itself, so a stable law's series
+come from its exact generating function.  The error bound is the mass that
+entered the overflow state when the level cap is below the horizon, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -89,37 +91,24 @@ def build_kernel(law, level_cap):
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
     L = level_cap
-    q, p = law.q, law.jump_pmf(L + 1)
+    q, p, t = law.q, law.jump_pmf(L + 1), law.jump_tails(L + 1)
     K = np.zeros((L + 2, L + 2))
     K[L + 1, L + 1] = 1.0  # overflow absorbs
     if law.orientation is Orientation.RIGHT:
-        # From 0: stay with p_0 + q, jump to k >= 1 with p_k.
-        # From i >= 1: down one with q, up k >= 0 with p_k.
+        # From i: up k with p_k while i + k <= L, above the cap with
+        # T_(L+1-i), down one with q (from 0: stay).
         for i in range(L + 1):
-            if i == 0:
-                K[0, 0] = p[0] + q
-                width = min(len(p) - 1, L)
-                K[0, 1 : width + 1] = p[1 : width + 1]
-                K[0, L + 1] = p[width + 1 :].sum()
-            else:
-                K[i, i - 1] = q
-                width = min(len(p) - 1, L - i)
-                K[i, i : i + width + 1] = p[: width + 1]
-                K[i, L + 1] = p[width + 1 :].sum()
+            row = p[: L + 1 - i]
+            K[i, i : i + len(row)] = row
+            K[i, max(i - 1, 0)] += q
+            K[i, L + 1] = t[L + 1 - i]
     else:
-        # From i: to 0 with sum_{k>=i} p_k, to 0 < j <= i with p_{i-j},
-        # up one with q.
-        tail_sums = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])
+        # From i: to 0 with T_i, to 0 < j <= i with p_(i-j), up one with q.
         for i in range(L + 1):
-            K[i, 0] = tail_sums[min(i, len(p))]
-            if i >= 1:
-                m = min(i - 1, len(p) - 1)
-                # j = i-m .. i gets p_m .. p_0
-                K[i, i - m : i + 1] += p[m::-1]
-            if i + 1 <= L:
-                K[i, i + 1] = q
-            else:
-                K[i, L + 1] = q
+            row = p[:i][::-1]
+            K[i, i + 1 - len(row) : i + 1] = row
+            K[i, 0] = t[i]
+            K[i, i + 1] = q
     return ChainKernel(law.orientation, L, K)
 
 
@@ -217,7 +206,7 @@ def tau_pmf(law, order):
     """P(tau = m) for m = 0..order as series coefficients of f0.
 
     Coefficients must be (numerically) nonnegative with partial sums <= 1;
-    a violation beyond slack flags series-division instability.
+    a violation beyond slack flags an unstable series step.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -225,7 +214,7 @@ def tau_pmf(law, order):
     c = f0.coeffs
     if np.any(c < -1e-10):
         raise RuntimeError(
-            f"series reciprocal instability: min coefficient {c.min()!r}"
+            f"unstable series: min coefficient {c.min()!r}"
         )
     csum = np.cumsum(c)
     if np.any(csum > 1.0 + 1e-10):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -171,6 +172,30 @@ class TestSimulate:
         assert any("seed=9" in m for m in meta)
         assert header == ["k", "estimate", "ci_lo", "ci_hi"]
         assert float(rows[0][1]) == 1.0
+
+    @pytest.mark.parametrize("name, digest", [
+        ("asym.json",
+         "0b768617e360ab94fb96eb98e332f5e110ed677ea1342964e665d1d77f7c0f2e"),
+        ("stable_g05_b05.json",
+         "a878f31f01419d50e2be8807a22f32d35216a03bc558c90a7df59bb794f512f9"),
+        ("stable_g05_b05_left.json",
+         "506cc5363fd60a3a03045b2c0750636a8cfe3937eab507e4673ee95e79652389"),
+        ("sym.json",
+         "555cd1109901a0c103626760935b1333ccff142eb49e9baeab4e15ea3101fb5a"),
+        ("sym_left.json",
+         "5633139708f21f71c6619bc4368536f4e09c22e9ad9afc17c8b99f6664e4aeed"),
+    ])
+    @pytest.mark.filterwarnings("ignore:.*below 10/paths")
+    def test_draws_are_pinned(self, capsys, name, digest):
+        # SHA-256 of the CSV rows without the `#` header, which carries the
+        # version: any change to the stream, the sampler or the record count
+        # moves it.
+        _, out = run_cli(capsys, "simulate", "--law",
+                         str(bundled_law_path(name)), "--n", "60",
+                         "--paths", "16384", "--seed", "11", "--workers", "2")
+        rows = "".join(l for l in out.splitlines(keepends=True)
+                       if not l.startswith("#"))
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
     def test_kmax_limits_rows(self, capsys):
         _, out = run_cli(capsys, "simulate", "--law", SYM_PATH, "--n", "10",

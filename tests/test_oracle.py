@@ -70,6 +70,21 @@ class TestKernel:
         assert np.allclose(K.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(K >= 0.0)
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_rows_below_the_support(self, side, cap):
+        # ASYM's support {0, 1, 2} reaches past caps 1 and 2: the jumps
+        # that leave the capped levels carry the jump tails T_j
+        law = IncrementLaw.explicit(side, ASYM.q, ASYM.p)
+        K = build_kernel(law, cap).matrix
+        t = law.jump_tails(cap + 1)
+        assert np.allclose(K.sum(axis=1), 1.0, atol=1e-15)
+        for i in range(cap + 1):
+            if side == "right":
+                assert K[i, cap + 1] == t[cap + 1 - i]
+            else:
+                assert K[i, 0] == t[i]
+
     def test_symmetric_right_rows(self):
         K = build_kernel(SYM, 4).matrix
         assert K[0, 0] == 0.5 and K[0, 1] == 0.5
@@ -274,17 +289,19 @@ class TestReturnProbabilities:
 
 
 @pytest.mark.parametrize("law", [STABLE, STABLE_LEFT])
-@pytest.mark.parametrize("n", [60, 400])
+@pytest.mark.parametrize("n", [60, 400, 800])
 def test_stable_boundary_law_is_exact(law, n):
     # A_n = n forces every step to end at the running maximum: a right
-    # walk steps up or by 0 (q + p0), a left walk never steps down (1 - q)
+    # walk steps up or by 0 (q + p0), a left walk never steps down (1 - q).
+    # The left kernel's K[0, 0] is the jump tail T_0 = 1 - q itself, not a
+    # sum of jump probabilities, so n steps do not compound its rounding.
     base = law.q + law.p0 if law.orientation is Orientation.RIGHT \
         else 1.0 - law.q
     expected = base**n
     for table in (exact_An_distribution(build_kernel(law, n), n),
                   renewal_tail_table(law, n)):
         assert table.error_bound == 0.0
-        assert abs(table.tail[n] - expected) <= 1e-13 * expected
+        assert abs(table.tail[n] - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)

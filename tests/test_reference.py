@@ -13,8 +13,9 @@ mpmath.findroot from q*s.
 
 The oracle tails of the explicit laws are checked against exact rational
 arithmetic on the reflected chain M_m - S_m itself, and those of the stable
-laws against the same chain in 40-digit arithmetic, with the lumped jump
-mass of jump_pmf checked against 1 - q - sum p_n.
+laws against the same chain in 40-digit arithmetic.  The jump tails T_j and
+the lumped jump mass of jump_pmf are checked against 40-digit sums of the
+jump probabilities, and tail_series against (1 - phi(H))/(1 - H).
 
 The return-time p.m.f. is checked against its closed form
 (1 + s - sqrt(1 - s^2))/2 on sym and sym_left, and on the stable laws
@@ -35,7 +36,8 @@ import pytest
 from recordwalk import (IncrementLaw, build_kernel, bundled_law_path,
                         cumulant_deriv, exact_An_distribution, rate_point,
                         renewal_tail_table, tau_pmf)
-from recordwalk.fixed_point import one_minus_s_phi_prime_h, solve_hw
+from recordwalk.fixed_point import (h_series, one_minus_s_phi_prime_h,
+                                    solve_hw)
 
 BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
            "stable_g05_b05_left.json"]
@@ -301,7 +303,6 @@ def test_stable_oracles_against_chain(side):
 
 @pytest.mark.parametrize("gamma, beta", [(0.5, 0.5), (0.3, 0.7), (0.8, 0.2)])
 def test_lumped_jump_mass_against_reference(gamma, beta):
-    law = IncrementLaw.stable("right", gamma, beta)
     with mpmath.workdps(40):
         g, b = mpmath.mpf(repr(gamma)), mpmath.mpf(repr(beta))
         q = g / (1 + b)
@@ -309,20 +310,61 @@ def test_lumped_jump_mass_against_reference(gamma, beta):
         p = [q * (-1) ** (n + 1) * mpmath.binomial(1 + b, n + 1)
              for n in range(1600)]
         p[0] += 1
-        for order in (1, 10, 200, 1600):
-            got = law.jump_pmf(order)
-            assert len(got) == order + 1
-            assert rel(got[order], 1 - q - mpmath.fsum(p[:order])) <= 1e-13
+        tails = [1 - q]  # T_j = 1 - q - sum_{n<j} p_n, j = 0..1600
+        for v in p:
+            tails.append(tails[-1] - v)
+        for side, order in itertools.product(("right", "left"),
+                                             (1, 10, 200, 1600)):
+            law = IncrementLaw.stable(side, gamma, beta)
+            got, t = law.jump_pmf(order), law.jump_tails(order)
+            assert len(got) == len(t) == order + 1
+            assert got[order] == t[order]  # the lumped mass is T_order
+            for j in range(order + 1):
+                assert rel(t[j], tails[j]) <= 1e-13, (side, order, j)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_jump_tails_of_support_longer_than_order(side):
+    p = ["0.44", "0.13", "0.04", "0.02", "0.02"]
+    law = IncrementLaw.explicit(side, 0.35, [float(v) for v in p])
+    with mpmath.workdps(40):
+        exact = [mpmath.fsum(mpmath.mpf(v) for v in p[j:]) for j in range(5)]
+        for order in (1, 2, 4, 7):
+            t = law.jump_tails(order)
+            assert len(t) == order + 1
+            assert len(law.jump_pmf(order)) == len(p)  # the whole support
+            for j in range(order + 1):
+                if j < len(p):
+                    assert rel(t[j], exact[j]) <= 4 * EPS, (order, j)
+                else:
+                    assert t[j] == 0.0, (order, j)
+
+
+@pytest.mark.parametrize("name", ["asym.json", "stable_g05_b05_left.json"])
+def test_tail_series_against_reference(name):
+    # rho(H) = sum_j T_j H^j = (1 - phi(H))/(1 - H), at H = h(s) of the law
+    order = 8
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    ref = reference(name)
+    h = h_series(law, order).coeffs
+    got = law.tail_series(h, order)
+    with mpmath.workdps(40):
+        def rho(s):
+            hs = mpmath.fsum(mpmath.mpf(c) * s**k for k, c in enumerate(h))
+            return (1 - ref.phi(hs)) / (1 - hs)
+        exact = mpmath.taylor(rho, 0, order)
+        for m in range(order + 1):
+            assert rel(got[m], exact[m]) <= 1e-14, m
 
 
 @pytest.mark.parametrize("name, tol", [("sym.json", 1e-14),
-                                       ("sym_left.json", 7.8e-12)])
+                                       ("sym_left.json", 1e-14)])
 def test_tau_pmf_against_closed_form(name, tol):
     # Both laws have f0 = (1 + s - sqrt(1 - s^2))/2, so P(tau = 2k) =
     # |binom(1/2, k)|/2 and tau is never odd beyond 1.  sym_left forms f0
-    # as r_(m-1) - r_m with r = 1/(1 - h), whose cancellation costs about
-    # m ulps of r: 7.7e-12 before the middle-product reciprocal, 5.7e-12
-    # with it.
+    # as s*rho(h), with rho(H) = sum_j T_j H^j composed from the
+    # nonnegative jump tails, so nothing cancels (5.2e-15 measured), and an
+    # even h gives exactly zero odd coefficients.
     order = 10000
     law = IncrementLaw.from_json(bundled_law_path(name).read_text())
     exact = np.zeros(order + 1)
@@ -334,7 +376,7 @@ def test_tau_pmf_against_closed_form(name, tol):
     got = tau_pmf(law, order).coeffs
     even = exact != 0.0
     assert np.max(np.abs(got[even] - exact[even]) / exact[even]) <= tol
-    assert np.max(np.abs(got[~even])) <= 1e-16
+    assert np.all(got[~even] == 0.0)
 
 
 LD = np.longdouble
@@ -370,7 +412,7 @@ def ld_tau_pmf(law, order):
     """tau_pmf of a stable-family law in long double: series Newton for h
     with phi(H) = H + g/(1+b) W^(1+b) and phi'(H) = 1 - g W^b through
     log and exp of W = 1 - H, every product formed in full, then f0 from
-    h as f0_series takes it."""
+    h: 1 + q*s - q*s/h on the right, 1 - (1 - s)/(1 - h) on the left."""
     g, b = LD(law.gamma), LD(law.beta)
     q = g / (1 + b)
     h = np.array([0, q], dtype=LD)
@@ -391,7 +433,7 @@ def ld_tau_pmf(law, order):
     if law.orientation.value == "right":
         f0 = -q * _ld_reciprocal(h[1:], order)
         f0[1] += q
-    else:
+    else:  # 1 - f0 = (1 - s)/(1 - h), differenced in long double
         w = -h[: order + 1]
         w[0] += 1
         r = _ld_reciprocal(w, order)
@@ -403,12 +445,12 @@ def ld_tau_pmf(law, order):
 
 @pytest.mark.skipif(np.finfo(LD).eps > 1e-18,
                     reason="long double is no wider than double here")
-@pytest.mark.parametrize("side, tol", [("right", 1e-12), ("left", 1.03e-11)])
+@pytest.mark.parametrize("side, tol", [("right", 1e-12), ("left", 1e-13)])
 def test_stable_tau_pmf_against_long_double(side, tol):
-    # Measured at order 3000: right 6.7e-13 before the middle-product
-    # reciprocal and 8.3e-13 with it, left 1.03e-11 and 5.3e-12.  The
-    # right side's error is h_series' (log and exp): from the long-double
-    # h, the double reciprocal alone is within 5.5e-15.
+    # Measured at order 3000: right 8.3e-13, left 3.9e-14.  The right
+    # side's error is h_series' (log and exp): from the long-double h, the
+    # double reciprocal alone is within 5.5e-15.  The left side takes
+    # f0 = s*(1 - q W^beta) at W = 1 - h, which differences nothing.
     order = 3000
     law = IncrementLaw.stable(side, 0.5, 0.5)
     ref = ld_tau_pmf(law, order)
