@@ -3,15 +3,20 @@
 h(s) is the generating function of the descending first-passage time of the
 reflected chain; everything downstream (return-time law, cumulants, rate
 functions) is built from it.  solve_hw finds h and w = 1 - h together at
-every s in (0, 1) by one bisection in u = log(h/w) (bisect_logit) and one
+every s in (0, 1) by one root search in u = log(h/w) (bisect_logit) and one
 Newton step, so that both keep their relative precision as s -> 0 and as
-s -> 1.  The coefficient expansion uses series Newton with precision
-doubling.
+s -> 1.  bisect_logit is the ITP method on log forms of the equation: it
+stops where bisection stops, when the bracket ends are adjacent doubles,
+takes at most one step more than bisection, and on these smooth functions
+about 11 instead of about 60.  The coefficient expansion uses series
+Newton with precision doubling.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,11 +48,11 @@ def solve_h(law, s):
 def solve_hw(law, s):
     """(h(s), w) with w = 1 - h, as solve_h takes s.
 
-    The root is bisected in u = log(h/w) on t*h = s*D, with t = 1 - s, the
-    fixed-point equation in the gap D = phi(h) - h, until the bracket ends
-    are adjacent doubles.  That leaves about |u| ulps in h and w; one Newton
-    step on the same equation in the smaller of the two removes them, so
-    both keep their relative precision on all of [0, 1].
+    The root is bracketed in u = log(h/w) on log(t*h) = log(s*D), with
+    t = 1 - s, the fixed-point equation in the gap D = phi(h) - h, until the
+    bracket ends are adjacent doubles.  That leaves about |u| ulps in h and
+    w; one Newton step on t*h = s*D in the smaller of the two removes them,
+    so both keep their relative precision on all of [0, 1].
     """
     return _solve_hw(law, s, 1.0 - s)
 
@@ -64,16 +69,18 @@ def _solve_hw(law, s, t):
         w = 1.0 - h
         inner = (s_all > 0.0) & (t > 0.0)
         s, t = s_all[inner], t[inner]
+        # log(t*h) - log(s*D), with D first: in a long sweep no other
+        # array is alive while the gap runs
         h[inner], w[inner] = _polish(law, s, t, *_bisect_logit_array(
-            lambda h, w, i: t[i] * h - s[i] * law.gap(h, w),
-            np.zeros_like(s)))
+            lambda h, w, i: -np.log(law.gap(h, w) * s[i]) + np.log(t[i] * h),
+            s.size))
         _check_residual(law, s, h[inner])
         return h, w
     s, t = float(s), float(t)
     if s == 0.0 or t == 0.0:
         return (0.0, 1.0) if s == 0.0 else (1.0, 0.0)
     h, w = map(float, _polish(law, s, t, *bisect_logit(
-        lambda h, w: t * h - s * law.gap(h, w), 0.0)))
+        lambda h, w: -np.log(law.gap(h, w) * s) + np.log(t * h), 0.0)))
     _check_residual(law, s, h)
     return h, w
 
@@ -110,35 +117,83 @@ def _logistic_hw(u):
     return np.where(u < 0.0, small, big), np.where(u < 0.0, big, small)
 
 
+# ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on [-U_MAX, U_MAX] with
+# k1 = 0.2/(2*U_MAX), k2 = 2 and n0 = 1: at most one step more than bisection
+ITP_K1 = 0.2 / (2.0 * U_MAX)
+_FLOAT_OPS = SimpleNamespace(
+    where=lambda c, a, b: a if c else b, maximum=max, ulp=math.ulp,
+    copysign=math.copysign, isfinite=math.isfinite)
+_ARRAY_OPS = SimpleNamespace(
+    where=np.where, maximum=np.maximum, ulp=np.spacing,
+    copysign=np.copysign, isfinite=np.isfinite)
+
+
+def _itp_point(lo, mid, hi, ylo, yhi, j, ops):
+    """Step j of ITP in the bracket (lo, hi) with midpoint mid, where
+    y = f - target is ylo < 0 and yhi >= 0: regula falsi, truncated towards
+    mid by k1*width^2 (at least an ulp of the larger end, so that the
+    bracket can close at ulp scale), then projected within
+    2*U_MAX*2^-j - width/2 of mid.  mid itself while an end value is
+    unknown (nan) or not finite, or when the point falls outside the open
+    bracket.  ops holds the float or the array forms of the same
+    arithmetic."""
+    width = hi - lo
+    delta = ops.maximum(ITP_K1 * width * width,
+                        ops.ulp(ops.maximum(abs(lo), abs(hi))))
+    x = (yhi * lo - ylo * hi) / (yhi - ylo)
+    d = mid - x
+    x = ops.where(delta <= abs(d), x + ops.copysign(delta, d), mid)
+    r = 2.0 * U_MAX * 2.0 ** -j - 0.5 * width
+    x = ops.where(abs(x - mid) <= r, x, mid - ops.copysign(r, d))
+    return ops.where(ops.isfinite(ylo) & ops.isfinite(yhi) & (lo < x)
+                     & (x < hi), x, mid)
+
+
 def bisect_logit(f, target):
     """(h, w) where f(h, w) crosses target once, upwards in u = log(h/w).
 
-    Bisection in u over [-U_MAX, U_MAX], whose ends are h = 0 and w = 0,
-    until the bracket ends are adjacent doubles.
+    ITP in u over [-U_MAX, U_MAX], whose ends are h = 0 and w = 0 and are
+    never evaluated, until the bracket ends are adjacent doubles: the
+    bracket of bisection, in at most one step more, and far fewer on a
+    smooth f, which callers make close to linear in u by handing in log
+    forms.  f is evaluated with numpy's divide and invalid warnings off, so
+    that a log form may meet log(0) near the ends.
     """
-    lo, hi = -U_MAX, U_MAX
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if f(*_logistic_hw(mid)) < target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, ylo, yhi, j = -U_MAX, U_MAX, math.nan, math.nan, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            x = _itp_point(lo, mid, hi, ylo, yhi, j, _FLOAT_OPS)
+            if (y := float(f(*_logistic_hw(x))) - target) < 0.0:
+                lo, ylo = x, y
+            else:
+                hi, yhi = x, y
+            j += 1
     return _logistic_hw(mid)
 
 
-def _bisect_logit_array(f, target):
-    """bisect_logit on arrays: f(h, w, i) maps arrays (h, w) at the indices
-    i to an array that crosses target[i] elementwise.  Only elements whose
-    bracket ends are not yet adjacent are evaluated; the rest keep their mid."""
-    lo, hi = np.full_like(target, -U_MAX), np.full_like(target, U_MAX)
-    m, mid = 0.5 * (lo + hi), np.zeros_like(target)
-    i = np.arange(target.size)
-    while i.size:
-        up = f(*_logistic_hw(m), i) < target[i]
-        lo, hi = np.where(up, m, lo), np.where(up, hi, m)
-        m = 0.5 * (lo + hi)
-        if not (live := (lo < m) & (m < hi)).all():
-            mid[i] = m
-            i, lo, hi, m = i[live], lo[live], hi[live], m[live]
+def _bisect_logit_array(f, n):
+    """bisect_logit on n elements with target 0, step for step: f(h, w, i)
+    maps arrays (h, w) at the indices i to an array that crosses 0
+    elementwise.  Only elements whose bracket ends are not yet adjacent are
+    evaluated; the rest keep their mid."""
+    lo, hi = np.full(n, -U_MAX), np.full(n, U_MAX)
+    ylo, yhi = np.full(n, np.nan), np.full(n, np.nan)
+    mid, i, j, x = np.zeros(n), np.arange(n), 0, np.zeros(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while i.size:  # x holds the midpoints of the brackets
+            x = _itp_point(lo, x, hi, ylo, yhi, j, _ARRAY_OPS)
+            y = f(*_logistic_hw(x), i)
+            up = y < 0.0
+            np.copyto(lo, x, where=up)
+            np.copyto(ylo, y, where=up)
+            np.copyto(hi, x, where=~up)
+            np.copyto(yhi, y, where=~up)
+            del y  # freed before f runs again, on up to 2e4 points
+            j, x = j + 1, 0.5 * (lo + hi)
+            if not (live := (lo < x) & (x < hi)).all():
+                mid[i] = x
+                i, lo, hi, x = i[live], lo[live], hi[live], x[live]
+                ylo, yhi = ylo[live], yhi[live]
     return _logistic_hw(mid)
 
 

@@ -11,9 +11,11 @@ The curve is evaluated at h and w = 1 - h together, from the law's gaps
 h -> 0 (lambda -> -inf) or w -> 0 (lambda -> 0).  cumulant and
 cumulant_deriv solve for h and w once at s = e^lambda, with 1 - s =
 -expm1(lambda) handed to the solver so that it keeps its relative precision
-as lambda -> 0; invert_slope,
-legendre and rate_point bisect the slope in u = log(h/w) and never solve
-for h.
+as lambda -> 0.  invert_slope, legendre and rate_point solve for no fixed
+point: they find Lambda' = x in u = log(h/w) by ITP (bisect_logit) on
+log(Lambda' - 1) against log(x - 1), with the bracket of bisection and
+about 11 curve evaluations instead of about 60; the log of the excess keeps
+lambda to full precision as x -> 1.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _boundary_log(law):
 
 
 def _curve(law, h, w, lam=None):
-    """(lambda, Lambda, Lambda') at the point h = 1 - w of the curve.
+    """(lambda, Lambda, Lambda' - 1) at the point h = 1 - w of the curve.
 
     lambda = -log1p(D/h) unless the caller hands in the lambda it has.
     With phi = D + h and A = D + h*D' (so 1 - s*phi'(h) = A/phi):
@@ -79,12 +81,12 @@ def _curve(law, h, w, lam=None):
             q = law.q
             g = q * w / phi
             Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(psi + q))
-            slope = 1.0 + h * chi * phi / ((psi + q) * a)
+            excess = h * chi * phi / ((psi + q) * a)
         else:
             r = d / w
             Lam = lam + np.log1p(-r)
-            slope = 1.0 + h * phi * ((dp - r) / w) / ((1.0 - r) * a)
-    return lam, Lam, slope
+            excess = h * phi * ((dp - r) / w) / ((1.0 - r) * a)
+    return lam, Lam, excess
 
 
 def _at_lambda(law, lam):
@@ -107,18 +109,20 @@ def cumulant(law, lam):
 def cumulant_deriv(law, lam):
     """Lambda'(lambda) in (1, inf), strictly increasing; a float or an
     array, as cumulant."""
-    return _at_lambda(law, lam)[2]
+    return 1.0 + _at_lambda(law, lam)[2]
 
 
 def _slope_point(law, x):
     """(lambda, Lambda) where Lambda' = x, for finite x > 1.
 
-    Bisection in u = log(h/w): Lambda' rises from 1 at h = 0 to infinity
-    at w = 0.
+    ITP in u = log(h/w) on log(Lambda' - 1) against log(x - 1): Lambda' - 1
+    rises from 0 at h = 0 to infinity at w = 0, and its log is close to
+    linear in u at both ends.
     """
     if not 1.0 < x < math.inf:
         raise ValueError("x must be finite and > 1 (G(1) = -infinity)")
-    h, w = bisect_logit(lambda h, w: _curve(law, h, w)[2], x)
+    h, w = bisect_logit(lambda h, w: np.log(_curve(law, h, w)[2]),
+                        math.log(x - 1.0))
     lam, Lam, _ = _curve(law, h, w)
     return float(lam), float(Lam)
 

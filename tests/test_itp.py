@@ -1,0 +1,95 @@
+"""The solver in u = log(h/w) behind solve_hw and rate_point: its count of
+evaluations against plain bisection, and no floating-point warning where
+its log forms meet log(0) near the bracket ends."""
+
+import math
+import warnings
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from recordwalk import (IncrementLaw, bundled_law_path, cumulant,
+                        cumulant_deriv, rate_point)
+from recordwalk import fixed_point, rates
+from recordwalk.fixed_point import U_MAX, _logistic_hw, solve_hw
+
+BUNDLED_LAWS = sorted(
+    f.name for f in resources.files("recordwalk.data").iterdir()
+    if f.name.endswith(".json")
+)
+
+# five record densities per decade of [1e-12, 1], as rate queries draw
+# them, and the two extremes
+X_REC = [*10.0 ** np.linspace(-12.0, 0.0, 61)[:-1], 1e-300, 1.0 - 2.0**-52]
+S = [1e-300, 1e-6, 0.5, *(1.0 - 10.0**-k for k in range(2, 16))]
+LEGENDRE_LAM = -np.exp(np.linspace(math.log(1e-8), math.log(40.0), 20001))
+
+
+@pytest.fixture(params=BUNDLED_LAWS)
+def law(request):
+    return IncrementLaw.from_json(bundled_law_path(request.param).read_text())
+
+
+def _bisection_steps(f, target):
+    """Evaluations of plain bisection in u on f, to adjacent doubles."""
+    lo, hi, steps = -U_MAX, U_MAX, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            steps += 1
+            if float(f(*_logistic_hw(mid))) < target:
+                lo = mid
+            else:
+                hi = mid
+    return steps
+
+
+def test_no_more_evaluations_than_bisection(law, monkeypatch):
+    counts = []  # (evaluations, bisection's evaluations) per call
+    real = fixed_point.bisect_logit
+
+    def counting(f, target):
+        calls = 0
+
+        def f_counted(h, w):
+            nonlocal calls
+            calls += 1
+            return f(h, w)
+
+        out = real(f_counted, target)
+        counts.append((calls, _bisection_steps(f, target)))
+        return out
+
+    monkeypatch.setattr(fixed_point, "bisect_logit", counting)
+    monkeypatch.setattr(rates, "bisect_logit", counting)
+    for x_rec in X_REC:
+        rate_point(law, x_rec)
+    for s in S:
+        solve_hw(law, s)
+    assert len(counts) == len(X_REC) + len(S)
+    for (used, bisection), arg in zip(counts, X_REC + S):
+        assert used <= bisection, arg
+    # measured: 10.5-12.0 per rate_point and 10.7-11.8 per solve_hw,
+    # against 58-60 for bisection
+    assert np.mean([used for used, _ in counts]) <= 16.0
+
+
+def test_no_warning_at_the_ends(law):
+    s = np.array([0.0, 1e-300, 1e-6, 0.5, 1.0 - 1e-15, 1.0 - 2.0**-53, 1.0])
+    ends = LEGENDRE_LAM[[0, 1, -2, -1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x_rec in (1e-300, 1e-12, 0.5, 1.0 - 2.0**-52, 1.0):
+            rate_point(law, x_rec)
+        h, w = solve_hw(law, s)
+        hw = [solve_hw(law, float(v)) for v in s]
+        lam_, slope = cumulant(law, LEGENDRE_LAM), cumulant_deriv(
+            law, LEGENDRE_LAM)
+        at_ends = [(cumulant(law, float(v)), cumulant_deriv(law, float(v)))
+                   for v in ends]
+    np.testing.assert_array_equal(h, [v[0] for v in hw])
+    np.testing.assert_array_equal(w, [v[1] for v in hw])
+    np.testing.assert_array_equal(lam_[[0, 1, -2, -1]],
+                                  [v[0] for v in at_ends])
+    np.testing.assert_array_equal(slope[[0, 1, -2, -1]],
+                                  [v[1] for v in at_ends])

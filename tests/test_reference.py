@@ -42,7 +42,8 @@ from recordwalk.fixed_point import (h_series, one_minus_s_phi_prime_h,
 BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
            "stable_g05_b05_left.json"]
 DIGITS = 160
-X_REC = [1.0 - 1e-9, 0.9, 0.5, 1e-3, 1e-5, 1e-12, 1e-30]
+X_REC = [1.0 - 2.0**-52, 1.0 - 1e-12, 1.0 - 1e-9, 0.9, 0.5, 1e-3, 1e-5,
+         1e-12, 1e-30]
 EPS = 2.0 ** -52
 
 
@@ -94,15 +95,12 @@ class Reference:
         return mpmath.log(s), mpmath.log(f0), (df0 / f0) / (ds / s)
 
     def rate_point(self, x):
-        """(lambda, Lambda, ldp_rate, dlambda/dx) where Lambda' = x."""
+        """(lambda, Lambda, ldp_rate) where Lambda' = x."""
         with mpmath.workdps(DIGITS):
             x = mpmath.mpf(x)
             h = self.bisect(lambda h: self.curve(h)[2] - x)
             lam, lam_, _ = self.curve(h)
-            # dlambda/dx = 1/Lambda'' = (dlambda/dh) / (dLambda'/dh)
-            slope = mpmath.diff(lambda t: self.curve(t)[2], h)
-            dlam_dx = mpmath.diff(lambda t: self.curve(t)[0], h) / slope
-            return lam, lam_, (x * lam - lam_) / x, dlam_dx
+            return lam, lam_, (x * lam - lam_) / x
 
     def slope_at(self, lam):
         """Lambda'(lambda), at the h with log(h/phi(h)) = lambda; 60 digits
@@ -143,16 +141,13 @@ def test_rate_point_against_reference(name):
     ref = reference(name)
     for x_rec in X_REC:
         pt = rate_point(law, x_rec)
-        x = mpmath.mpf(1) / mpmath.mpf(x_rec)
-        lam, lam_, rate, dlam_dx = ref.rate_point(x)
+        # at the double x that rate_point solves for: near x_rec = 1, lambda
+        # moves by 1/Lambda'' per unit of x, so an ulp of x is far more than
+        # 1e-13 of lambda
+        lam, lam_, rate = ref.rate_point(mpmath.mpf(1.0 / x_rec))
         assert rel(pt.ldp_rate, rate) <= 1e-12, x_rec
-        # lambda moves by dx/Lambda'' and Lambda by x times that when x
-        # moves by dx; near x_rec = 1 that exceeds 1e-12 for any x held in
-        # a double.  The allowance is what 8 ulps of x move the exact values.
-        dlam = float(abs(8 * EPS * x * dlam_dx))
-        assert abs(pt.lam - lam) <= 1e-12 * abs(lam) + dlam, x_rec
-        assert abs(pt.Lambda - lam_) <= 1e-12 * abs(lam_) + float(x) * dlam, \
-            x_rec
+        assert rel(pt.lam, lam) <= 1e-13, x_rec
+        assert rel(pt.Lambda, lam_) <= 1e-13, x_rec
 
 
 @pytest.mark.parametrize("name", BUNDLED)
