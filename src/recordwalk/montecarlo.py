@@ -9,14 +9,25 @@ so BLOCK_SIZE must be a multiple of 4.  The uniforms of a path therefore
 depend on neither BLOCK_SIZE nor the worker count, blocks never overlap,
 and the integer merge makes the result bit-identical for any worker count.
 
+Inside a block, rows are drawn and walked SLICE_ROWS at a time from the
+block's one Generator.  Row-major draws read the stream words in the same
+order whatever the slice, and each slice's arrays stay in cache.
+
 Jumps are drawn by inverse CDF from law.jump_pmf(order), with order at least
 the path length: the jumps of size order or more are lumped into one of size
-order, which no path of n <= order steps can tell apart from them.
+order, which no path of n <= order steps can tell apart from them.  The
+index is searchsorted(cdf, u, side="right"), found by counting u >= cdf[j]
+over the first COUNTED entries of the CDF: it is nondecreasing, so the count
+is exact for every u below cdf[COUNTED - 1], and only the draws at or past
+it (none on a CDF of at most COUNTED entries) search the whole CDF.  The
+walk runs in int32 while n * len(cdf), which bounds |S_m|, is below 2**31,
+and in int64 beyond.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +38,8 @@ from .laws import IncrementLaw, Orientation
 from .oracle import Provenance, TailTable
 
 BLOCK_SIZE = 8192  # a multiple of 4: see the module docstring
+SLICE_ROWS = 512  # rows drawn and walked at a time inside a block
+COUNTED = 8  # CDF entries searched by counting
 STABLE_JUMP_ORDER = 110000  # the least lumping order of a stable law's jumps
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
@@ -72,9 +85,28 @@ def sample_increment(law, uniform):
 def _sample_block(law, uniforms):
     """Vectorized inverse-CDF sampling; uniforms has shape (paths, n)."""
     cdf = _jump_cdf(law, max(uniforms.shape[1], STABLE_JUMP_ORDER))
-    idx = np.searchsorted(cdf, uniforms, side="right")
+    idx = _jump_index(cdf, uniforms)
     # idx 0 -> unit jump; idx j >= 1 -> opposite jump of size j-1
-    return 1 - idx if law.orientation is Orientation.RIGHT else idx - 1
+    if law.orientation is Orientation.RIGHT:
+        return np.subtract(1, idx, out=idx)
+    return np.subtract(idx, 1, out=idx)
+
+
+def _jump_index(cdf, u):
+    """searchsorted(cdf, u, side="right") in int32, for u in [0, 1).
+
+    Entries of 1 or more are above every u and count nothing.  After the
+    loop `hit` holds u >= cdf[COUNTED - 1], the draws the count may miss.
+    """
+    idx = np.zeros(u.shape, dtype=np.int32)
+    hit = np.empty(u.shape, dtype=bool)
+    head = cdf[:COUNTED]
+    for c in head[head < 1.0]:
+        np.greater_equal(u, c, out=hit)
+        idx += hit
+    if cdf.size > COUNTED and head[-1] < 1.0:
+        idx[hit] = np.searchsorted(cdf, u[hit], side="right")
+    return idx
 
 
 def count_weak_records(path):
@@ -101,12 +133,27 @@ def reflected_zero_visits(path):
     return int(np.count_nonzero(sbar[1:] == 0))
 
 
+def _walk_records(inc, max_step):
+    """Weak records per row of increments inc, none of size above max_step.
+
+    The walk runs in int32 while n * max_step, which bounds |S_m|, fits.
+    """
+    width = np.int32 if inc.shape[-1] * max_step < 2**31 else np.int64
+    return _weak_records(np.cumsum(inc, axis=-1, dtype=width))
+
+
 def _block_histogram(law, n, seed, start, count):
     bg = np.random.Philox(key=seed)
     bg.advance(start * n // 4)  # path p starts at word p*n
-    uniforms = np.random.Generator(bg).random((count, n))
-    counts = _weak_records(np.cumsum(_sample_block(law, uniforms), axis=1))
-    return np.bincount(counts, minlength=n + 1)
+    gen = np.random.Generator(bg)
+    max_step = _jump_cdf(law, max(n, STABLE_JUMP_ORDER)).size
+    buf = np.empty((min(SLICE_ROWS, count), n))
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, count, SLICE_ROWS):
+        uniforms = gen.random(out=buf[: min(SLICE_ROWS, count - lo)])
+        records = _walk_records(_sample_block(law, uniforms), max_step)
+        hist += np.bincount(records, minlength=n + 1)
+    return hist
 
 
 def empirical_tail(config):
@@ -122,10 +169,11 @@ def empirical_tail(config):
     starts = range(0, paths, BLOCK_SIZE)
     counts = [min(BLOCK_SIZE, paths - s) for s in starts]
     block = functools.partial(_block_histogram, law, n, config.seed)
-    if config.workers == 1:
+    workers = min(config.workers, len(starts), _usable_cpus())
+    if workers == 1:
         hists = list(map(block, starts, counts))
     else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             hists = list(pool.map(block, starts, counts))
     hist = np.sum(hists, axis=0)
     tail_counts = np.cumsum(hist[::-1])[::-1]
@@ -140,6 +188,13 @@ def empirical_tail(config):
             RuntimeWarning,
         )
     return TailTable(n, est, Provenance.MONTE_CARLO, float(hw.max()), lo, hi)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def _wilson(successes, trials):

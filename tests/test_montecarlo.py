@@ -1,6 +1,7 @@
 """Monte Carlo sampling, record counting, and reproducibility."""
 
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from recordwalk import (
     IncrementLaw,
+    Orientation,
     Provenance,
     SimConfig,
     build_kernel,
+    bundled_law_path,
     count_weak_records,
     empirical_tail,
     exact_An_distribution,
@@ -25,6 +28,27 @@ SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
 ASYM = IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
 STABLE = IncrementLaw.stable("right", 0.5, 0.5)
+BUNDLED_LAWS = sorted(
+    f.name for f in resources.files("recordwalk.data").iterdir()
+    if f.name.endswith(".json")
+)
+
+
+def bundled(name):
+    return IncrementLaw.from_json(bundled_law_path(name).read_text())
+
+
+def reference_block(law, n, seed, start, count):
+    """A block's histogram the plain way: one draw of all its rows, a full
+    searchsorted and an int64 walk."""
+    bg = np.random.Philox(key=seed)
+    bg.advance(start * n // 4)
+    uniforms = np.random.Generator(bg).random((count, n))
+    cdf = montecarlo._jump_cdf(law, max(n, montecarlo.STABLE_JUMP_ORDER))
+    idx = np.searchsorted(cdf, uniforms, side="right")
+    inc = 1 - idx if law.orientation is Orientation.RIGHT else idx - 1
+    walk = np.cumsum(inc, axis=1, dtype=np.int64)
+    return np.bincount(montecarlo._weak_records(walk), minlength=n + 1)
 
 
 class TestConfig:
@@ -81,6 +105,34 @@ class TestSampling:
         assert np.all(short == sign * order)
         assert np.all(long == sign * (order + 5))
 
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
+    def test_counted_index_is_searchsorted(self, name):
+        cdf = montecarlo._jump_cdf(bundled(name), montecarlo.STABLE_JUMP_ORDER)
+        inner = cdf[cdf < 1.0]
+        u = np.concatenate([
+            inner, np.nextafter(inner, 0.0), [0.0, np.nextafter(1.0, 0.0)],
+            np.random.default_rng(17).random(10**5),
+        ])
+        idx = montecarlo._jump_index(cdf, u)
+        assert idx.dtype == np.int32
+        assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
+
+    def test_counted_index_far_branch_on_explicit_law(self):
+        # Jump sizes 0..11, critical: the CDF has 12 entries below 1, past
+        # the counted head, so draws at or above cdf[COUNTED - 1] (about 4%)
+        # take the full search.
+        law = IncrementLaw.explicit("right", 0.5, [5 / 12] + [1 / 132] * 11)
+        cdf = montecarlo._jump_cdf(law, montecarlo.STABLE_JUMP_ORDER)
+        assert cdf.size > montecarlo.COUNTED
+        inner = cdf[cdf < 1.0]
+        u = np.concatenate([inner, np.nextafter(inner, 0.0),
+                            np.random.default_rng(5).random(10**4)])
+        assert np.count_nonzero(u >= cdf[montecarlo.COUNTED - 1]) > 300
+        assert np.array_equal(montecarlo._jump_index(cdf, u),
+                              np.searchsorted(cdf, u, side="right"))
+        hist = montecarlo._block_histogram(law, 30, 4, 8, 1000)
+        assert np.array_equal(hist, reference_block(law, 30, 4, 8, 1000))
+
     def test_uniform_domain(self):
         with pytest.raises(ValueError):
             sample_increment(SYM, 1.0)
@@ -104,6 +156,32 @@ class TestRecordCounting:
     def test_empty_path(self):
         with pytest.raises(ValueError):
             count_weak_records([])
+
+    def test_wide_walk_takes_int64(self):
+        # Partial sums 2^30, 2^31, 3*2^30: all three are records, but an
+        # int32 walk wraps at 2^31 and sees only the first.
+        inc = np.full((1, 3), 2**30, dtype=np.int32)
+        wrapped = np.cumsum(inc, axis=-1, dtype=np.int32)
+        assert montecarlo._weak_records(wrapped)[0] == 1
+        assert montecarlo._walk_records(inc, 2**30)[0] == 3
+
+    @pytest.mark.parametrize("n, width", [(19522, np.int32),
+                                          (19523, np.int64)])
+    def test_walk_width_guard_on_stable_law(self, monkeypatch, n, width):
+        # The stable CDF has 110002 entries, so n * 110002 passes 2^31 from
+        # n = 19523 on.
+        widths = []
+        weak_records = montecarlo._weak_records
+
+        def spy(s):
+            widths.append(s.dtype)
+            return weak_records(s)
+
+        monkeypatch.setattr(montecarlo, "_weak_records", spy)
+        hist = montecarlo._block_histogram(STABLE, n, 9, 4, 6)
+        assert widths == [width]
+        monkeypatch.undo()
+        assert np.array_equal(hist, reference_block(STABLE, n, 9, 4, 6))
 
     @given(st.lists(st.sampled_from([-3, -2, -1, 0, 1]), min_size=1,
                     max_size=60))
@@ -147,6 +225,58 @@ class TestEmpiricalTail:
         for table in tables[1:]:
             assert np.array_equal(table.tail, tables[0].tail)
             assert np.array_equal(table.ci_lo, tables[0].ci_lo)
+
+    @pytest.mark.parametrize("law", [SYM, STABLE], ids=["sym", "stable-right"])
+    @pytest.mark.parametrize("n", [7, 20])
+    def test_row_slice_invariance(self, monkeypatch, law, n):
+        # Blocks of 8192, 8192 and 3616 paths: no slice size divides all.
+        tables = []
+        for rows in (512, 100, 7):
+            monkeypatch.setattr(montecarlo, "SLICE_ROWS", rows)
+            tables.append(empirical_tail(SimConfig(law, n, 20000, 3)))
+        for table in tables[1:]:
+            assert np.array_equal(table.tail, tables[0].tail)
+            assert np.array_equal(table.ci_lo, tables[0].ci_lo)
+
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
+    def test_block_matches_plain_draw(self, name):
+        law = bundled(name)
+        for n, seed, start, count in [(200, 11, 0, 1500), (37, 3, 12, 700)]:
+            assert np.array_equal(
+                montecarlo._block_histogram(law, n, seed, start, count),
+                reference_block(law, n, seed, start, count))
+
+    @pytest.mark.parametrize("workers, cpus, pool", [
+        (100000, 3, 3),  # capped by the usable CPUs
+        (100000, 64, 5),  # capped by the block count
+        (4, 64, 4),
+        (2, 1, None),  # one usable CPU: no pool
+        (1, 64, None),
+    ])
+    def test_thread_pool_is_capped(self, monkeypatch, workers, cpus, pool):
+        started = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1000)
+        table = empirical_tail(SimConfig(ASYM, 9, 4500, 2, workers=workers))
+        assert started == ([] if pool is None else [pool])
+        monkeypatch.undo()
+        plain = empirical_tail(SimConfig(ASYM, 9, 4500, 2))
+        assert np.array_equal(table.tail, plain.tail)
 
     def test_block_size_multiple_of_four(self):
         assert montecarlo.BLOCK_SIZE % 4 == 0
