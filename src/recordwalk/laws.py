@@ -63,7 +63,6 @@ class IncrementLaw:
     p: Optional[tuple] = None
     gamma: Optional[float] = None
     beta: Optional[float] = None
-    sigma2: Optional[float] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -88,8 +87,7 @@ class IncrementLaw:
             raise LawValidationError(
                 f"law is not critical: sum n*p_n = {mean_down!r} but q = {q!r}"
             )
-        sigma2 = math.fsum((n + 1) * n * v for n, v in enumerate(p))
-        return IncrementLaw(orientation, q, p=p, sigma2=sigma2)
+        return IncrementLaw(orientation, q, p=p)
 
     @staticmethod
     def stable(orientation, gamma, beta):
@@ -108,6 +106,14 @@ class IncrementLaw:
     @property
     def is_stable(self):
         return self.gamma is not None
+
+    @functools.cached_property
+    def sigma2(self):
+        """phi''(1) = sum_n (n+1) n p_n; None for the stable family, whose
+        variance is infinite."""
+        if self.is_stable:
+            return None
+        return math.fsum((n + 1) * n * v for n, v in enumerate(self.p))
 
     @property
     def p0(self):

@@ -136,6 +136,17 @@ def _window_limits(pattern, n):
     return reach, np.maximum.accumulate(highest) + 1
 
 
+def _horizon(n, kmax):
+    """The count cap of a table at horizon n: kmax, or n when None, at most n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kmax is None:
+        return n
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    return min(kmax, n)
+
+
 def exact_An_distribution(kernel, n, kmax=None):
     """Exact joint DP over (step, level, zero-visit count).
 
@@ -161,13 +172,7 @@ def exact_An_distribution(kernel, n, kmax=None):
     for the dense product.  With level_cap < n, the error bound adds the
     mass that entered the overflow state from the live window.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kmax is None:
-        kmax = n
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    kmax = min(kmax, n)
+    kmax = _horizon(n, kmax)
     K = kernel.matrix
     over = kernel.overflow_index
     # beyond[j, i]: what level i sends to states >= j, a sum of kernel entries
@@ -256,13 +261,7 @@ def renewal_tail(tau, n, k):
 
 def renewal_tail_table(law, n, kmax=None):
     """TailTable of P(A_n >= k) from the renewal representation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kmax is None:
-        kmax = n
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    kmax = min(kmax, n)
+    kmax = _horizon(n, kmax)
     f = tau_pmf(law, n).coeffs
     return TailTable(n, _renewal_masses(f, n, kmax), Provenance.RENEWAL, 0.0)
 

@@ -72,7 +72,7 @@ def _suite_h_limits(law):
 
 
 def _suite_lambda_limits(law):
-    boundary = rates._boundary_log(law)
+    boundary = rates.legendre(law, 1.0)
     d20 = rates.cumulant_deriv(law, -20.0)
     d4 = rates.cumulant_deriv(law, -1e-4)
     d8 = rates.cumulant_deriv(law, -1e-8)
@@ -122,11 +122,10 @@ def _suite_oracle_equivalence(law):
 def _suite_tauberian(law):
     consts = rates.mdp_constants(law)
     alpha, c = consts.alpha, consts.c
+    growth = consts.scaling_exponents[0]
     if law.orientation is Orientation.RIGHT:
-        growth = 1.0 - alpha
         target = (1.0 - alpha) * c / (law.q * math.gamma(2.0 - alpha))
     else:
-        growth = alpha
         target = 1.0 / ((1.0 - alpha) * c * math.gamma(1.0 + alpha))
     _, big = oracle.return_prob_partial_sums(law, 10000)
     r4 = big[10000] / 10000**growth

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import recordwalk
-from recordwalk import SUITES, IncrementLaw, bundled_law_path
-from recordwalk.cli import build_parser, main
+from recordwalk import SUITES, IncrementLaw, bundled_law_path, verify
+from recordwalk.cli import _emit, build_parser, main
 
 SYM_PATH = str(bundled_law_path("sym.json"))
 STABLE_PATH = str(bundled_law_path("stable_g05_b05.json"))
@@ -60,12 +61,12 @@ class TestRate:
         assert float(rows[0][5]) > 0.0
 
     def test_requires_exactly_one_mode(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["rate", "--law", SYM_PATH])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["rate", "--law", SYM_PATH, "--x", "0.5", "--grid", "0:1:3"])
-        assert exc.value.code == 2
+        for modes in ([], ["--x", "0.5", "--grid", "0.2:0.8:3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["rate", "--law", SYM_PATH, *modes])
+            assert exc.value.code == 2
+            error = capsys.readouterr().err.splitlines()[-1]
+            assert "--x" in error and "--grid" in error
 
     def test_empty_grid_prints_header_only(self, capsys):
         code, out = run_cli(capsys, "rate", "--law", SYM_PATH,
@@ -230,6 +231,22 @@ class TestVerify:
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
 
+    def test_failing_suite_prints_report_and_exits_1(self, capsys,
+                                                     monkeypatch):
+        failed = verify.Check("forced", 0.0, 1.0, 0.0, False, "test")
+        monkeypatch.setitem(verify._SUITE_FUNCS, "h-limits",
+                            lambda law: [failed])
+        code, out = run_cli(capsys, "verify", "--law", SYM_PATH,
+                            "--suite", "h-limits")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["checks"] == [{"name": "forced", "target": 0.0,
+                                  "observed": 1.0, "tolerance": 0.0,
+                                  "passed": False, "provenance": "test"}]
+        assert doc["meta"]["law_sha256"] == IncrementLaw.from_json(
+            bundled_law_path("sym.json").read_text()).sha256()
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--law", SYM_PATH, "--suite", "nope"])
@@ -245,6 +262,44 @@ class TestVerify:
         assert doc["suite"] == suite
         assert doc["passed"] is True
         assert all(c["passed"] is True for c in doc["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--x", "0.5"],
+    ["rate", "--grid", "0.2:0.8:2"],
+    ["mdp"],
+    ["oracle", "--n", "6", "--mode", "renewal"],
+    ["simulate", "--n", "6", "--paths", "1000", "--seed", "4"],
+    ["series", "--what", "returns", "--order", "6"],
+    ["verify", "--suite", "mdp-constants"],
+])
+def test_every_output_carries_meta(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--law", SYM_PATH)
+    assert code == 0
+    if out.startswith("{"):
+        meta = json.loads(out)["meta"]
+    else:
+        header = parse_csv(out)[0]
+        meta = dict(line[2:].split("=", 1) for line in header)
+    expected = {"law_sha256": IncrementLaw.from_json(
+        bundled_law_path("sym.json").read_text()).sha256(),
+        "version": recordwalk.__version__}
+    if argv[0] == "simulate":  # a CSV header, so the seed reads as text
+        expected["seed"] = "4"
+    assert meta == expected
+
+
+def test_emit_writes_nested_nonfinite_floats_as_strings(capsys):
+    _emit({"a": [1.0, {"b": math.inf}], "c": (math.nan, -math.inf)},
+          {"version": "v"})
+    out = capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert doc == {"a": [1.0, {"b": "inf"}], "c": ["nan", "-inf"],
+                   "meta": {"version": "v"}}
 
 
 def test_one_parser_serves_a_sequence_of_calls(capsys):

@@ -50,6 +50,17 @@ class TestExplicitFactory:
         # sigma2 = sum (n+1) n p_n = 2*0.1 + 6*0.15
         assert asym_law().sigma2 == pytest.approx(1.1)
 
+    @pytest.mark.parametrize("law", [sym_law(), sym_law("left"), asym_law(),
+                                     stable_law(), stable_law("left")])
+    def test_constructor_law_matches_factory(self, law):
+        # sigma2 is derived from p, so a law built by the dataclass
+        # constructor itself carries it too
+        direct = IncrementLaw(law.orientation, law.q, p=law.p,
+                              gamma=law.gamma, beta=law.beta)
+        assert direct.sigma2 == law.sigma2
+        assert direct.mdp_closed_form() == law.mdp_closed_form()
+        assert direct.sha256() == law.sha256()
+
     def test_orientation_coercion(self):
         assert sym_law("left").orientation is Orientation.LEFT
 
