@@ -24,14 +24,18 @@ from . import __version__, fixed_point, montecarlo, oracle, rates, verify
 from .laws import IncrementLaw, LawValidationError
 
 
-def _nonnegative_int(text):
+def _int_at_least(low, text):
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+_nonnegative_int = functools.partial(_int_at_least, 0)
+_positive_int = functools.partial(_int_at_least, 1)
 
 
 def _record_density(text):
@@ -77,7 +81,7 @@ def cmd_mdp(law, args):
 
 def cmd_oracle(law, args):
     if args.mode == "dp":
-        kernel = oracle.build_kernel(law, level_cap=max(args.n, 1))
+        kernel = oracle.build_kernel(law, level_cap=args.n)
         table = oracle.exact_An_distribution(kernel, args.n, kmax=args.kmax)
     else:
         table = oracle.renewal_tail_table(law, args.n, kmax=args.kmax)
@@ -173,20 +177,20 @@ def build_parser():
                    help="estimate (alpha, c) by log-log regression")
 
     p = command("oracle", cmd_oracle, "exact finite-n tail probabilities")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--mode", choices=["dp", "renewal"], required=True)
     p.add_argument("--kmax", type=_nonnegative_int)
 
     p = command("simulate", cmd_simulate, "Monte Carlo tail estimates")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kmax", type=_nonnegative_int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = command("series", cmd_series, "export series coefficients as CSV")
     p.add_argument("--what", choices=["h", "tau", "returns"], required=True)
-    p.add_argument("--order", type=int, default=512)
+    p.add_argument("--order", type=_positive_int, default=512)
 
     p = command("verify", cmd_verify, "run a named verification suite")
     p.add_argument("--suite", choices=list(verify.SUITES), required=True)

@@ -7,17 +7,9 @@ Two independent routes to P(A_n >= k):
   chain falls at most one level per step, so levels above n cannot return
   to 0 within n steps, and a left-continuous chain rises at most one level
   per step, so it never reaches them;
-* renewal convolution of the return-time p.m.f., extracted as the power
-  series of f0.
-
-The DP multiplies only the live block of its state at each step: rows up to
-the step count (the count cannot exceed it), levels up to the highest one
-reachable so far, and only levels that can still reach 0 in the steps left.
-Mass leaving that block has a final count and is added to a per-count
-settled total as a sum of kernel entries, never by subtraction, so tails
-near 2^-n keep their relative accuracy.  A step then costs about
-rows * width^2 instead of (kmax+1) * (level_cap+2)^2.  The renewal table
-skips the known zeros: after k convolutions nothing sits below index k.
+* the renewal sum P(S_k <= n) over return times, whose p.m.f. is the series
+  of f0, by baby and giant steps (Paterson and Stockmeyer): one
+  matrix-vector product per giant step, every term nonnegative.
 
 Both routes are exact for both families.  For level cap L the kernel reads
 p_0..p_L from law.jump_pmf(L + 1) and the jump tails T_j from
@@ -33,6 +25,7 @@ otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -230,25 +223,30 @@ def tau_pmf(law, order):
 def _renewal_masses(f, n, kmax):
     """P(Y_1 + ... + Y_k <= n) for k = 0..kmax and i.i.d. Y with p.m.f. f.
 
-    Y >= 1, so after k convolutions nothing sits below index k: only that
-    part, indices k..n, is kept and convolved with f[1:] by nonnegative
-    direct convolution.
+    Y >= 1, so row k sums [g^k]_i over i <= n - k, g = f/s.  Baby steps
+    b < B = max(1, isqrt(kmax)) fill R[b, m] = sum of [g^b]_i over
+    i <= n - m - b in extended precision; a giant step a = g^k0, k0 = 0, B,
+    2B, ..., is one product with g^B and one matrix-vector product, rows
+    k0..k0+B-1 = R[:, k0:] a summed pairwise, all over nonnegative terms.
     """
-    mass = np.ones(kmax + 1)
-    part = np.ones(1)
-    step = f[1 : n + 1]
-    for k in range(1, kmax + 1):
-        m = n + 1 - k
-        part = series_mul(part, step, m - 1)
-        mass[k] = part.sum()
+    g = f[1 : n + 1]
+    B = max(1, math.isqrt(kmax))
+    R = np.zeros((B, n + 1))
+    power = np.r_[1.0, np.zeros(n)]
+    for b in range(B):
+        R[b, : n + 1 - b] = np.cumsum(power, dtype=np.longdouble)[::-1]
+        power = series_mul(power, g, n - b - 1)  # g^(b+1), last g^B
+    mass = np.empty(kmax + 1)
+    a = np.ones(1)  # g^k0 through s^(n - k0)
+    for k0 in range(0, kmax + 1, B):
+        a = series_mul(a, power, n - k0) if k0 else a
+        rows = R[: kmax + 1 - k0, k0 : k0 + len(a)] * a
+        mass[k0 : k0 + B] = rows.sum(axis=1)
     return mass
 
 
 def renewal_tail(tau, n, k):
-    """P(Y_1 + ... + Y_k <= n) for i.i.d. Y ~ tau.
-
-    Exact up to float rounding: Y >= 1, so only indices <= n matter.
-    """
+    """P(Y_1 + ... + Y_k <= n) for i.i.d. Y >= 1 with p.m.f. tau[:n + 1]."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     f = np.asarray(tau.coeffs if isinstance(tau, SeriesPoly) else tau)
@@ -273,8 +271,6 @@ def return_prob_partial_sums(law, n):
     u is the coefficient sequence of 1/(1 - f0(s)), one series reciprocal
     (f_0 = 0, so 1 - f0 has constant term 1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     one_minus_f0 = -tau_pmf(law, n).coeffs[: n + 1]
     one_minus_f0[0] += 1.0
     u = series_reciprocal(one_minus_f0, n)

@@ -148,17 +148,18 @@ class TestOracle:
             main(argv + ["--law", SYM_PATH, "--kmax", "-1"])
         assert exc.value.code == 2
 
-    def test_bad_n_is_numeric_failure(self, capsys):
-        code, _ = run_cli(capsys, "oracle", "--law", SYM_PATH,
-                          "--n", "0", "--mode", "dp")
-        assert code == 1
+    def test_bad_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--law", SYM_PATH, "--n", "0", "--mode", "dp"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("mode", ["dp", "renewal"])
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_bad_n_message(self, capsys, mode, n):
-        code = main(["oracle", "--law", SYM_PATH, "--n", n, "--mode", mode])
-        assert code == 1
-        assert "n must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--law", SYM_PATH, "--n", n, "--mode", mode])
+        assert exc.value.code == 2
+        assert "--n: must be >= 1" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -287,6 +288,19 @@ def test_every_output_carries_meta(capsys, argv):
     if argv[0] == "simulate":  # a CSV header, so the seed reads as text
         expected["seed"] = "4"
     assert meta == expected
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--n", "0", "--paths", "1000", "--seed", "4"], "--n"),
+    (["simulate", "--n", "6", "--paths", "1000", "--seed", "4",
+      "--workers", "0"], "--workers"),
+    (["series", "--what", "tau", "--order", "0"], "--order"),
+])
+def test_nonpositive_count_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--law", SYM_PATH])
+    assert exc.value.code == 2
+    assert f"{flag}: must be >= 1" in capsys.readouterr().err
 
 
 def test_emit_writes_nested_nonfinite_floats_as_strings(capsys):

@@ -16,6 +16,7 @@ from recordwalk import (
     tau_pmf,
 )
 from recordwalk.laws import Orientation
+from recordwalk.series import series_mul
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
@@ -61,6 +62,20 @@ def _full_convolution_renewal(f, n, kmax):
         dist = np.convolve(dist, f)[: n + 1]
         tail[k] = dist.sum()
     return tail
+
+
+def _successive_convolution_renewal(f, n, kmax):
+    """Reference for the renewal table: P(S_k <= n) for k = 0..kmax by one
+    more truncated convolution with f[1:] per row.  After k convolutions
+    nothing sits below index k, so only indices k..n are kept."""
+    mass = np.ones(kmax + 1)
+    part = np.ones(1)
+    step = f[1 : n + 1]
+    for k in range(1, kmax + 1):
+        m = n + 1 - k
+        part = series_mul(part, step, m - 1)
+        mass[k] = part.sum()
+    return mass
 
 
 class TestKernel:
@@ -222,12 +237,40 @@ class TestRenewal:
     def test_table_matches_full_convolution(self, law):
         n = 120
         f = tau_pmf(law, n).coeffs
-        for kmax in (None, 0, 7):
+        for kmax in (None, 0, 1, 7, 15, 16, 17):
             table = renewal_tail_table(law, n, kmax)
             ref = _full_convolution_renewal(f, n, n if kmax is None else kmax)
             assert table.tail[0] == 1.0
             assert np.all(ref > 0.0)
             assert np.all(np.abs(table.tail - ref) <= 1e-14 * ref)
+
+    @pytest.mark.parametrize("n, kmax", [(400, 400), (800, 400), (1600, 800)])
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_table_matches_successive_convolutions(self, law, n, kmax):
+        f = tau_pmf(law, n).coeffs
+        tail = renewal_tail_table(law, n, kmax).tail
+        ref = _successive_convolution_renewal(f, n, kmax)
+        assert len(tail) == kmax + 1
+        assert tail[0] == 1.0
+        assert np.all(np.diff(tail) <= 0.0)
+        assert np.all(ref > 0.0)
+        assert np.all(np.abs(tail - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_power_block_boundaries(self, law):
+        # B = max(1, isqrt(kmax)) is 1 at kmax 0 and 1, and 3 -> 4 at 16
+        n = 60
+        tau = tau_pmf(law, n)
+        ref = _successive_convolution_renewal(tau.coeffs, n, n)
+        for kmax in (0, 1, 15, 16, 17, n):
+            tail = renewal_tail_table(law, n, kmax).tail
+            want = ref[: kmax + 1]
+            assert len(tail) == kmax + 1
+            assert tail[0] == 1.0
+            assert np.all(np.abs(tail - want) <= 1e-13 * want)
+        tail = renewal_tail_table(law, n).tail
+        for k in (1, 15, 16, 17, 30, n):
+            assert abs(renewal_tail(tau, n, k) - tail[k]) <= 1e-13 * tail[k]
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_dp_equals_renewal(self, law):
