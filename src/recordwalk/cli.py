@@ -204,7 +204,8 @@ def main(argv=None):
         with open(args.law) as fh:
             law = IncrementLaw.from_json(fh.read())
         payload = args.func(law, args)
-    except (LawValidationError, FileNotFoundError) as exc:
+    except (LawValidationError, FileNotFoundError,
+            montecarlo.TooFewPathsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

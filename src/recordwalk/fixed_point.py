@@ -8,8 +8,11 @@ Newton step, so that both keep their relative precision as s -> 0 and as
 s -> 1.  bisect_logit is the ITP method on log forms of the equation: it
 stops where bisection stops, when the bracket ends are adjacent doubles,
 takes at most one step more than bisection, and on these smooth functions
-about 11 instead of about 60.  The coefficient expansion uses series
-Newton with precision doubling.
+about 11 instead of about 60.  The coefficients of h come from series
+Newton on F(H) = H - s*phi(H) up the ladder order, order//2, ..., 1 taken
+from the top: a step from h right through s^lo is right through
+s^(2*lo + 1), and forms only F above s^lo, F' = 1 - s*phi'(H) and its
+reciprocal to half the order, and their middle product.
 """
 
 from __future__ import annotations
@@ -213,30 +216,27 @@ def h_deriv(law, s):
 def h_series(law, order):
     """Coefficients of h through s^order.
 
-    Series Newton on F(H) = H - s*phi(H): each step doubles the matched
-    order, so the result agrees with the true expansion through s^order.
+    Series Newton on F(H) = H - s*phi(H) up the ladder order, order//2,
+    ..., 1, from h = q*s, which is right through s^1.  F'' = -s*phi''(H)
+    carries a factor s, so a step from h right through s^lo makes it right
+    through s^(2*lo + 1), and the next rung m, with m // 2 = lo, is at most
+    that: order 10001 ends 5000 -> 10001.  F is O(s^(lo+1)), so a step
+    forms F only at s^(lo+1..m), and F' and 1/F' only through
+    s^d, d = m - lo - 1; the middle product h[lo+1:] -= F[lo+1:]*(1/F')
+    through s^d leaves h[:lo+1] as it is.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    h = np.array([0.0, law.q])  # h = q*s + O(s^2)
-    m = 1
-    while m < order:
-        m = min(2 * m, order)
-        h = np.concatenate([h, np.zeros(m + 1 - len(h))])[: m + 1]
-        phi_h, phip_h = law.phi_series(h, m)
-        # F = H - s*phi(H); F' = 1 - s*phi'(H)
-        f = h - _shift(phi_h, m)
-        fp = -_shift(phip_h, m)
-        fp[0] += 1.0
-        h = h - series_mul(f, series_reciprocal(fp, m), m)
+    h = np.zeros(order + 1)
+    h[1] = law.q  # h = q*s + O(s^2)
+    for k in reversed(range(int(order).bit_length() - 1)):
+        m = order >> k
+        lo, d = m // 2, (m - 1) // 2  # h is right through s^lo
+        phi_h, phip_h = law.phi_series(h[: m + 1], m, d)
+        f_hi = h[lo + 1 : m + 1] - phi_h[lo:m]  # F at s^(lo+1..m)
+        fp = np.concatenate([[1.0], -phip_h[:d]])  # F' through s^d
+        h[lo + 1 : m + 1] -= series_mul(f_hi, series_reciprocal(fp, d), d)
     return SeriesPoly(h)
-
-
-def _shift(c, order):
-    """Multiply a coefficient array by s, truncating at the given order."""
-    out = np.zeros(order + 1)
-    out[1:] = c[:order]
-    return out
 
 
 def f0_series(law, order):

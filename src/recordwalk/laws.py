@@ -151,14 +151,15 @@ class IncrementLaw:
 
     # -- what the consumers need ---------------------------------------------
 
-    def phi_series(self, h, order):
-        """phi(H) and phi'(H) through s^order, for H = h with h[0] = 0 and
-        len(h) = order + 1.
+    def phi_series(self, h, order, d):
+        """phi(H) through s^order and phi'(H) through s^d, d <= order, for
+        H = h with h[0] = 0 and len(h) = order + 1.
 
-        An explicit law composes its polynomial with H.  The stable family
-        uses its closed forms in W = 1 - H through series log/exp, because
-        composing with its dense coefficient expansion is quadratic in both
-        order and support.
+        An explicit law composes its polynomial with H, and phi' with
+        h[:d + 1].  The stable family uses its closed forms in W = 1 - H
+        through series log/exp, because composing with its dense coefficient
+        expansion is quadratic in both order and support; log W is formed
+        once, through s^order.
         """
         if self.is_stable:
             g, b = self.gamma, self.beta
@@ -167,13 +168,13 @@ class IncrementLaw:
             lw = series_log(w, order)
             # phi(H) = H + (g/(1+b)) * w^(1+b); phi'(H) = 1 - g * w^b
             phi_h = h + (g / (1.0 + b)) * series_exp((1.0 + b) * lw, order)
-            phip_h = -g * series_exp(b * lw, order)
+            phip_h = -g * series_exp(b * lw[: d + 1], d)
             phip_h[0] += 1.0
             return phi_h, phip_h
         a = np.array([self.q, *self.p[: order + 1]])
         ap = a[1:] * np.arange(1, len(a))  # coefficients of phi'
         return (series_compose_val1(a, h, order),
-                series_compose_val1(ap, h, order))
+                series_compose_val1(ap, h[: d + 1], d))
 
     def gap(self, h, w):
         """D = phi(h) - h at h = 1 - w, the first of gaps, alone."""

@@ -44,6 +44,10 @@ STABLE_JUMP_ORDER = 110000  # the least lumping order of a stable law's jumps
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
 
+class TooFewPathsError(ValueError):
+    """empirical_tail was asked for fewer than 10^3 paths: a usage error."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
     law: IncrementLaw
@@ -164,7 +168,8 @@ def empirical_tail(config):
     histograms are integers, so the merge is exact.
     """
     if config.paths < 1000:
-        raise ValueError("need at least 10^3 paths")
+        raise TooFewPathsError(
+            f"need at least 10^3 paths, got {config.paths}")
     law, n, paths = config.law, config.n, config.paths
     starts = range(0, paths, BLOCK_SIZE)
     counts = [min(BLOCK_SIZE, paths - s) for s in starts]

@@ -120,6 +120,12 @@ def _suite_oracle_equivalence(law):
 
 
 def _suite_tauberian(law):
+    """U_n ~ target * n^growth for the partial sums of the return
+    probabilities, at n = 1e4 to 10%, its trend from n = 1e3, and to second
+    order: r_n = U_n/(n^growth * target) = 1 + A*n^-delta + o(n^-delta)
+    with delta = 1 - alpha from the closed-form MDP constants, not fitted,
+    so the Richardson extrapolant (r_2n*2^delta - r_n)/(2^delta - 1) at
+    n = 5000 is 1 to within 1e-3."""
     consts = rates.mdp_constants(law)
     alpha, c = consts.alpha, consts.c
     growth = consts.scaling_exponents[0]
@@ -134,11 +140,17 @@ def _suite_tauberian(law):
         min(r3, r4) <= target <= max(r3, r4)
         or abs(r4 - target) <= abs(r3 - target)
     )
+    two_delta = 2.0 ** (1.0 - alpha)
+    extrap = (r4 * two_delta - big[5000] / 5000**growth) / (
+        (two_delta - 1.0) * target)
     return [
         _check("U_n / n^growth at n=1e4", target, r4, 0.10 * target,
                "series reciprocal partial sums"),
         Check("n=1e3 vs n=1e4 bracket or approach", target, r3,
               math.inf, monotone_or_bracket, "trend"),
+        _check("Richardson in n^-(1-alpha) of U_n/(target n^growth), "
+               "n=5e3 and 1e4", 1.0, extrap, 1e-3,
+               "series reciprocal partial sums, second order"),
     ]
 
 

@@ -303,6 +303,16 @@ def test_nonpositive_count_is_usage_error(capsys, argv, flag):
     assert f"{flag}: must be >= 1" in capsys.readouterr().err
 
 
+def test_too_few_paths_is_usage_error(capsys):
+    # empirical_tail owns the 10^3 rule; main maps its typed error to 2
+    code = main(["simulate", "--law", SYM_PATH, "--n", "6", "--paths", "500",
+                 "--seed", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "need at least 10^3 paths, got 500" in captured.err
+
+
 def test_emit_writes_nested_nonfinite_floats_as_strings(capsys):
     _emit({"a": [1.0, {"b": math.inf}], "c": (math.nan, -math.inf)},
           {"version": "v"})

@@ -1,6 +1,7 @@
 """Minimal fixed point h(s) of x = s*phi(x): scalar solves, derivatives,
 series expansions, and the limit checks."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from recordwalk import (
     IncrementLaw,
+    bundled_law_path,
     f0_series,
     h_deriv,
     h_series,
@@ -24,6 +26,17 @@ ASYM = IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
 STABLE = IncrementLaw.stable("right", 0.5, 0.5)
 
 ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE]
+BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
+           "stable_g05_b05_left.json"]
+
+
+def bundled_law(name):
+    return IncrementLaw.from_json(bundled_law_path(name).read_text())
+
+
+@functools.cache
+def _longest_h_series(name):
+    return h_series(bundled_law(name), 10001).coeffs
 
 
 def sym_h_closed(s):
@@ -103,6 +116,28 @@ class TestHSeries:
     def test_order_check(self):
         with pytest.raises(ValueError):
             h_series(SYM, 0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 9, 16, 17, 4097,
+                                       10001])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_ladder_prefix_of_the_longest(self, name, order):
+        # Each order takes its own precision ladder, order >> k, so its
+        # coefficients are rounded along another path than order 10001's,
+        # except on the rungs the two share (1, 2, 4, 9, ...).  Explicit
+        # laws sum nonnegative terms: 4.1e-15 measured.  The stable laws'
+        # log and exp of W = 1 - H cancel, and both orders are about
+        # 1.1e-13 off a long-double Newton run at 4097, so they differ by
+        # 9.0e-14 there.  An exact zero stays exactly zero.
+        law = bundled_law(name)
+        ref = _longest_h_series(name)[: order + 1]
+        got = h_series(law, order).coeffs
+        assert len(got) == order + 1
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        nz = ref != 0.0
+        tol = 2e-13 if law.is_stable else 1e-14
+        assert np.max(np.abs(got[nz] - ref[nz]) / ref[nz]) <= tol
+        if name.startswith("sym"):  # h(s) is odd in s
+            assert np.all(got[::2] == 0.0)
 
 
 class TestF0Series:

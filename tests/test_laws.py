@@ -135,10 +135,29 @@ class TestLawInterface:
     @pytest.mark.parametrize("s", [0.1, 0.25])
     def test_phi_series_sums_to_phi_at_h(self, name, s):
         law, order = self.law(name), 128
-        phi_h, phip_h = law.phi_series(h_series(law, order).coeffs, order)
+        phi_h, phip_h = law.phi_series(h_series(law, order).coeffs, order,
+                                       order)
         h = solve_h(law, s)
         assert abs(series_eval(phi_h, s) - law.phi(h)) <= 1e-13
         assert abs(series_eval(phip_h, s) - law.phi_prime(h)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 1000, 4097, 10001])
+    def test_phi_series_derivative_order(self, name, m):
+        # phi'(H) through s^d is the first d + 1 terms of phi'(H) through
+        # s^order, up to rounding: the stable family's exp recurrence and
+        # sym's two-term composition give the same bits; asym's
+        # composition with h[:d + 1] splits its long products elsewhere,
+        # 7 ulps at (10001, 5000) measured, against the 16 ulps allowed
+        law = self.law(name)
+        h = h_series(law, m).coeffs
+        phi_full, phip_full = law.phi_series(h, m, m)
+        for d in sorted({0, 1, m // 2 - 1, (m - 1) // 2, m // 2, m - 1}):
+            phi_h, phip_h = law.phi_series(h, m, d)
+            assert len(phip_h) == d + 1
+            assert np.array_equal(phi_h, phi_full)
+            ref = phip_full[: d + 1]
+            assert np.all(np.abs(phip_h - ref)
+                          <= 16 * np.spacing(np.abs(ref))), d
 
     def test_one_minus_s_phi_prime(self, name):
         law, s = self.law(name), 0.5

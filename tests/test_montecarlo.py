@@ -22,7 +22,7 @@ from recordwalk import (
     sample_increment,
 )
 from recordwalk import montecarlo
-from recordwalk.montecarlo import _wilson
+from recordwalk.montecarlo import TooFewPathsError, _wilson
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
@@ -192,8 +192,10 @@ class TestRecordCounting:
 
 class TestEmpiricalTail:
     def test_minimum_paths(self):
-        with pytest.raises(ValueError):
+        # a ValueError, as before, of the type cli.main maps to exit 2
+        with pytest.raises(ValueError) as exc:
             empirical_tail(SimConfig(SYM, 10, 500, 1))
+        assert isinstance(exc.value, TooFewPathsError)
 
     def test_basic_shape(self):
         table = empirical_tail(SimConfig(SYM, 10, 5000, 42))

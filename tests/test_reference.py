@@ -358,8 +358,10 @@ def test_tau_pmf_against_closed_form(name, tol):
     # Both laws have f0 = (1 + s - sqrt(1 - s^2))/2, so P(tau = 2k) =
     # |binom(1/2, k)|/2 and tau is never odd beyond 1.  sym_left forms f0
     # as s*rho(h), with rho(H) = sum_j T_j H^j composed from the
-    # nonnegative jump tails, so nothing cancels (5.2e-15 measured), and an
-    # even h gives exactly zero odd coefficients.
+    # nonnegative jump tails, so nothing cancels, and an odd h gives
+    # exactly zero odd coefficients.  Measured: sym 5.6e-15 and sym_left
+    # 3.8e-15 (6.9e-15 and 5.2e-15 before h_series formed only the
+    # coefficients each Newton step changes).
     order = 10000
     law = IncrementLaw.from_json(bundled_law_path(name).read_text())
     exact = np.zeros(order + 1)
@@ -442,10 +444,12 @@ def ld_tau_pmf(law, order):
                     reason="long double is no wider than double here")
 @pytest.mark.parametrize("side, tol", [("right", 1e-12), ("left", 1e-13)])
 def test_stable_tau_pmf_against_long_double(side, tol):
-    # Measured at order 3000: right 8.3e-13, left 3.9e-14.  The right
-    # side's error is h_series' (log and exp): from the long-double h, the
-    # double reciprocal alone is within 5.5e-15.  The left side takes
-    # f0 = s*(1 - q W^beta) at W = 1 - h, which differences nothing.
+    # Measured at order 3000: right 5.6e-13 (8.3e-13 before h_series
+    # formed only the coefficients each Newton step changes), left
+    # 3.9e-14.  The right side's error is h_series' (log and exp): from
+    # the long-double h, the double reciprocal alone is within 5.5e-15.
+    # The left side takes f0 = s*(1 - q W^beta) at W = 1 - h, which
+    # differences nothing.
     order = 3000
     law = IncrementLaw.stable(side, 0.5, 0.5)
     ref = ld_tau_pmf(law, order)
