@@ -1,26 +1,29 @@
 """Exact finite-horizon ground truth for the weak-record count.
 
-Two independent routes to P(A_n >= k):
+Visits of the reflected chain to 0 form a renewal process, so
+P(A_n >= k) = P(S_k <= n) for S_k the sum of k return times.  Two
+independent routes evaluate it:
 
-* dynamic programming over the reflected chain (level, zero-visit count),
-  which is exact once the level cap reaches the horizon: a right-continuous
-  chain falls at most one level per step, so levels above n cannot return
-  to 0 within n steps, and a left-continuous chain rises at most one level
-  per step, so it never reaches them;
-* the renewal sum P(S_k <= n) over return times, whose p.m.f. is the series
-  of f0, by baby and giant steps (Paterson and Stockmeyer): one
-  matrix-vector product per giant step, every term nonnegative.
+* the DP: the first-return law of the reflected chain itself, one
+  vector-matrix product per step with level 0 taboo, then one truncated
+  convolution per count.  It is exact once the level cap reaches the
+  horizon: a right-continuous chain falls at most one level per step, so
+  levels above n cannot return to 0 within n steps, and a left-continuous
+  chain rises at most one level per step, so it never reaches them;
+* the renewal sum over return times whose p.m.f. is the series of f0, by
+  baby and giant steps (Paterson and Stockmeyer): one matrix-vector product
+  per giant step.
 
-Both routes are exact for both families.  For level cap L the kernel reads
-p_0..p_L from law.jump_pmf(L + 1) and the jump tails T_j from
-law.jump_tails(L + 1), and sums no jump probabilities: a right-continuous
-chain at level i sends the jumps that leave the capped levels, mass
-T_(L+1-i), to the overflow state, and a left-continuous chain, whose level
-never exceeds the cap, lands those of size i or more, mass T_i, on 0.  The
-renewal route takes tau_pmf of the law itself, so a stable law's series
-come from its exact generating function.  The error bound is the mass that
-entered the overflow state when the level cap is below the horizon, and 0
-otherwise.
+Every term on both routes is nonnegative, and both are exact for both
+families.  For level cap L the kernel reads p_0..p_L from
+law.jump_pmf(L + 1) and the jump tails T_j from law.jump_tails(L + 1), and
+sums no jump probabilities: a right-continuous chain at level i sends the
+jumps that leave the capped levels, mass T_(L+1-i), to the overflow state,
+and a left-continuous chain, whose level never exceeds the cap, lands those
+of size i or more, mass T_i, on 0.  The renewal route takes tau_pmf of the
+law itself, so a stable law's series come from its exact generating
+function.  The DP's error bound is the mass in the overflow state at step n
+when the level cap is below the horizon, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -105,30 +108,6 @@ def build_kernel(law, level_cap):
     return ChainKernel(law.orientation, L, K)
 
 
-def _window_limits(pattern, n):
-    """Bounds of the DP's live window from the level-to-level nonzero pattern.
-
-    Returns (reach, live): mass on levels 0..w-1 can reach no level above
-    reach[w-1] in one step, and with r steps left no level above live[r]-1
-    can still reach level 0.  live comes from a breadth-first search from
-    level 0 over the reversed pattern.
-    """
-    top = len(pattern) - 1 - np.argmax(pattern[:, ::-1], axis=1)
-    reach = np.maximum.accumulate(top)
-    dist = np.full(len(pattern), n + 1)
-    dist[0] = 0
-    frontier = dist == 0
-    for step in range(1, n + 1):
-        frontier = pattern[:, frontier].any(axis=1) & (dist > n)
-        if not frontier.any():
-            break
-        dist[frontier] = step
-    levels = np.flatnonzero(dist <= n)
-    highest = np.zeros(n + 1, dtype=int)
-    np.maximum.at(highest, dist[levels], levels)
-    return reach, np.maximum.accumulate(highest) + 1
-
-
 def _horizon(n, kmax):
     """The count cap of a table at horizon n: kmax, or n when None, at most n."""
     if n < 1:
@@ -140,64 +119,56 @@ def _horizon(n, kmax):
     return min(kmax, n)
 
 
+def _first_returns(kernel, n):
+    """First-return law of the kernel's chain from level 0, for steps 0..n.
+
+    One vector-matrix product per step over the whole kernel, with level 0
+    taboo: f[t] is P(first return to 0 at step t) and over[t] is
+    P(in the overflow state at step t, no return to 0 in 1..t).
+    """
+    K = kernel.matrix
+    f, over = np.zeros(n + 1), np.zeros(n + 1)
+    v = np.zeros(len(K))
+    v[0] = 1.0
+    for t in range(1, n + 1):
+        v = v @ K
+        f[t], v[0] = v[0], 0.0
+        over[t] = v[kernel.overflow_index]
+    return f, over
+
+
 def exact_An_distribution(kernel, n, kmax=None):
-    """Exact joint DP over (step, level, zero-visit count).
+    """P(A_n >= k) for k = 0..kmax from the kernel's own first-return law.
 
-    Starts at level 0 with count 0; returns P(A_n >= k) for k = 0..kmax.
-    The count dimension is capped at kmax with aggregation above, so memory
-    is O(level_cap * kmax).
+    Visits of the chain to level 0 form a renewal process, so A_n >= k
+    exactly when the first k return times sum to at most n.  One pass of
+    _first_returns gives their p.m.f. f, and row k sums g^k through
+    s^(n-k), g = f/s, built by one more truncated product with g per row:
+    n vector-matrix products plus kmax convolutions, every term
+    nonnegative.  With level_cap < n the error bound is the mass in the
+    overflow state at step n, sum_s u_s * over[n - s], with the return
+    probabilities u_t = sum_j f_j u_(t-j) as direct dot products.
 
-    Each step multiplies only the live block of the state, bounded by three
-    exact facts that hold for any kernel:
-
-    * after t steps the count is at most t, so only rows 0..min(t, kmax)
-      can hold mass;
-    * the highest level holding mass follows from the kernel's nonzero
-      pattern over the levels already reached;
-    * a level that cannot reach level 0 in the steps left never adds
-      another zero visit, so its count is final.
-
-    Mass leaving the window (to a dead level, past the reach, or into the
-    overflow state) is added to a per-count settled total as a sum of
-    kernel entries beyond the window, never as a row total minus the live
-    mass, so tiny tails keep their relative accuracy.  The cost is about
-    sum_t min(t, kmax) * w(t)^2 for live width w(t), against n * kmax * L^2
-    for the dense product.  With level_cap < n, the error bound adds the
-    mass that entered the overflow state from the live window.
+    The renewal oracle shares only the renewal identity with this route:
+    here the return times come from the kernel (jump_pmf and jump_tails),
+    not from the series of f0, and the powers are one convolution per row,
+    not baby and giant steps.
     """
     kmax = _horizon(n, kmax)
-    K = kernel.matrix
-    over = kernel.overflow_index
-    # beyond[j, i]: what level i sends to states >= j, a sum of kernel entries
-    beyond = np.cumsum(K[:over, ::-1].T, axis=0)[::-1]
-    reach, live = _window_limits(K[:over, :over] > 0.0, n)
-    cur = np.zeros((kmax + 1, over))
-    nxt = np.empty_like(cur)
-    cur[0, 0] = 1.0
-    settled = np.zeros(kmax + 1)
-    overflow = 0.0
-    rows, width = 1, 1
-    for t in range(1, n + 1):
-        new_rows = min(t, kmax) + 1
-        new_width = min(reach[width - 1] + 1, live[n - t])
-        block = cur[:rows, :width]
-        settled[:rows] += block @ beyond[new_width, :width]
-        overflow += block.sum(axis=0) @ K[:width, over]
-        landed = np.matmul(block, K[:width, :new_width],
-                           out=nxt[:rows, :new_width])
-        nxt[rows:new_rows, :new_width] = 0.0
-        zero = landed[:, 0].copy()
-        nxt[0, 0] = 0.0
-        nxt[1:new_rows, 0] = zero[: new_rows - 1]
-        nxt[new_rows - 1, 0] += zero[new_rows - 1 :].sum()  # counts >= kmax stay lumped
-        cur, nxt = nxt, cur
-        rows, width = new_rows, new_width
-    by_count = cur[:, :width].sum(axis=1) + settled
-    tail = np.minimum(1.0, np.cumsum(by_count[::-1])[::-1])
-    tail[0] = 1.0
-    # mass lumped into the overflow state may have been denied zero visits
-    err = float(overflow) if kernel.level_cap < n else 0.0
-    return TailTable(n, tail, Provenance.DP, err)
+    f, over = _first_returns(kernel, n)
+    tail = np.ones(kmax + 1)
+    part = np.ones(1)
+    for k in range(1, kmax + 1):
+        part = series_mul(part, f[1:], n - k)
+        tail[k] = part.sum()
+    err = 0.0
+    if kernel.level_cap < n:
+        # mass lumped into the overflow state may have been denied zero visits
+        u = np.ones(n)
+        for t in range(1, n):
+            u[t] = f[1 : t + 1] @ u[t - 1 :: -1]
+        err = float(u @ over[n:0:-1])
+    return TailTable(n, np.minimum(tail, 1.0), Provenance.DP, err)
 
 
 def tau_pmf(law, order):

@@ -16,6 +16,7 @@ from recordwalk import (
     tau_pmf,
 )
 from recordwalk.laws import Orientation
+from recordwalk.oracle import _first_returns
 from recordwalk.series import series_mul
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
@@ -167,6 +168,8 @@ class TestExactDistribution:
                     assert table.error_bound == err
                 else:
                     assert table.error_bound <= err + 1e-15
+                    # the overflow mass at step n itself, not a looser bound
+                    assert abs(table.error_bound - err) <= 1e-15 + 1e-13 * err
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_capped_error_bound_is_a_bound(self, law):
@@ -179,6 +182,28 @@ class TestExactDistribution:
                 table = exact_An_distribution(kernel, n)
                 assert np.max(np.abs(table.tail - exact)) <= (
                     table.error_bound + 1e-14)
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_chain_first_returns_match_the_series(self, law):
+        # the DP's return times come from the kernel, the renewal oracle's
+        # from the series of f0: the two oracles agree only if these do
+        n = 200
+        f, _ = _first_returns(build_kernel(law, n), n)
+        tau = tau_pmf(law, n).coeffs
+        assert len(f) == len(tau) == n + 1
+        assert np.all(f >= 0.0)
+        assert np.all(np.abs(f - tau) <= 1e-13 * tau)
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_deep_tails_keep_relative_accuracy(self, law):
+        n = 400
+        tail = exact_An_distribution(build_kernel(law, n), n).tail
+        ref = renewal_tail_table(law, n).tail
+        assert np.all(ref > 0.0)
+        assert np.all(np.abs(tail - ref) <= 1e-13 * ref)
+        # A_n = n: every step a return at the first step
+        expected = tau_pmf(law, 1).coeffs[1] ** n
+        assert abs(tail[n] - expected) <= 1e-13 * expected
 
     def test_kmax_check(self):
         with pytest.raises(ValueError, match="kmax"):
