@@ -15,7 +15,6 @@ from .laws import (  # noqa: F401
 from .series import SeriesPoly  # noqa: F401
 from .fixed_point import (  # noqa: F401
     f0_series,
-    h_deriv,
     h_series,
     solve_h,
 )

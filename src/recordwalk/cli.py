@@ -38,6 +38,14 @@ _nonnegative_int = functools.partial(_int_at_least, 0)
 _positive_int = functools.partial(_int_at_least, 1)
 
 
+def _seed(text):
+    """A Philox key: an int with 0 <= seed < 2**128."""
+    value = _nonnegative_int(text)
+    if value >= 2**128:
+        raise argparse.ArgumentTypeError(f"must be < 2**128, got {value}")
+    return value
+
+
 def _record_density(text):
     """A finite record density 0 < x <= 1 whose slope 1/x is finite."""
     try:
@@ -74,9 +82,7 @@ def cmd_rate(law, args):
 
 def cmd_mdp(law, args):
     method = "numeric" if args.numeric else "auto"
-    payload = dataclasses.asdict(rates.mdp_constants(law, method=method))
-    del payload["orientation"]  # the law's own, which meta's hash names
-    return payload
+    return dataclasses.asdict(rates.mdp_constants(law, method=method))
 
 
 def cmd_oracle(law, args):
@@ -184,7 +190,7 @@ def build_parser():
     p = command("simulate", cmd_simulate, "Monte Carlo tail estimates")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--kmax", type=_nonnegative_int)
     p.add_argument("--workers", type=_positive_int, default=1)
 
@@ -201,10 +207,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        with open(args.law) as fh:
+        with open(args.law, "rb") as fh:
             law = IncrementLaw.from_json(fh.read())
         payload = args.func(law, args)
-    except (LawValidationError, FileNotFoundError,
+    except (LawValidationError, OSError,
             montecarlo.TooFewPathsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ reciprocal to half the order, and their middle product.
 from __future__ import annotations
 
 import math
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +26,6 @@ from .laws import Orientation
 from .series import SeriesPoly, series_mul, series_reciprocal
 
 RESIDUAL_TOL = 1e-13
-NEAR_SINGULAR = 1e-12
 U_MAX = 750.0  # |log(h/w)| beyond which h or w is 0 in double precision
 
 
@@ -200,19 +198,6 @@ def _bisect_logit_array(f, n):
     return _logistic_hw(mid)
 
 
-def h_deriv(law, s):
-    """h'(s) = phi(h)/(1 - s*phi'(h)) for s in (0, 1)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s = {s!r} outside (0, 1)")
-    phi, denom = _phi_and_slope_gap(law, s)
-    if denom < NEAR_SINGULAR:
-        warnings.warn(
-            f"h'(s) near-singular at s={s!r}: 1 - s*phi'(h) = {denom!r}",
-            RuntimeWarning,
-        )
-    return float(phi / denom)
-
-
 def h_series(law, order):
     """Coefficients of h through s^order.
 
@@ -259,12 +244,8 @@ def f0_series(law, order):
 
 
 def one_minus_s_phi_prime_h(law, s):
-    """1 - s*phi'(h(s)) = (D + h*D')/(D + h), without cancellation."""
-    return float(_phi_and_slope_gap(law, s)[1])
-
-
-def _phi_and_slope_gap(law, s):
-    """(phi(h), 1 - s*phi'(h)) at h = h(s), from the gaps at h and w."""
+    """1 - s*phi'(h(s)) = (D + h*D')/(D + h), without cancellation, from
+    the gaps at h and w = 1 - h."""
     h, w = solve_hw(law, s)
     d, dp, _, _ = law.gaps(h, w)
-    return d + h, (d + h * dp) / (d + h)
+    return float((d + h * dp) / (d + h))

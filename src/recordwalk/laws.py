@@ -71,6 +71,8 @@ class IncrementLaw:
         orientation = Orientation(orientation)
         p = tuple(float(v) for v in p)
         q = float(q)
+        if not all(map(math.isfinite, (q, *p))):
+            raise LawValidationError("q and every p_n must be finite")
         if q <= 0.0:
             raise LawValidationError("q must be positive")
         if any(v < 0.0 for v in p):
@@ -302,11 +304,20 @@ class IncrementLaw:
 
     @staticmethod
     def from_dict(d):
-        spec = d["spec"]
-        if spec["type"] == "explicit":
-            return IncrementLaw.explicit(d["orientation"], spec["q"], spec["p"])
-        if spec["type"] == "stable":
-            return IncrementLaw.stable(d["orientation"], spec["gamma"], spec["beta"])
+        """The law of a to_dict mapping; a missing key, a value of the wrong
+        type or an unknown orientation raises LawValidationError."""
+        try:
+            spec, orientation = d["spec"], Orientation(d["orientation"])
+            if spec["type"] == "explicit":
+                return IncrementLaw.explicit(orientation, spec["q"], spec["p"])
+            if spec["type"] == "stable":
+                return IncrementLaw.stable(orientation, spec["gamma"],
+                                           spec["beta"])
+        except LawValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LawValidationError(
+                f"malformed law: {type(exc).__name__}: {exc}") from exc
         raise LawValidationError(f"unknown law spec type {spec['type']!r}")
 
     def to_json(self):
@@ -314,7 +325,11 @@ class IncrementLaw:
 
     @staticmethod
     def from_json(text):
-        return IncrementLaw.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except ValueError as exc:
+            raise LawValidationError(f"law is not JSON: {exc}") from exc
+        return IncrementLaw.from_dict(d)
 
     def sha256(self):
         return hashlib.sha256(self.to_json().encode()).hexdigest()

@@ -6,24 +6,21 @@ independent routes evaluate it:
 
 * the DP: the first-return law of the reflected chain itself, one
   vector-matrix product per step with level 0 taboo, then one truncated
-  convolution per count.  It is exact once the level cap reaches the
-  horizon: a right-continuous chain falls at most one level per step, so
-  levels above n cannot return to 0 within n steps, and a left-continuous
-  chain rises at most one level per step, so it never reaches them;
+  convolution per count;
 * the renewal sum over return times whose p.m.f. is the series of f0, by
   baby and giant steps (Paterson and Stockmeyer): one matrix-vector product
   per giant step.
 
 Every term on both routes is nonnegative, and both are exact for both
 families.  For level cap L the kernel reads p_0..p_L from
-law.jump_pmf(L + 1) and the jump tails T_j from law.jump_tails(L + 1), and
-sums no jump probabilities: a right-continuous chain at level i sends the
-jumps that leave the capped levels, mass T_(L+1-i), to the overflow state,
-and a left-continuous chain, whose level never exceeds the cap, lands those
-of size i or more, mass T_i, on 0.  The renewal route takes tau_pmf of the
-law itself, so a stable law's series come from its exact generating
-function.  The DP's error bound is the mass in the overflow state at step n
-when the level cap is below the horizon, and 0 otherwise.
+law.jump_pmf(L + 1) and sums no jump probabilities.  It keeps only the
+moves that can return to 0 within L steps: a right-continuous chain falls
+at most one level per step, so it drops the jumps above the cap, and a
+left-continuous chain rises at most one level per step, so it drops the
+step up from the cap, and lands the jumps of size i or more from level i,
+mass T_i from law.jump_tails(L), on 0.  The DP therefore needs L >= n.
+The renewal route takes tau_pmf of the law itself, so a stable law's
+series come from its exact generating function.
 """
 
 from __future__ import annotations
@@ -47,20 +44,12 @@ class Provenance(str, Enum):
 
 @dataclass(frozen=True)
 class ChainKernel:
-    """Reflected-chain transition matrix on levels 0..level_cap.
+    """Substochastic reflected-chain transition matrix on levels
+    0..level_cap, without the moves that cannot return to 0 within
+    level_cap steps."""
 
-    Index level_cap+1 is an absorbing overflow state collecting mass that
-    jumps above the cap.  When level_cap >= the horizon, overflow states can
-    never contribute another zero visit, so the lumping is exact.
-    """
-
-    orientation: Orientation
     level_cap: int
     matrix: np.ndarray
-
-    @property
-    def overflow_index(self):
-        return self.level_cap + 1
 
 
 @dataclass(frozen=True)
@@ -87,25 +76,25 @@ def build_kernel(law, level_cap):
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
     L = level_cap
-    q, p, t = law.q, law.jump_pmf(L + 1), law.jump_tails(L + 1)
-    K = np.zeros((L + 2, L + 2))
-    K[L + 1, L + 1] = 1.0  # overflow absorbs
+    q, p = law.q, law.jump_pmf(L + 1)
+    K = np.zeros((L + 1, L + 1))
     if law.orientation is Orientation.RIGHT:
-        # From i: up k with p_k while i + k <= L, above the cap with
-        # T_(L+1-i), down one with q (from 0: stay).
+        # From i: up k with p_k while i + k <= L, down one with q (from 0:
+        # stay); a jump above the cap cannot fall back to 0 in L steps.
         for i in range(L + 1):
             row = p[: L + 1 - i]
             K[i, i : i + len(row)] = row
             K[i, max(i - 1, 0)] += q
-            K[i, L + 1] = t[L + 1 - i]
     else:
-        # From i: to 0 with T_i, to 0 < j <= i with p_(i-j), up one with q.
+        # From i: to 0 with T_i, to 0 < j <= i with p_(i-j), up one with q
+        # below the cap; the chain reaches the cap at step L at the soonest.
+        t = law.jump_tails(L)
         for i in range(L + 1):
             row = p[:i][::-1]
             K[i, i + 1 - len(row) : i + 1] = row
             K[i, 0] = t[i]
-            K[i, i + 1] = q
-    return ChainKernel(law.orientation, L, K)
+        K[np.arange(L), np.arange(1, L + 1)] = q
+    return ChainKernel(L, K)
 
 
 def _horizon(n, kmax):
@@ -123,18 +112,16 @@ def _first_returns(kernel, n):
     """First-return law of the kernel's chain from level 0, for steps 0..n.
 
     One vector-matrix product per step over the whole kernel, with level 0
-    taboo: f[t] is P(first return to 0 at step t) and over[t] is
-    P(in the overflow state at step t, no return to 0 in 1..t).
+    taboo: f[t] is P(first return to 0 at step t).
     """
     K = kernel.matrix
-    f, over = np.zeros(n + 1), np.zeros(n + 1)
+    f = np.zeros(n + 1)
     v = np.zeros(len(K))
     v[0] = 1.0
     for t in range(1, n + 1):
         v = v @ K
         f[t], v[0] = v[0], 0.0
-        over[t] = v[kernel.overflow_index]
-    return f, over
+    return f
 
 
 def exact_An_distribution(kernel, n, kmax=None):
@@ -145,9 +132,8 @@ def exact_An_distribution(kernel, n, kmax=None):
     _first_returns gives their p.m.f. f, and row k sums g^k through
     s^(n-k), g = f/s, built by one more truncated product with g per row:
     n vector-matrix products plus kmax convolutions, every term
-    nonnegative.  With level_cap < n the error bound is the mass in the
-    overflow state at step n, sum_s u_s * over[n - s], with the return
-    probabilities u_t = sum_j f_j u_(t-j) as direct dot products.
+    nonnegative.  The kernel's level cap must reach n, and the error bound
+    is 0.
 
     The renewal oracle shares only the renewal identity with this route:
     here the return times come from the kernel (jump_pmf and jump_tails),
@@ -155,20 +141,16 @@ def exact_An_distribution(kernel, n, kmax=None):
     not baby and giant steps.
     """
     kmax = _horizon(n, kmax)
-    f, over = _first_returns(kernel, n)
+    if kernel.level_cap < n:
+        raise ValueError(
+            f"level cap {kernel.level_cap} is below the horizon n = {n}")
+    f = _first_returns(kernel, n)
     tail = np.ones(kmax + 1)
     part = np.ones(1)
     for k in range(1, kmax + 1):
         part = series_mul(part, f[1:], n - k)
         tail[k] = part.sum()
-    err = 0.0
-    if kernel.level_cap < n:
-        # mass lumped into the overflow state may have been denied zero visits
-        u = np.ones(n)
-        for t in range(1, n):
-            u[t] = f[1 : t + 1] @ u[t - 1 :: -1]
-        err = float(u @ over[n:0:-1])
-    return TailTable(n, np.minimum(tail, 1.0), Provenance.DP, err)
+    return TailTable(n, np.minimum(tail, 1.0), Provenance.DP, 0.0)
 
 
 def tau_pmf(law, order):

@@ -48,7 +48,6 @@ class MdpConstants:
     scaling_exponents: tuple
     rate_coefficient: float
     rate_exponent: float
-    orientation: Orientation
     uncertainty: float = 0.0
 
 
@@ -183,9 +182,7 @@ def _fill_mdp(law, alpha, c, regime, uncertainty=0.0):
             1.0 / (1.0 - alpha)
         )
         exponent = 1.0 / (1.0 - alpha)
-    return MdpConstants(
-        alpha, c, regime, scaling, coeff, exponent, law.orientation, uncertainty
-    )
+    return MdpConstants(alpha, c, regime, scaling, coeff, exponent, uncertainty)
 
 
 def mdp_constants(law, method="auto"):

@@ -303,6 +303,23 @@ def test_nonpositive_count_is_usage_error(capsys, argv, flag):
     assert f"{flag}: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_out_of_range_seed_is_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--law", SYM_PATH, "--n", "6", "--paths", "1000",
+              "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed: must be" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:.*below 10/paths")
+def test_largest_seed_is_accepted(capsys):
+    code, out = run_cli(capsys, "simulate", "--law", SYM_PATH, "--n", "6",
+                        "--paths", "1000", "--seed", str(2**128 - 1))
+    assert code == 0
+    assert f"# seed={2**128 - 1}" in out
+
+
 def test_too_few_paths_is_usage_error(capsys):
     # empirical_tail owns the 10^3 rule; main maps its typed error to 2
     code = main(["simulate", "--law", SYM_PATH, "--n", "6", "--paths", "500",
@@ -370,3 +387,28 @@ class TestErrors:
             '"q": 0.5, "p": [0.1, 0.4]}}'
         )
         assert main(["rate", "--law", str(bad), "--x", "0.5"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        b'{"orientation": "right", "spec": {"type": "explicit", '
+        b'"q": NaN, "p": [0.0, 0.5]}}',
+        b'{"orientation": "right", "spec": {"type": "explicit", '
+        b'"q": 0.5, "p": [0.0, NaN]}}',
+        b'{"orientation": "right"}',
+        b'{"orientation": "right", "spec": {"type": "explicit", '
+        b'"q": 0.5, "p": 5}}',
+        b'[{"orientation": "right"}]',
+        b'{"orientation": "up", "spec": {"type": "explicit", '
+        b'"q": 0.5, "p": [0.0, 0.5]}}',
+        b'[tool]\nname = "not json"\n',
+        b'\xff\xfe\x00 not text',
+    ], ids=["q-nan", "p-nan", "no-spec", "p-scalar", "top-level-list",
+            "bad-orientation", "not-json", "not-utf8"])
+    def test_malformed_law_file(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main(["rate", "--law", str(bad), "--x", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_as_law(self, tmp_path, capsys):
+        assert main(["rate", "--law", str(tmp_path), "--x", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -13,12 +13,12 @@ from recordwalk import (
     IncrementLaw,
     bundled_law_path,
     f0_series,
-    h_deriv,
     h_series,
     run_suite,
     solve_h,
     truncated_explicit,
 )
+from recordwalk.fixed_point import one_minus_s_phi_prime_h
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
@@ -74,6 +74,11 @@ class TestSolveH:
         for s in np.linspace(1e-6, 1.0 - 1e-10, 200):
             h = solve_h(law, float(s))
             assert abs(s * law.phi(h) - h) <= 1e-13
+
+
+def h_deriv(law, s):
+    """h'(s) = phi(h)/(1 - s*phi'(h)), from differentiating h = s*phi(h)."""
+    return law.phi(solve_h(law, s)) / one_minus_s_phi_prime_h(law, s)
 
 
 class TestHDeriv:

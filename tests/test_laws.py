@@ -80,6 +80,13 @@ class TestExplicitFactory:
         with pytest.raises(LawValidationError):
             IncrementLaw.explicit("right", 0.5, [0.0, 0.4])
 
+    @pytest.mark.parametrize("q, p", [(math.nan, [0.0, 0.5]),
+                                      (0.5, [0.0, math.nan]),
+                                      (0.5, [math.inf, 0.5])])
+    def test_rejects_non_finite(self, q, p):
+        with pytest.raises(LawValidationError, match="finite"):
+            IncrementLaw.explicit("right", q, p)
+
     def test_rejects_noncritical(self):
         # mass is 1 but sum n*p_n = 0.4 != q = 0.5
         with pytest.raises(LawValidationError):

@@ -30,12 +30,18 @@ ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE, STABLE_LEFT]
 
 def _dense_dp(kernel, n, kmax=None):
     """Reference for exact_An_distribution: the whole (kmax+1) x (L+2)
-    state times the whole kernel at every step.  Returns (tail, error_bound).
+    state times the whole kernel at every step.  The kernel gains an
+    absorbing state L+1 that keeps the moves it drops, 1 - row sum, with
+    their counts.
     """
     if kmax is None:
         kmax = n
     kmax = min(kmax, n)
-    K = kernel.matrix
+    size = kernel.level_cap + 2
+    K = np.zeros((size, size))
+    K[:-1, :-1] = kernel.matrix
+    K[:-1, -1] = 1.0 - kernel.matrix.sum(axis=1)
+    K[-1, -1] = 1.0
     dist = np.zeros((kmax + 1, K.shape[0]))
     dist[0, 0] = 1.0
     for _ in range(n):
@@ -45,11 +51,7 @@ def _dense_dp(kernel, n, kmax=None):
         nxt[1:, 0] = landed[:-1, 0]
         nxt[kmax, 0] += landed[kmax, 0]
         dist = nxt
-    tail = np.minimum(1.0, np.cumsum(dist.sum(axis=1)[::-1])[::-1])
-    err = 0.0
-    if kernel.level_cap < n:
-        err = float(dist[:, kernel.overflow_index].sum())
-    return tail, err
+    return np.minimum(1.0, np.cumsum(dist.sum(axis=1)[::-1])[::-1])
 
 
 def _full_convolution_renewal(f, n, kmax):
@@ -79,27 +81,37 @@ def _successive_convolution_renewal(f, n, kmax):
     return mass
 
 
+def _dropped(law, cap):
+    """The mass each row of build_kernel(law, cap) drops: a right row i its
+    jumps above the cap, T_(L+1-i); a left row its step up from the cap."""
+    if law.orientation is Orientation.RIGHT:
+        return law.jump_tails(cap + 1)[:0:-1]
+    return np.r_[np.zeros(cap), law.q]
+
+
 class TestKernel:
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_rows_are_stochastic(self, law):
+        # each row with the moves the kernel drops added back
         K = build_kernel(law, 12).matrix
-        assert np.allclose(K.sum(axis=1), 1.0, atol=1e-12)
+        assert K.shape == (13, 13)
+        assert np.allclose(K.sum(axis=1) + _dropped(law, 12), 1.0,
+                           atol=1e-12)
         assert np.all(K >= 0.0)
 
     @pytest.mark.parametrize("side", ["right", "left"])
     @pytest.mark.parametrize("cap", [1, 2])
     def test_rows_below_the_support(self, side, cap):
-        # ASYM's support {0, 1, 2} reaches past caps 1 and 2: the jumps
-        # that leave the capped levels carry the jump tails T_j
+        # ASYM's support {0, 1, 2} reaches past caps 1 and 2: a right
+        # row drops the jumps above the cap, mass T_(L+1-i), and a left
+        # row lands the jumps of size i or more on 0, mass T_i
         law = IncrementLaw.explicit(side, ASYM.q, ASYM.p)
         K = build_kernel(law, cap).matrix
         t = law.jump_tails(cap + 1)
-        assert np.allclose(K.sum(axis=1), 1.0, atol=1e-15)
-        for i in range(cap + 1):
-            if side == "right":
-                assert K[i, cap + 1] == t[cap + 1 - i]
-            else:
-                assert K[i, 0] == t[i]
+        assert np.allclose(K.sum(axis=1), 1.0 - _dropped(law, cap),
+                           atol=1e-15)
+        if side == "left":
+            assert np.all(K[:, 0] == t[: cap + 1])
 
     def test_symmetric_right_rows(self):
         K = build_kernel(SYM, 4).matrix
@@ -116,13 +128,6 @@ class TestKernel:
         assert K[2, 2] == pytest.approx(0.35)
         assert K[2, 1] == pytest.approx(0.1)
         assert K[2, 0] == pytest.approx(0.15)
-
-    def test_overflow_absorbs(self):
-        kernel = build_kernel(SYM, 3)
-        K = kernel.matrix
-        i = kernel.overflow_index
-        assert K[i, i] == 1.0
-        assert K[3, i] == 0.5  # level 3 jumping above the cap
 
     def test_cap_check(self):
         with pytest.raises(ValueError):
@@ -148,47 +153,32 @@ class TestExactDistribution:
         capped = exact_An_distribution(build_kernel(SYM, 12), 12, kmax=4)
         assert np.allclose(full.tail[:5], capped.tail, atol=1e-15)
 
-    def test_short_cap_reports_error(self):
-        table = exact_An_distribution(build_kernel(SYM, 5), 30)
-        assert table.error_bound > 0.0
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_cap_below_the_horizon_is_an_error(self, law):
+        for n, cap in ((12, 3), (30, 29), (2, 1)):
+            with pytest.raises(ValueError, match="level cap"):
+                exact_An_distribution(build_kernel(law, cap), n)
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_matches_dense_reference(self, law, n):
-        for cap in sorted({n, max(1, n // 3)}):
+        for cap in (n, n + 3):
             kernel = build_kernel(law, cap)
             for kmax in (None, 0, 3):
                 table = exact_An_distribution(kernel, n, kmax)
-                tail, err = _dense_dp(kernel, n, kmax)
+                tail = _dense_dp(kernel, n, kmax)
                 assert table.tail[0] == 1.0
                 assert table.tail.shape == tail.shape
                 assert np.all(tail > 0.0)
                 assert np.all(np.abs(table.tail - tail) <= 1e-14 * tail)
-                if cap >= n:
-                    assert table.error_bound == err
-                else:
-                    assert table.error_bound <= err + 1e-15
-                    # the overflow mass at step n itself, not a looser bound
-                    assert abs(table.error_bound - err) <= 1e-15 + 1e-13 * err
-
-    @pytest.mark.parametrize("law", ALL_LAWS)
-    def test_capped_error_bound_is_a_bound(self, law):
-        for n in (12, 30, 60):
-            exact = exact_An_distribution(build_kernel(law, n), n).tail
-            for cap in (1, 3, 5, 10, 25):
-                if cap >= n:
-                    continue
-                kernel = build_kernel(law, cap)
-                table = exact_An_distribution(kernel, n)
-                assert np.max(np.abs(table.tail - exact)) <= (
-                    table.error_bound + 1e-14)
+                assert table.error_bound == 0.0
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_chain_first_returns_match_the_series(self, law):
         # the DP's return times come from the kernel, the renewal oracle's
         # from the series of f0: the two oracles agree only if these do
         n = 200
-        f, _ = _first_returns(build_kernel(law, n), n)
+        f = _first_returns(build_kernel(law, n), n)
         tau = tau_pmf(law, n).coeffs
         assert len(f) == len(tau) == n + 1
         assert np.all(f >= 0.0)
@@ -377,4 +367,3 @@ def test_error_bound_is_zero_once_the_cap_reaches_n(law):
     for n, cap in ((12, 12), (12, 30), (1, 1)):
         table = exact_An_distribution(build_kernel(law, cap), n)
         assert table.error_bound == 0.0
-    assert exact_An_distribution(build_kernel(law, 3), 12).error_bound > 0.0
