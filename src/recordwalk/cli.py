@@ -62,7 +62,7 @@ def _density_grid(spec):
     """An a:b:n grid of record densities, each checked as --x is."""
     try:
         a, b, num = spec.split(":")
-        grid = np.linspace(float(a), float(b), int(num))
+        grid = np.linspace(float(a), float(b), _positive_int(num))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid grid {spec!r}; want a:b:n")
     return [_record_density(x) for x in grid]

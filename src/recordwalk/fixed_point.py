@@ -2,10 +2,11 @@
 
 h(s) is the generating function of the descending first-passage time of the
 reflected chain; everything downstream (return-time law, cumulants, rate
-functions) is built from it.  solve_hw finds h and w = 1 - h together at
-every s in (0, 1) by one root search in u = log(h/w) (bisect_logit) and one
+functions) is built from it.  solve_hw finds h and w = 1 - h together at a
+float s in (0, 1) by one root search in u = log(h/w) (bisect_logit) and one
 Newton step, so that both keep their relative precision as s -> 0 and as
-s -> 1.  bisect_logit is the ITP method on log forms of the equation: it
+s -> 1; a sweep over the curve needs no solve, since s = h/phi(h).
+bisect_logit is the ITP method on log forms of the equation: it
 stops where bisection stops, when the bracket ends are adjacent doubles,
 takes at most one step more than bisection, and on these smooth functions
 about 11 instead of about 60.  The coefficients of h come from series
@@ -18,7 +19,6 @@ reciprocal to half the order, and their middle product.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,14 +34,10 @@ class ConvergenceError(RuntimeError):
 
 
 def solve_h(law, s):
-    """Minimal root in [0, 1] of x = s*phi(x).
+    """Minimal root in [0, 1] of x = s*phi(x), for a float s.
 
     For s < 1 the root in [0, 1) is unique under criticality: g(x) =
     s*phi(x) - x has g(0) = s*q > 0, g(1) = s - 1 <= 0 and phi is convex.
-
-    s may be a float or a numpy array; an array is solved in one vectorised
-    pass that runs the scalar algorithm on every element, with the same
-    result bit for bit.
     """
     return solve_hw(law, s)[0]
 
@@ -61,93 +57,54 @@ def solve_hw(law, s):
 def _solve_hw(law, s, t):
     """solve_hw with t = 1 - s handed in, for callers that know it to more
     relative precision than 1.0 - s (cumulant has -expm1(lambda))."""
-    s_all = np.asarray(s, dtype=float)
-    outside = s_all[~((0.0 <= s_all) & (s_all <= 1.0))]
-    if outside.size:
-        raise ValueError(f"s = {float(outside[0])!r} outside [0, 1]")
-    if s_all.ndim:
-        h = (t == 0.0).astype(float)  # s = 0 and s = 1 are their own roots
-        w = 1.0 - h
-        inner = (s_all > 0.0) & (t > 0.0)
-        s, t = s_all[inner], t[inner]
-        # log(t*h) - log(s*D), with D first: in a long sweep no other
-        # array is alive while the gap runs
-        h[inner], w[inner] = _polish(law, s, t, *_bisect_logit_array(
-            lambda h, w, i: -np.log(law.gap(h, w) * s[i]) + np.log(t[i] * h),
-            s.size))
-        _check_residual(law, s, h[inner])
-        return h, w
     s, t = float(s), float(t)
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s = {s!r} outside [0, 1]")
     if s == 0.0 or t == 0.0:
         return (0.0, 1.0) if s == 0.0 else (1.0, 0.0)
-    h, w = map(float, _polish(law, s, t, *bisect_logit(
-        lambda h, w: -np.log(law.gap(h, w) * s) + np.log(t * h), 0.0)))
-    _check_residual(law, s, h)
-    return h, w
-
-
-def _polish(law, s, t, h, w):
-    """One Newton step on t*h - s*D = 0 in the smaller of h and w; its
-    derivative is t + s*D' in h and minus that in w."""
+    h, w = bisect_logit(
+        lambda h, w: -np.log(law.gap(h, w) * s) + np.log(t * h), 0.0)
+    # one Newton step on t*h - s*D = 0 in the smaller of h and w; its
+    # derivative is t + s*D' in h and minus that in w
     d, dp, _, _ = law.gaps(h, w)
     step = (t * h - s * d) / (t + s * dp)
-    return np.where(h < w, h - step, h), np.where(h < w, w, w + step)
-
-
-def _check_residual(law, s, h):
-    res = np.ravel(s * law.phi(h) - h)
-    over = np.flatnonzero(np.abs(res) > RESIDUAL_TOL)
-    if over.size:
-        i = over[0]
+    h, w = (float(h - step), w) if h < w else (h, float(w + step))
+    if abs(res := float(s * law.phi(h) - h)) > RESIDUAL_TOL:
         raise ConvergenceError(
-            f"fixed-point residual {float(res[i])!r} exceeds {RESIDUAL_TOL} "
-            f"at s={float(np.ravel(s)[i])!r}"
-        )
+            f"fixed-point residual {res!r} exceeds {RESIDUAL_TOL} at s={s!r}")
+    return h, w
 
 
 def _logistic_hw(u):
     """(h, w) with log(h/w) = u and h + w = 1, each to full relative
-    precision; u a float or an array.  Both take np.exp, so that they give
-    the same bits."""
-    t = np.exp(-abs(u))
-    if isinstance(u, float):
-        t = float(t)
-        small, big = t / (1.0 + t), 1.0 / (1.0 + t)
-        return (small, big) if u < 0.0 else (big, small)
+    precision."""
+    t = float(np.exp(-abs(u)))
     small, big = t / (1.0 + t), 1.0 / (1.0 + t)
-    return np.where(u < 0.0, small, big), np.where(u < 0.0, big, small)
+    return (small, big) if u < 0.0 else (big, small)
 
 
 # ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) on [-U_MAX, U_MAX] with
 # k1 = 0.2/(2*U_MAX), k2 = 2 and n0 = 1: at most one step more than bisection
 ITP_K1 = 0.2 / (2.0 * U_MAX)
-_FLOAT_OPS = SimpleNamespace(
-    where=lambda c, a, b: a if c else b, maximum=max, ulp=math.ulp,
-    copysign=math.copysign, isfinite=math.isfinite)
-_ARRAY_OPS = SimpleNamespace(
-    where=np.where, maximum=np.maximum, ulp=np.spacing,
-    copysign=np.copysign, isfinite=np.isfinite)
 
 
-def _itp_point(lo, mid, hi, ylo, yhi, j, ops):
+def _itp_point(lo, mid, hi, ylo, yhi, j):
     """Step j of ITP in the bracket (lo, hi) with midpoint mid, where
     y = f - target is ylo < 0 and yhi >= 0: regula falsi, truncated towards
     mid by k1*width^2 (at least an ulp of the larger end, so that the
     bracket can close at ulp scale), then projected within
     2*U_MAX*2^-j - width/2 of mid.  mid itself while an end value is
     unknown (nan) or not finite, or when the point falls outside the open
-    bracket.  ops holds the float or the array forms of the same
-    arithmetic."""
+    bracket."""
     width = hi - lo
-    delta = ops.maximum(ITP_K1 * width * width,
-                        ops.ulp(ops.maximum(abs(lo), abs(hi))))
+    delta = max(ITP_K1 * width * width, math.ulp(max(abs(lo), abs(hi))))
     x = (yhi * lo - ylo * hi) / (yhi - ylo)
     d = mid - x
-    x = ops.where(delta <= abs(d), x + ops.copysign(delta, d), mid)
+    x = x + math.copysign(delta, d) if delta <= abs(d) else mid
     r = 2.0 * U_MAX * 2.0 ** -j - 0.5 * width
-    x = ops.where(abs(x - mid) <= r, x, mid - ops.copysign(r, d))
-    return ops.where(ops.isfinite(ylo) & ops.isfinite(yhi) & (lo < x)
-                     & (x < hi), x, mid)
+    x = x if abs(x - mid) <= r else mid - math.copysign(r, d)
+    finite = math.isfinite(ylo) and math.isfinite(yhi)
+    return x if finite and lo < x < hi else mid
 
 
 def bisect_logit(f, target):
@@ -163,38 +120,12 @@ def bisect_logit(f, target):
     lo, hi, ylo, yhi, j = -U_MAX, U_MAX, math.nan, math.nan, 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            x = _itp_point(lo, mid, hi, ylo, yhi, j, _FLOAT_OPS)
+            x = _itp_point(lo, mid, hi, ylo, yhi, j)
             if (y := float(f(*_logistic_hw(x))) - target) < 0.0:
                 lo, ylo = x, y
             else:
                 hi, yhi = x, y
             j += 1
-    return _logistic_hw(mid)
-
-
-def _bisect_logit_array(f, n):
-    """bisect_logit on n elements with target 0, step for step: f(h, w, i)
-    maps arrays (h, w) at the indices i to an array that crosses 0
-    elementwise.  Only elements whose bracket ends are not yet adjacent are
-    evaluated; the rest keep their mid."""
-    lo, hi = np.full(n, -U_MAX), np.full(n, U_MAX)
-    ylo, yhi = np.full(n, np.nan), np.full(n, np.nan)
-    mid, i, j, x = np.zeros(n), np.arange(n), 0, np.zeros(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while i.size:  # x holds the midpoints of the brackets
-            x = _itp_point(lo, x, hi, ylo, yhi, j, _ARRAY_OPS)
-            y = f(*_logistic_hw(x), i)
-            up = y < 0.0
-            np.copyto(lo, x, where=up)
-            np.copyto(ylo, y, where=up)
-            np.copyto(hi, x, where=~up)
-            np.copyto(yhi, y, where=~up)
-            del y  # freed before f runs again, on up to 2e4 points
-            j, x = j + 1, 0.5 * (lo + hi)
-            if not (live := (lo < x) & (x < hi)).all():
-                mid[i] = x
-                i, lo, hi, x = i[live], lo[live], hi[live], x[live]
-                ylo, yhi = ylo[live], yhi[live]
     return _logistic_hw(mid)
 
 

@@ -9,13 +9,15 @@ Every quantity is explicit in the fixed point h, since e^lambda = h/phi(h).
 The curve is evaluated at h and w = 1 - h together, from the law's gaps
 (IncrementLaw.gaps), so that no formula subtracts nearly equal numbers as
 h -> 0 (lambda -> -inf) or w -> 0 (lambda -> 0).  cumulant and
-cumulant_deriv solve for h and w once at s = e^lambda, with 1 - s =
--expm1(lambda) handed to the solver so that it keeps its relative precision
-as lambda -> 0.  invert_slope, legendre and rate_point solve for no fixed
-point: they find Lambda' = x in u = log(h/w) by ITP (bisect_logit) on
-log(Lambda' - 1) against log(x - 1), with the bracket of bisection and
-about 11 curve evaluations instead of about 60; the log of the excess keeps
-lambda to full precision as x -> 1.
+cumulant_deriv take a float lambda and solve for h and w once at
+s = e^lambda, with 1 - s = -expm1(lambda) handed to the solver so that it
+keeps its relative precision as lambda -> 0.  invert_slope, legendre and
+rate_point solve for no fixed point: they find Lambda' = x in u = log(h/w)
+by ITP (bisect_logit) on log(Lambda' - 1) against log(x - 1), with the
+bracket of bisection and about 11 curve evaluations instead of about 60;
+the log of the excess keeps lambda to full precision as x -> 1.  _curve
+also takes arrays of h and w, so a sweep (the legendre verify suite) reads
+many points of the curve at once, again with no solve.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _boundary_log(law):
 
 
 def _curve(law, h, w, lam=None):
-    """(lambda, Lambda, Lambda' - 1) at the point h = 1 - w of the curve.
+    """(lambda, Lambda, Lambda' - 1) on the curve at h = 1 - w (or arrays).
 
     lambda = -log1p(D/h) unless the caller hands in the lambda it has.
     With phi = D + h and A = D + h*D' (so 1 - s*phi'(h) = A/phi):
@@ -89,25 +91,20 @@ def _curve(law, h, w, lam=None):
 
 
 def _at_lambda(law, lam):
-    """_curve at s = e^lambda, for a float or an array of lambda < 0."""
-    if np.any(np.asarray(lam) >= 0.0):
+    """_curve at s = e^lambda, for a float lambda < 0."""
+    if lam >= 0.0:
         raise ValueError("lambda must be negative")
     h, w = _solve_hw(law, np.exp(lam), -np.expm1(lam))
-    out = _curve(law, h, w, lam)
-    return out if np.ndim(lam) else [float(v) for v in out]
+    return [float(v) for v in _curve(law, h, w, lam)]
 
 
 def cumulant(law, lam):
-    """Lambda(lambda) for lambda < 0; nonpositive, increasing.
-
-    lam may be a float or a numpy array; both take the same body.
-    """
+    """Lambda(lambda) for a float lambda < 0; nonpositive, increasing."""
     return _at_lambda(law, lam)[1]
 
 
 def cumulant_deriv(law, lam):
-    """Lambda'(lambda) in (1, inf), strictly increasing; a float or an
-    array, as cumulant."""
+    """Lambda'(lambda) in (1, inf) for a float lambda < 0; increasing."""
     return 1.0 + _at_lambda(law, lam)[2]
 
 

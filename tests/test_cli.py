@@ -68,13 +68,6 @@ class TestRate:
             error = capsys.readouterr().err.splitlines()[-1]
             assert "--x" in error and "--grid" in error
 
-    def test_empty_grid_prints_header_only(self, capsys):
-        code, out = run_cli(capsys, "rate", "--law", SYM_PATH,
-                            "--grid", "0.1:0.5:0")
-        assert code == 0
-        _, header, rows = parse_csv(out)
-        assert header[0] == "x" and rows == []
-
     @pytest.mark.parametrize("x", ["1e-320", "0", "1.5", "nan"])
     def test_density_out_of_range_is_usage_error(self, capsys, x):
         with pytest.raises(SystemExit) as exc:
@@ -295,12 +288,16 @@ def test_every_output_carries_meta(capsys, argv):
     (["simulate", "--n", "6", "--paths", "1000", "--seed", "4",
       "--workers", "0"], "--workers"),
     (["series", "--what", "tau", "--order", "0"], "--order"),
+    # a grid of 0 points printed the CSV header alone and exited 0
+    (["rate", "--grid", "0.1:0.9:0"], "--grid"),
 ])
 def test_nonpositive_count_is_usage_error(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--law", SYM_PATH])
     assert exc.value.code == 2
-    assert f"{flag}: must be >= 1" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{flag}: must be >= 1" in err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])

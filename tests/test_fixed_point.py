@@ -18,7 +18,8 @@ from recordwalk import (
     solve_h,
     truncated_explicit,
 )
-from recordwalk.fixed_point import one_minus_s_phi_prime_h
+from recordwalk import fixed_point
+from recordwalk.fixed_point import ConvergenceError, one_minus_s_phi_prime_h
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
@@ -68,6 +69,18 @@ class TestSolveH:
             solve_h(SYM, -0.1)
         with pytest.raises(ValueError):
             solve_h(SYM, 1.1)
+        for law in ALL_LAWS:
+            for bad in (1.5, -1e-300, math.nan):
+                with pytest.raises(ValueError):
+                    solve_h(law, bad)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_residual_check_raises(self, name, monkeypatch):
+        law = bundled_law(name)
+        monkeypatch.setattr(fixed_point, "RESIDUAL_TOL", -1.0)
+        for s in (0.5, 1.0 - 1e-9):
+            with pytest.raises(ConvergenceError):
+                solve_h(law, s)
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_residual_small_everywhere(self, law):

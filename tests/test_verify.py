@@ -1,10 +1,15 @@
 """Verification suites run end to end on the bundled laws."""
 
+import numpy as np
 import pytest
 
-from recordwalk import IncrementLaw, SUITES, bundled_law_path, run_suite
+from recordwalk import (IncrementLaw, SUITES, bundled_law_path, cumulant,
+                        invert_slope, legendre, rates, run_suite)
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
+BUNDLED_LAWS = ["asym.json", "stable_g05_b05.json", "stable_g05_b05_left.json",
+                "sym.json", "sym_left.json"]
+LEGENDRE_SLOPES = (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
 
 
 def test_unknown_suite_rejected():
@@ -51,3 +56,23 @@ def test_checks_hold_python_scalars():
         for c in run_suite(SYM, suite).checks:
             assert type(c.passed) is bool
             assert all(type(v) is float for v in (c.target, c.observed, c.tolerance))
+
+
+@pytest.mark.parametrize("name", BUNDLED_LAWS)
+def test_legendre_grid_lies_on_the_solved_curve(name):
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    # the suite's grid: 20001 points of u = log(h/w) in [-10, 10]
+    u = np.linspace(-10.0, 10.0, 20001)
+    lam, Lam, _ = rates._curve(law, 1.0 / (1.0 + np.exp(-u)),
+                               1.0 / (1.0 + np.exp(u)))
+    # the solve route at the grid's lambda lands on the grid's Lambda
+    # (4.0e-16 relative measured)
+    for i in range(0, u.size, 1000):
+        assert abs(cumulant(law, float(lam[i])) - Lam[i]) <= 1e-14 * abs(
+            Lam[i]), i
+    # each slope's optimum lies strictly inside the grid
+    for x in LEGENDRE_SLOPES:
+        assert lam[0] < invert_slope(law, x) < lam[-1], x
+    max_dev = max(abs(legendre(law, x) - float(np.max(x * lam - Lam)))
+                  for x in LEGENDRE_SLOPES)
+    assert run_suite(law, "legendre").checks[0].observed == max_dev
