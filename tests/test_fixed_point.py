@@ -69,10 +69,6 @@ class TestSolveH:
             solve_h(SYM, -0.1)
         with pytest.raises(ValueError):
             solve_h(SYM, 1.1)
-        for law in ALL_LAWS:
-            for bad in (1.5, -1e-300, math.nan):
-                with pytest.raises(ValueError):
-                    solve_h(law, bad)
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_residual_check_raises(self, name, monkeypatch):
