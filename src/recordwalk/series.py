@@ -6,8 +6,9 @@ np.convolve, never an FFT, so products of nonnegative series keep relative
 accuracy; a truncated product skips the upper half of the full one.
 Reciprocals use Newton doubling, exact through the truncation order after
 ceil(log2(order+1)) steps, each a middle product and a truncated product;
-log W integrates W'/W through one reciprocal; composition is
-Paterson-Stockmeyer.
+log W integrates W'/W through one reciprocal; exp runs its recurrence in
+blocks, one convolution with the history per block, and a lower order's exp
+is a bitwise prefix of a higher one's; composition is Paterson-Stockmeyer.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TRUNC_SPLIT = 1024  # up to this many terms one full np.convolve is as fast
+EXP_BLOCK = 128  # series_exp coefficients per convolution step
 
 
 @dataclass(frozen=True)
@@ -112,21 +114,38 @@ def series_log(w, order):
 
 
 def series_exp(a, order):
-    """exp of a series with zero constant term.
+    """exp of a series with zero constant term: the recurrence
+    m e_m = sum_{j=1..m} j a_j e_{m-j} in blocks of B = EXP_BLOCK.
 
-    e_m = (1/m) * sum_{j=1..m} j a_j e_{m-j}.
+    The first block E is the recurrence itself.  A block X = e[c:c+B]
+    takes its history R_i = sum_{k<c} e_k (ja)_{c+i-k} in one convolution
+    and solves (c + theta) X - (theta A) X = R, theta = s d/ds, as
+    X = E ((R/E)_i / (c + i)), since theta E = (theta A) E.  The input is
+    zero-padded to whole blocks, so every order makes the same products
+    and series_exp(a[:d + 1], d) is bitwise a prefix of series_exp(a, m).
+    Dividing by E and multiplying back cancels where 1/E's coefficients
+    are far larger than E's: as accurate as the one-dot loop on the
+    W^beta series the laws take, less so on an input cut blocks short of
+    the order.
     """
     a = np.asarray(a, dtype=float)[: order + 1]
     if a[0] != 0.0:
         raise ValueError("series must have zero constant term")
-    apad = np.zeros(order + 1)
-    apad[: len(a)] = a
-    ja = np.arange(order + 1) * apad
-    rev = np.zeros(order + 1)  # rev[order - m] = e_m: each dot reads forward
-    rev[order] = 1.0
-    for m in range(1, order + 1):
-        rev[order - m] = np.dot(ja[1 : m + 1], rev[order - m + 1 :]) / m
-    return rev[::-1].copy()
+    B = EXP_BLOCK
+    ja = np.zeros(-(-(order + 1) // B) * B)
+    ja[: len(a)] = np.arange(len(a)) * a
+    e = np.zeros(len(ja))
+    e[0] = 1.0
+    for m in range(1, min(order + 1, B)):
+        e[m] = np.dot(ja[1 : m + 1], e[m - 1 :: -1]) / m
+    if order >= B:
+        first = e[:B]
+        inv = series_reciprocal(first, B - 1)
+        for c in range(B, len(e), B):
+            r = np.convolve(e[:c], ja[1 : c + B], "valid")
+            y = np.convolve(r, inv)[:B] / np.arange(c, c + B)
+            e[c : c + B] = np.convolve(first, y)[:B]
+    return e[: order + 1]
 
 
 def series_compose_val1(outer, inner, order):

@@ -172,11 +172,9 @@ def _suite_tauberian(law):
 def _suite_ldp_trend(law, x_rec=0.5):
     analytic = rates.ldp_rate(law, x_rec)
     ns = (100, 200, 400, 800)
-    rs = []
-    for n in ns:
-        k = math.ceil(x_rec * n)
-        tab = oracle.renewal_tail_table(law, n, kmax=k)
-        rs.append(-math.log(tab.prob_at_least(k)) / n)
+    tau = oracle.tau_pmf(law, ns[-1])  # one series for every horizon
+    rs = [-math.log(oracle.renewal_tail(tau, n, math.ceil(x_rec * n))) / n
+          for n in ns]
     diffs = np.diff(rs)
     toward = bool(np.all(diffs > 0) and rs[-1] < analytic) or bool(
         np.all(diffs < 0) and rs[-1] > analytic

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from recordwalk import IncrementLaw, h_series, truncated_explicit
 from recordwalk.series import (
+    EXP_BLOCK,
     TRUNC_SPLIT,
     SeriesPoly,
     series_compose_val1,
@@ -66,12 +67,13 @@ def _reciprocal_reference(f, order):
     return np.concatenate([r, np.zeros(order + 1 - len(r))])
 
 
-def _exp_reference(a, order):
-    """e_m = (1/m) sum_{j=1..m} j a_j e_{m-j}, reading e backwards."""
-    apad = np.zeros(order + 1)
+def _exp_reference(a, order, dtype=float):
+    """e_m = (1/m) sum_{j=1..m} j a_j e_{m-j}, reading e backwards, one
+    dot per coefficient in the given dtype."""
+    apad = np.zeros(order + 1, dtype)
     apad[: min(len(a), order + 1)] = a[: order + 1]
     ja = np.arange(order + 1) * apad
-    e = np.zeros(order + 1)
+    e = np.zeros(order + 1, dtype)
     e[0] = 1.0
     for m in range(1, order + 1):
         e[m] = np.dot(ja[1 : m + 1], e[m - 1 :: -1][:m]) / m
@@ -284,10 +286,70 @@ def test_reciprocal_short_input_and_order_zero():
     assert np.allclose(out, 0.5 ** np.arange(2001), rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("law", STABLE_LAWS, ids=["right", "left"])
-def test_exp_bit_identical_to_loop(law):
-    w = -h_series(law, 3000).coeffs
+def _stable_log_w(order):
+    """log W, W = 1 - h, of the stable law; both orientations share h."""
+    w = -h_series(STABLE_LAWS[0], order).coeffs
     w[0] += 1.0
-    lw = series_log(w, 3000)
-    for a, order in [(1.5 * lw, 3000), (0.5 * lw, 1100), (lw[:40], 60)]:
+    return series_log(w, order)
+
+
+def test_exp_first_block_is_the_loop():
+    # below one block series_exp is the recurrence itself, bit for bit
+    lw = _stable_log_w(EXP_BLOCK)
+    cases = [(lw[:40], 60)] + [(f * lw, order) for f in (1.5, 0.5)
+                               for order in range(EXP_BLOCK)]
+    for a, order in cases:
         assert np.array_equal(series_exp(a, order), _exp_reference(a, order))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_exp_against_long_double():
+    # The one-dot-per-coefficient loop measured 1.03e-10 on W^1.5 and
+    # 4.6e-15 on W^0.5 at order 4000; the bounds are 1.5 times
+    # that.  W^1.5's recurrence cancels: its terms are far larger than
+    # its coefficients.
+    order = 4000
+    lw = _stable_log_w(order)
+    for f, tol in [(1.5, 1.5e-10), (0.5, 7e-15)]:
+        a = f * lw
+        ref = _exp_reference(a, order, np.longdouble)
+        err = np.abs(series_exp(a, order) - ref) / np.abs(ref)
+        assert float(np.max(err)) <= tol, f
+
+
+def test_exp_block_edges_match_loop():
+    B = EXP_BLOCK
+    a = 0.5 * _stable_log_w(2 * B + 1)
+    cases = [(a, order) for order in (B - 1, B, B + 1, 2 * B, 2 * B + 1)]
+    # an input that stops inside the second block, zero-padded; one cut
+    # blocks short of the order is test_exp_of_a_short_polynomial's
+    cases.append((a[: B + B // 2], 2 * B + 1))
+    for a, order in cases:
+        out = series_exp(a, order)
+        assert len(out) == order + 1
+        assert _within_rel(out, _exp_reference(a, order), 1e-14)
+
+
+def test_exp_lower_orders_are_prefixes():
+    # phi_series takes phi'(H) at a lower order than phi(H) and relies on
+    # the shared coefficients having the same bits
+    order = 3 * EXP_BLOCK + 17
+    a = 1.5 * _stable_log_w(order)
+    full = series_exp(a, order)
+    for d in (0, 1, EXP_BLOCK - 1, EXP_BLOCK, EXP_BLOCK + 1, 2 * EXP_BLOCK,
+              order // 2, order - 1):
+        assert np.array_equal(series_exp(a[: d + 1], d), full[: d + 1]), d
+        assert np.array_equal(series_exp(a, d), full[: d + 1]), d
+
+
+def test_exp_of_a_short_polynomial():
+    # The block solve multiplies by 1/E = exp(-A) and then by E, which
+    # cancel where exp(A)'s coefficients are far smaller than exp(|A|)'s:
+    # exp of 0.5 log W cut to 40 terms, at order 4B + 1, is 2.5e-12 off
+    # the loop (which is 6.9e-15 off long double).  No caller passes an
+    # input cut short of the order: phi_series and tail_series take log W
+    # through the order they ask for.
+    a = 0.5 * _stable_log_w(4 * EXP_BLOCK + 1)[:40]
+    order = 4 * EXP_BLOCK + 1
+    assert _within_rel(series_exp(a, order), _exp_reference(a, order), 1e-11)
