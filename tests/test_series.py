@@ -286,20 +286,27 @@ def test_reciprocal_short_input_and_order_zero():
     assert np.allclose(out, 0.5 ** np.arange(2001), rtol=1e-15, atol=0)
 
 
-def _stable_log_w(order):
-    """log W, W = 1 - h, of the stable law; both orientations share h."""
-    w = -h_series(STABLE_LAWS[0], order).coeffs
+def _stable_log_w(order, law=STABLE_LAWS[0]):
+    """log W, W = 1 - h, of a stable law; both orientations share h."""
+    w = -h_series(law, order).coeffs
     w[0] += 1.0
     return series_log(w, order)
 
 
-def test_exp_first_block_is_the_loop():
-    # below one block series_exp is the recurrence itself, bit for bit
-    lw = _stable_log_w(EXP_BLOCK)
+@pytest.mark.parametrize("law", STABLE_LAWS, ids=["right", "left"])
+def test_exp_bit_identical_to_loop(law):
+    # Below one block series_exp is the recurrence itself, bit for bit;
+    # past it the blocked sum differs from the loop in the last bits
+    # (test_exp_block_edges_match_loop, test_exp_against_long_double),
+    # but its first block is still the loop's.
+    lw = _stable_log_w(3000, law)
     cases = [(lw[:40], 60)] + [(f * lw, order) for f in (1.5, 0.5)
                                for order in range(EXP_BLOCK)]
     for a, order in cases:
         assert np.array_equal(series_exp(a, order), _exp_reference(a, order))
+    for a, order in [(1.5 * lw, 3000), (0.5 * lw, 1100)]:
+        assert np.array_equal(series_exp(a, order)[:EXP_BLOCK],
+                              _exp_reference(a, EXP_BLOCK - 1))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
