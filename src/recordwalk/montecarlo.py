@@ -45,7 +45,7 @@ WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
 
 class TooFewPathsError(ValueError):
-    """empirical_tail was asked for fewer than 10^3 paths: a usage error."""
+    """A SimConfig asked for fewer than 10^3 paths: a usage error."""
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,11 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.paths < 1:
-            raise ValueError("n and paths must be positive")
+        if self.n < 1:
+            raise ValueError("n must be positive")
+        if self.paths < 1000:
+            raise TooFewPathsError(
+                f"need at least 10^3 paths, got {self.paths}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
@@ -167,9 +170,6 @@ def empirical_tail(config):
     count: block b always covers paths [b*BLOCK, (b+1)*BLOCK) and block
     histograms are integers, so the merge is exact.
     """
-    if config.paths < 1000:
-        raise TooFewPathsError(
-            f"need at least 10^3 paths, got {config.paths}")
     law, n, paths = config.law, config.n, config.paths
     starts = range(0, paths, BLOCK_SIZE)
     counts = [min(BLOCK_SIZE, paths - s) for s in starts]

@@ -2,23 +2,25 @@
 
 Visits of the reflected chain to 0 form a renewal process, so
 P(A_n >= k) = P(S_k <= n) for S_k the sum of k return times.  Two
-independent routes evaluate it:
+independent routes evaluate it, and differ only in where the return times
+come from:
 
 * the DP: the first-return law of the reflected chain itself, one
-  vector-matrix product per step with level 0 taboo, then one truncated
-  convolution per count;
-* the renewal sum over return times whose p.m.f. is the series of f0, by
-  baby and giant steps (Paterson and Stockmeyer): one matrix-vector product
-  per giant step.
+  vector-matrix product per step with level 0 taboo;
+* the renewal route: the p.m.f. of the return time as the series of f0.
 
-Every term on both routes is nonnegative, and both are exact for both
-families.  For level cap L the kernel reads p_0..p_L from
-law.jump_pmf(L + 1) and sums no jump probabilities.  It keeps only the
-moves that can return to 0 within L steps: a right-continuous chain falls
-at most one level per step, so it drops the jumps above the cap, and a
-left-continuous chain rises at most one level per step, so it drops the
-step up from the cap, and lands the jumps of size i or more from level i,
-mass T_i from law.jump_tails(L), on 0.  The DP therefore needs L >= n.
+Both then sum the powers of that p.m.f. in one routine, by baby and giant
+steps (Paterson and Stockmeyer): about 2*sqrt(kmax) truncated products and
+one matrix-vector product per giant step.  Every term on both routes is
+nonnegative, and both are exact for both families.
+
+For level cap L the kernel reads p_0..p_L from law.jump_pmf(L + 1) and
+sums no jump probabilities.  It keeps only the moves that can return to 0
+within L steps: a right-continuous chain falls at most one level per step,
+so it drops the jumps above the cap, and a left-continuous chain rises at
+most one level per step, so it drops the step up from the cap, and lands
+the jumps of size i or more from level i, mass T_i from law.jump_tails(L),
+on 0.  The DP therefore needs L >= n.
 The renewal route takes tau_pmf of the law itself, so a stable law's
 series come from its exact generating function.
 """
@@ -129,27 +131,20 @@ def exact_An_distribution(kernel, n, kmax=None):
 
     Visits of the chain to level 0 form a renewal process, so A_n >= k
     exactly when the first k return times sum to at most n.  One pass of
-    _first_returns gives their p.m.f. f, and row k sums g^k through
-    s^(n-k), g = f/s, built by one more truncated product with g per row:
-    n vector-matrix products plus kmax convolutions, every term
-    nonnegative.  The kernel's level cap must reach n, and the error bound
-    is 0.
+    _first_returns gives their p.m.f. and _renewal_masses sums its powers:
+    n vector-matrix products plus about 2*sqrt(kmax) truncated products,
+    every term nonnegative.  The kernel's level cap must reach n, and the
+    error bound is 0.
 
-    The renewal oracle shares only the renewal identity with this route:
-    here the return times come from the kernel (jump_pmf and jump_tails),
-    not from the series of f0, and the powers are one convolution per row,
-    not baby and giant steps.
+    The renewal oracle shares the renewal identity and that sum with this
+    route; here the return times come from the kernel (jump_pmf and
+    jump_tails), there from the series of f0.
     """
     kmax = _horizon(n, kmax)
     if kernel.level_cap < n:
         raise ValueError(
             f"level cap {kernel.level_cap} is below the horizon n = {n}")
-    f = _first_returns(kernel, n)
-    tail = np.ones(kmax + 1)
-    part = np.ones(1)
-    for k in range(1, kmax + 1):
-        part = series_mul(part, f[1:], n - k)
-        tail[k] = part.sum()
+    tail = _renewal_masses(_first_returns(kernel, n), n, kmax)
     return TailTable(n, np.minimum(tail, 1.0), Provenance.DP, 0.0)
 
 

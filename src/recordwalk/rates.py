@@ -187,24 +187,23 @@ def mdp_constants(law, method="auto"):
     the moderate-deviation rate coefficient and exponent they induce.
 
     method="auto" uses the law's closed form (IncrementLaw.mdp_closed_form).
-    method="numeric" fits (alpha, c) by log-log regression on
-    s = 1 - 10^-k, k = 2..8, using the three finest points, and reports the
-    pairwise-slope spread as an uncertainty.
+    method="numeric" fits (alpha, c) by log-log regression on the three
+    points s = 1 - 10^-k, k = 6..8, and reports the pairwise-slope spread
+    as an uncertainty.
     """
     if method == "auto":
         return _fill_mdp(law, *law.mdp_closed_form())
     if method != "numeric":
         raise ValueError("method must be 'auto' or 'numeric'")
 
-    ks = np.arange(2, 9)
+    ks = np.arange(6, 9)
     logx = -ks * math.log(10.0)  # ln(1-s)
     logy = np.array(
         [math.log(one_minus_s_phi_prime_h(law, 1.0 - 10.0 ** (-k))) for k in ks]
     )
-    x3, y3 = logx[-3:], logy[-3:]
-    alpha_hat, b = np.polyfit(x3, y3, 1)
+    alpha_hat, b = np.polyfit(logx, logy, 1)
     c_hat = math.exp(b)
-    slopes = np.diff(y3) / np.diff(x3)
+    slopes = np.diff(logy) / np.diff(logx)
     spread = float(np.max(np.abs(slopes - alpha_hat)) / abs(alpha_hat))
     if spread > 0.05:
         raise RuntimeError(

@@ -118,11 +118,10 @@ def _suite_legendre(law):
 
 def _suite_oracle_equivalence(law):
     """The DP and renewal tails of A_n at n = 20, 40, 60.  Both sum
-    P(S_k <= n) over k return times, and share only that renewal identity:
-    the DP takes the first-return law from the reflected chain's kernel
-    (jump_pmf, jump_tails) and raises it to each power by one convolution
-    per count; the renewal oracle takes it from the series of f0 and uses
-    baby and giant steps."""
+    P(S_k <= n) over k return times in one routine, and differ only in
+    where the return-time law comes from: the DP takes it from the
+    reflected chain's kernel (jump_pmf, jump_tails), the renewal oracle
+    from the series of f0."""
     out = []
     for n in (20, 40, 60):
         kernel = oracle.build_kernel(law, level_cap=n)

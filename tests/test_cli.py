@@ -317,14 +317,15 @@ def test_largest_seed_is_accepted(capsys):
     assert f"# seed={2**128 - 1}" in out
 
 
-def test_too_few_paths_is_usage_error(capsys):
-    # empirical_tail owns the 10^3 rule; main maps its typed error to 2
-    code = main(["simulate", "--law", SYM_PATH, "--n", "6", "--paths", "500",
-                 "--seed", "4"])
+@pytest.mark.parametrize("paths", [500, 0, -5])
+def test_too_few_paths_is_usage_error(capsys, paths):
+    # SimConfig owns the 10^3 rule; main maps its typed error to 2
+    code = main(["simulate", "--law", SYM_PATH, "--n", "6", "--paths",
+                 str(paths), "--seed", "4"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "need at least 10^3 paths, got 500" in captured.err
+    assert f"need at least 10^3 paths, got {paths}" in captured.err
 
 
 def test_emit_writes_nested_nonfinite_floats_as_strings(capsys):

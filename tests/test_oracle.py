@@ -68,9 +68,10 @@ def _full_convolution_renewal(f, n, kmax):
 
 
 def _successive_convolution_renewal(f, n, kmax):
-    """Reference for the renewal table: P(S_k <= n) for k = 0..kmax by one
-    more truncated convolution with f[1:] per row.  After k convolutions
-    nothing sits below index k, so only indices k..n are kept."""
+    """Reference for the sum both oracles share: P(S_k <= n) for
+    k = 0..kmax by one more truncated convolution with f[1:] per row.
+    After k convolutions nothing sits below index k, so only indices k..n
+    are kept."""
     mass = np.ones(kmax + 1)
     part = np.ones(1)
     step = f[1 : n + 1]
@@ -164,7 +165,7 @@ class TestExactDistribution:
     def test_matches_dense_reference(self, law, n):
         for cap in (n, n + 3):
             kernel = build_kernel(law, cap)
-            for kmax in (None, 0, 3):
+            for kmax in (None, 0, 3, 15, 16, 17):
                 table = exact_An_distribution(kernel, n, kmax)
                 tail = _dense_dp(kernel, n, kmax)
                 assert table.tail[0] == 1.0
