@@ -187,6 +187,16 @@ class IncrementLaw:
             return self.gamma / e * np.float_power(w, e)
         return w * w * series_eval(self._coefficients[0], h)
 
+    def gap_over_w(self, h, w):
+        """D/w = w * sum_j c_j h^j, or gamma/(1+beta) * w^beta, at h = 1 - w
+        (see gaps): in the normal range where D, of order w^2 or
+        w^(1+beta), has underflowed."""
+        if self.is_stable:
+            if w.__class__ is float:
+                return self.gamma / (1.0 + self.beta) * w ** self.beta
+            return self.gamma / (1.0 + self.beta) * np.float_power(w, self.beta)
+        return w * series_eval(self._coefficients[0], h)
+
     def gaps(self, h, w):
         """(D, D', psi, chi) at h = 1 - w, without cancellation; floats or
         arrays.

@@ -23,6 +23,7 @@ many points of the curve at once, again with no solve.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,8 @@ def _curve(law, h, w, lam=None):
              argument is small, else lambda + log(psi + q);
              Lambda' - 1 = h*chi*phi / ((psi + q)*A);
       left:  f0/s = 1 - D/w, so Lambda = lambda + log1p(-D/w), and with
-             r = D/w, Lambda' - 1 = h*phi*((D' - r)/w) / ((1 - r)*A).
+             r = D/w, Lambda' - 1 = h*phi*((D' - r)/w) / ((1 - r)*A); r
+             is IncrementLaw.gap_over_w, in range after D underflows.
     Lambda' - 1 is formed without subtracting 1, and no numerator or
     denominator subtracts nearly equal numbers.
     """
@@ -84,7 +86,7 @@ def _curve(law, h, w, lam=None):
             Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(psi + q))
             excess = h * chi * phi / ((psi + q) * a)
         else:
-            r = d / w
+            r = law.gap_over_w(h, w)
             Lam = lam + np.log1p(-r)
             excess = h * phi * ((dp - r) / w) / ((1.0 - r) * a)
     return lam, Lam, excess
@@ -109,18 +111,25 @@ def cumulant_deriv(law, lam):
 
 
 def _slope_point(law, x):
-    """(lambda, Lambda) where Lambda' = x, for finite x > 1.
+    """(lambda, Lambda, Lambda*) where Lambda' = x, for finite x > 1.
 
     ITP in u = log(h/w) on log(Lambda' - 1) against log(x - 1): Lambda' - 1
     rises from 0 at h = 0 to infinity at w = 0, and its log is close to
-    linear in u at both ends.
+    linear in u at both ends.  Lambda* = x*lambda - Lambda; once lambda =
+    -log1p(D/h) = -D/h is subnormal or 0, x*lambda is -(x*w)*(D/w)/h, from
+    D/w (IncrementLaw.gap_over_w), which stays in range after D underflows.
     """
     if not 1.0 < x < math.inf:
         raise ValueError("x must be finite and > 1 (G(1) = -infinity)")
     h, w = bisect_logit(lambda h, w: np.log(_curve(law, h, w)[2]),
                         math.log(x - 1.0))
     lam, Lam, _ = _curve(law, h, w)
-    return float(lam), float(Lam)
+    lam, Lam = float(lam), float(Lam)
+    if lam > -sys.float_info.min:  # lambda = -D/h is subnormal or 0
+        xlam = -(x * w) * law.gap_over_w(h, w) / h
+    else:
+        xlam = x * lam
+    return lam, Lam, xlam - Lam
 
 
 def invert_slope(law, x):
@@ -138,8 +147,7 @@ def legendre(law, x):
         return math.inf
     if x == 1.0:
         return _boundary_log(law)
-    lam, Lam = _slope_point(law, x)
-    return x * lam - Lam
+    return _slope_point(law, x)[2]
 
 
 def ldp_rate(law, x_rec):
@@ -161,8 +169,7 @@ def rate_point(law, x_rec):
     if x == 1.0:  # the supremum is attained at lambda = -infinity
         lstar = _boundary_log(law)
         return RatePoint(x, -math.inf, -math.inf, lstar, lstar)
-    lam, Lam = _slope_point(law, x)
-    lstar = x * lam - Lam
+    lam, Lam, lstar = _slope_point(law, x)
     return RatePoint(x, lam, Lam, lstar, x_rec * lstar)
 
 

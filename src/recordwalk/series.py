@@ -3,12 +3,16 @@
 All functions operate on 1-D numpy arrays where index n holds the
 coefficient of s^n, truncated at a common order.  Every product is a direct
 np.convolve, never an FFT, so products of nonnegative series keep relative
-accuracy; a truncated product skips the upper half of the full one.
+accuracy.  A long product, truncated (series_mul) or middle, is summed over
+slices of CONV_SLICE terms of its shorter factor, one np.convolve each, so
+that each call's dot products run from cache; a truncated product makes
+only the terms through its order, about half of the full product.
 Reciprocals use Newton doubling, exact through the truncation order after
 ceil(log2(order+1)) steps, each a middle product and a truncated product;
 log W integrates W'/W through one reciprocal; exp runs its recurrence in
-blocks, one convolution with the history per block, and a lower order's exp
-is a bitwise prefix of a higher one's; composition is Paterson-Stockmeyer.
+blocks, one middle product with the history per block, and a lower order's
+exp is a bitwise prefix of a higher one's; composition is
+Paterson-Stockmeyer.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TRUNC_SPLIT = 1024  # up to this many terms one full np.convolve is as fast
+CONV_SLICE = 1024  # terms of the shorter factor per np.convolve call
 EXP_BLOCK = 128  # series_exp coefficients per convolution step
 
 
@@ -61,17 +65,35 @@ def series_eval(coeffs, s):
 
 def series_mul(a, b, order):
     """Product truncated at the given order: np.convolve(a, b)[:order + 1].
-    Above TRUNC_SPLIT terms, with a and b both longer than h = ceil(n/2) of
-    the n terms, the low halves' full product and the two cross terms, each
-    truncated the same way, take about n^2/2 multiplications, not n^2."""
-    n, h = order + 1, (order + 2) // 2
+
+    The shorter factor goes CONV_SLICE terms at a time: slice i, times the
+    other factor through s^(order - i) and truncated there, is added in at
+    s^i.  For n terms that is about n^2/2 multiplications, and each call's
+    dot products are at most CONV_SLICE long, so they run from cache.
+    """
+    n = order + 1
     a, b = a[:n], b[:n]
-    if n <= TRUNC_SPLIT or min(len(a), len(b)) <= h:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= CONV_SLICE:
         return np.convolve(a, b)[:n]
-    out = np.zeros(n)
-    out[: 2 * h - 1] = np.convolve(a[:h], b[:h])
-    out[h:] += series_mul(a[: n - h], b[h:], n - h - 1)
-    out[h:] += series_mul(a[h:], b[: n - h], n - h - 1)
+    out = np.zeros(min(n, len(a) + len(b) - 1))
+    for i in range(0, len(a), CONV_SLICE):
+        p = np.convolve(a[i : i + CONV_SLICE], b[: n - i])[: n - i]
+        out[i : i + len(p)] += p
+    return out
+
+
+def _middle_product(x, y):
+    """np.convolve(x, y, "valid") for len(x) >= len(y), summed over slices
+    of CONV_SLICE terms of y, each against the window of x it meets."""
+    k = len(y)
+    if k <= CONV_SLICE:
+        return np.convolve(x, y, "valid")
+    out = np.zeros(len(x) - k + 1)
+    for j in range(0, k, CONV_SLICE):
+        part = y[j : j + CONV_SLICE]
+        out += np.convolve(x[k - j - len(part) : len(x) - j], part, "valid")
     return out
 
 
@@ -91,7 +113,7 @@ def series_reciprocal(f, order):
     h = 1
     while h <= order:
         m = min(2 * h, order + 1)
-        e = np.convolve(f[1:m], r[:h], "valid")
+        e = _middle_product(f[1:m], r[:h])
         r[h:m] = -series_mul(r[: m - h], e, m - h - 1)
         h = m
     return r
@@ -118,7 +140,7 @@ def series_exp(a, order):
     m e_m = sum_{j=1..m} j a_j e_{m-j} in blocks of B = EXP_BLOCK.
 
     The first block E is the recurrence itself.  A block X = e[c:c+B]
-    takes its history R_i = sum_{k<c} e_k (ja)_{c+i-k} in one convolution
+    takes its history R_i = sum_{k<c} e_k (ja)_{c+i-k} in one middle product
     and solves (c + theta) X - (theta A) X = R, theta = s d/ds, as
     X = E ((R/E)_i / (c + i)), since theta E = (theta A) E.  The input is
     zero-padded to whole blocks, so every order makes the same products
@@ -142,7 +164,7 @@ def series_exp(a, order):
         first = e[:B]
         inv = series_reciprocal(first, B - 1)
         for c in range(B, len(e), B):
-            r = np.convolve(e[:c], ja[1 : c + B], "valid")
+            r = _middle_product(ja[1 : c + B], e[:c])
             y = np.convolve(r, inv)[:B] / np.arange(c, c + B)
             e[c : c + B] = np.convolve(first, y)[:B]
     return e[: order + 1]

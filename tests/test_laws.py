@@ -153,8 +153,8 @@ class TestLawInterface:
         # phi'(H) through s^d is the first d + 1 terms of phi'(H) through
         # s^order, up to rounding: the stable family's exp recurrence and
         # sym's two-term composition give the same bits; asym's
-        # composition with h[:d + 1] splits its long products elsewhere,
-        # 7 ulps at (10001, 5000) measured, against the 16 ulps allowed
+        # composition with h[:d + 1] slices its long products elsewhere,
+        # 2 ulps at m = 4097 and 10001 measured, against the 16 allowed
         law = self.law(name)
         h = h_series(law, m).coeffs
         phi_full, phip_full = law.phi_series(h, m, m)
@@ -189,6 +189,16 @@ class TestLawInterface:
             assert abs(chi[i] * h - (law.phi_prime(h) - psi[i])) <= 1e-12
             assert (d[i], dp[i], psi[i], chi[i]) == tuple(law.gaps(h, 1.0 - h))
         assert law.gaps(0.0, 1.0)[2] == law.p0
+
+    def test_gap_over_w(self, name):
+        # D/w, and still in range where D = phi(h) - h underflows
+        law = self.law(name)
+        ws = np.array([0.5, 1e-3, 1e-100])
+        ratios = law.gap_over_w(1.0 - ws, ws)
+        for w, r in zip(ws, ratios):
+            assert r == law.gap_over_w(1.0 - w, float(w))
+            assert abs(r * w - law.gap(1.0 - w, w)) <= 1e-14 * r * w
+        assert law.gap(1.0, 1e-250) == 0.0 < law.gap_over_w(1.0, 1e-250)
 
     def test_mdp_constants_are_the_closed_form(self, name):
         law = self.law(name)

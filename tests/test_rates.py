@@ -1,6 +1,7 @@
 """Cumulant, Legendre transform, LDP rate, and MDP constants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ def test_ldp_rate_curve_down_to_tiny_densities(law):
     for x in (1e-100, 1e-300):
         v = ldp_rate(law, x)
         assert math.isfinite(v) and v >= 0.0
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_lambda_star_where_lambda_underflows(law):
+    # Past x_rec ~ 1e-150 (sym) or 1e-100 (stable right) lambda is
+    # subnormal or 0; Lambda* = x*lambda - Lambda still follows the MDP
+    # form rate_coefficient * x_rec^(rate_exponent - 1) wherever that is a
+    # normal double
+    consts = mdp_constants(law)
+    checked = 0
+    for x_rec in (1e-100, 1e-150, 1e-200, 1e-300):
+        mdp = consts.rate_coefficient * x_rec ** (consts.rate_exponent - 1.0)
+        if mdp < sys.float_info.min:
+            continue
+        pt = rate_point(law, x_rec)
+        assert abs(pt.Lambda_star - mdp) <= 1e-12 * mdp, x_rec
+        assert legendre(law, pt.x) == pt.Lambda_star
+        checked += 1
+    assert checked >= 2
 
 
 class TestMdpConstants:

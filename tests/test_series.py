@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from recordwalk import IncrementLaw, h_series, truncated_explicit
 from recordwalk.series import (
+    CONV_SLICE,
     EXP_BLOCK,
-    TRUNC_SPLIT,
     SeriesPoly,
+    _middle_product,
     series_compose_val1,
     series_eval,
     series_exp,
@@ -235,10 +236,12 @@ def test_log_order_zero():
         series_log(np.array([0.5]), 0)
 
 
-# Both sides of the split, odd and even: at odd n the halves' product ends
-# exactly at n - 1, so a split at floor(n/2) would count it twice.
-TRUNC_SIZES = [1, 2, TRUNC_SPLIT - 1, TRUNC_SPLIT, TRUNC_SPLIT + 1,
-               TRUNC_SPLIT + 2, 2 * TRUNC_SPLIT + 1, 4097, 5000]
+# One slice of the shorter factor, one just full, one term into a second,
+# and more, odd and even: each slice's product is cut at the order on its
+# own, so a slice that ends at the order or one past it must not count the
+# last coefficient twice.
+TRUNC_SIZES = [1, 2, CONV_SLICE - 1, CONV_SLICE, CONV_SLICE + 1,
+               CONV_SLICE + 2, 2 * CONV_SLICE + 1, 4097, 5000]
 
 
 @pytest.mark.parametrize("n", TRUNC_SIZES)
@@ -254,6 +257,47 @@ def test_truncated_product_matches_convolve(n):
     a, b = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
     scale = np.convolve(np.abs(a), np.abs(b))[:n]
     assert np.all(np.abs(series_mul(a, b, n - 1) - np.convolve(a, b)[:n])
+                  <= 1e-13 * scale)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_truncated_product_against_long_double():
+    # A nonnegative product through order 10001, the size of the
+    # tauberian suite's series, summed over ten slices of CONV_SLICE terms:
+    # coefficients at every slice edge and a spread in between against
+    # their sums in long double.  Measured 3.8e-16 (one np.convolve of the
+    # whole factors: 6.8e-16).
+    order = 10001
+    rng = np.random.default_rng(10001)
+    a = rng.uniform(0.0, 1.0, order + 1) / np.arange(1, order + 2) ** 0.5
+    b = rng.uniform(0.0, 1.0, order + 1)
+    out = series_mul(a, b, order)
+    edges = np.arange(0, order + 1, CONV_SLICE)
+    ks = np.unique(np.concatenate([edges, edges[1:] - 1, edges + 1,
+                                   np.linspace(0, order, 101).astype(int)]))
+    al, bl = a.astype(np.longdouble), b.astype(np.longdouble)
+    ref = np.array([np.dot(al[: k + 1], bl[k::-1]) for k in ks])
+    err = np.abs(out[ks] - ref) / ref
+    assert len(out) == order + 1
+    assert float(np.max(err)) <= 2e-15
+
+
+@pytest.mark.parametrize("ly", [CONV_SLICE - 1, CONV_SLICE, CONV_SLICE + 1,
+                                2 * CONV_SLICE + 1])
+@pytest.mark.parametrize("extra", [0, 1, 128, CONV_SLICE + 7])
+def test_middle_product_matches_convolve(ly, extra):
+    # the reciprocal's middle product has len(x) = 2 len(y) - 1 at most,
+    # the exp's len(x) = len(y) + EXP_BLOCK - 1; here len(x) = ly + extra
+    rng = np.random.default_rng(ly + extra)
+    x, y = rng.uniform(0.0, 1.0, ly + extra), rng.uniform(0.0, 1.0, ly)
+    out = _middle_product(x, y)
+    ref = np.convolve(x, y, "valid")
+    assert len(out) == extra + 1
+    assert _within_rel(out, ref, 1e-13)
+    x, y = rng.uniform(-1.0, 1.0, ly + extra), rng.uniform(-1.0, 1.0, ly)
+    scale = np.convolve(np.abs(x), np.abs(y), "valid")
+    assert np.all(np.abs(_middle_product(x, y) - np.convolve(x, y, "valid"))
                   <= 1e-13 * scale)
 
 
@@ -346,6 +390,18 @@ def test_exp_lower_orders_are_prefixes():
     full = series_exp(a, order)
     for d in (0, 1, EXP_BLOCK - 1, EXP_BLOCK, EXP_BLOCK + 1, 2 * EXP_BLOCK,
               order // 2, order - 1):
+        assert np.array_equal(series_exp(a[: d + 1], d), full[: d + 1]), d
+        assert np.array_equal(series_exp(a, d), full[: d + 1]), d
+
+
+def test_exp_prefixes_past_one_slice():
+    # Past CONV_SLICE terms the history's middle product is summed over
+    # slices, which depend on the block start alone, not on the order
+    B, C = EXP_BLOCK, CONV_SLICE
+    order = 2 * C + 3 * B + 17
+    a = 0.5 * _stable_log_w(order)
+    full = series_exp(a, order)
+    for d in (C - 1, C, C + 1, C + B, 2 * C + 1, order - 1):
         assert np.array_equal(series_exp(a[: d + 1], d), full[: d + 1]), d
         assert np.array_equal(series_exp(a, d), full[: d + 1]), d
 
