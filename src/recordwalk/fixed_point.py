@@ -63,11 +63,12 @@ def _solve_hw(law, s, t):
     if s == 0.0 or t == 0.0:
         return (0.0, 1.0) if s == 0.0 else (1.0, 0.0)
     h, w = bisect_logit(
-        lambda h, w: -np.log(law.gap(h, w) * s) + np.log(t * h), 0.0)
+        lambda h, w: -np.log(w * law.gap_over_w(h, w) * s) + np.log(t * h),
+        0.0)
     # one Newton step on t*h - s*D = 0 in the smaller of h and w; its
     # derivative is t + s*D' in h and minus that in w
-    d, dp, _, _ = law.gaps(h, w)
-    step = (t * h - s * d) / (t + s * dp)
+    r, dp, _, _ = law.gaps(h, w)
+    step = (t * h - s * (w * r)) / (t + s * dp)
     h, w = (float(h - step), w) if h < w else (h, float(w + step))
     if abs(res := float(s * law.phi(h) - h)) > RESIDUAL_TOL:
         raise ConvergenceError(
@@ -178,5 +179,6 @@ def one_minus_s_phi_prime_h(law, s):
     """1 - s*phi'(h(s)) = (D + h*D')/(D + h), without cancellation, from
     the gaps at h and w = 1 - h."""
     h, w = solve_hw(law, s)
-    d, dp, _, _ = law.gaps(h, w)
+    r, dp, _, _ = law.gaps(h, w)
+    d = w * r
     return float((d + h * dp) / (d + h))

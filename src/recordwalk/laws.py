@@ -178,32 +178,25 @@ class IncrementLaw:
         return (series_compose_val1(a, h, order),
                 series_compose_val1(ap, h[: d + 1], d))
 
-    def gap(self, h, w):
-        """D = phi(h) - h at h = 1 - w, the first of gaps, alone."""
-        if self.is_stable:  # float ** and np.float_power agree, as in phi
-            e = 1.0 + self.beta
-            if w.__class__ is float:
-                return self.gamma / e * w ** e
-            return self.gamma / e * np.float_power(w, e)
-        return w * w * series_eval(self._coefficients[0], h)
-
     def gap_over_w(self, h, w):
-        """D/w = w * sum_j c_j h^j, or gamma/(1+beta) * w^beta, at h = 1 - w
-        (see gaps): in the normal range where D, of order w^2 or
-        w^(1+beta), has underflowed."""
-        if self.is_stable:
+        """D/w = w * sum_j c_j h^j, or gamma/(1+beta) * w^beta, at h = 1 - w,
+        the first of gaps, alone: the gap D = phi(h) - h over w, which stays
+        in the normal range where D, of order w^2 or w^(1+beta), has
+        underflowed.  Callers form D as w * (D/w)."""
+        if self.is_stable:  # float ** and np.float_power agree, as in phi
             if w.__class__ is float:
                 return self.gamma / (1.0 + self.beta) * w ** self.beta
             return self.gamma / (1.0 + self.beta) * np.float_power(w, self.beta)
         return w * series_eval(self._coefficients[0], h)
 
     def gaps(self, h, w):
-        """(D, D', psi, chi) at h = 1 - w, without cancellation; floats or
-        arrays.
+        """(D/w, D', psi, chi) at h = 1 - w, without cancellation; floats
+        or arrays.
 
-        D = phi(h) - h (gap), D' = 1 - phi'(h) (its derivative in w),
-        psi = (phi(h) - q)/h and chi = (phi'(h) - psi)/h = sum_n n p_n h^(n-1),
-        which are p_0 and p_1 at h = 0.  On the curve s = h/phi(h),
+        D = phi(h) - h (the gap, as gap_over_w reports it), D' = 1 - phi'(h)
+        (its derivative in w), psi = (phi(h) - q)/h and
+        chi = (phi'(h) - psi)/h = sum_n n p_n h^(n-1), which are p_0 and p_1
+        at h = 0.  On the curve s = h/phi(h),
         1 - s*phi'(h) = (D + h*D')/(D + h).  The stable family has
         D = gamma/(1+beta) * w^(1+beta).  An explicit law has
         D = w^2 sum_j c_j h^j and D' = w sum_j e_j h^j with the nonnegative
@@ -223,9 +216,10 @@ class IncrementLaw:
                 chi = np.where(h < 0.25, series_eval(self._coefficients, h),
                                g / e * (b * np.expm1(e * lw)
                                         - e * np.expm1(b * lw)) / (h * h))
-                return (self.gap(h, w), g * np.float_power(w, b), psi, chi)
+                return (self.gap_over_w(h, w), g * np.float_power(w, b),
+                        psi, chi)
             _, e, n_p = self._coefficients
-            return (self.gap(h, w), w * series_eval(e, h),
+            return (self.gap_over_w(h, w), w * series_eval(e, h),
                     series_eval(self.p, h), series_eval(n_p, h))
 
     @functools.cached_property

@@ -9,9 +9,10 @@ so BLOCK_SIZE must be a multiple of 4.  The uniforms of a path therefore
 depend on neither BLOCK_SIZE nor the worker count, blocks never overlap,
 and the integer merge makes the result bit-identical for any worker count.
 
-Inside a block, rows are drawn and walked SLICE_ROWS at a time from the
-block's one Generator.  Row-major draws read the stream words in the same
-order whatever the slice, and each slice's arrays stay in cache.
+Inside a block, rows are drawn and walked a slice at a time from the
+block's one Generator, at most SLICE_ROWS rows and SLICE_ROWS * 200 draws.
+Row-major draws read the stream words in the same order whatever the slice,
+each slice's arrays stay in cache, and memory does not grow with n.
 
 Jumps are drawn by inverse CDF from law.jump_pmf(order), with order at least
 the path length: the jumps of size order or more are lumped into one of size
@@ -38,7 +39,7 @@ from .laws import IncrementLaw, Orientation
 from .oracle import Provenance, TailTable
 
 BLOCK_SIZE = 8192  # a multiple of 4: see the module docstring
-SLICE_ROWS = 512  # rows drawn and walked at a time inside a block
+SLICE_ROWS = 512  # most rows drawn and walked at a time inside a block
 COUNTED = 8  # CDF entries searched by counting
 STABLE_JUMP_ORDER = 110000  # the least lumping order of a stable law's jumps
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
@@ -154,10 +155,11 @@ def _block_histogram(law, n, seed, start, count):
     bg.advance(start * n // 4)  # path p starts at word p*n
     gen = np.random.Generator(bg)
     max_step = _jump_cdf(law, max(n, STABLE_JUMP_ORDER)).size
-    buf = np.empty((min(SLICE_ROWS, count), n))
+    rows = max(1, min(SLICE_ROWS, SLICE_ROWS * 200 // n))
+    buf = np.empty((min(rows, count), n))
     hist = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, count, SLICE_ROWS):
-        uniforms = gen.random(out=buf[: min(SLICE_ROWS, count - lo)])
+    for lo in range(0, count, rows):
+        uniforms = gen.random(out=buf[: min(rows, count - lo)])
         records = _walk_records(_sample_block(law, uniforms), max_step)
         hist += np.bincount(records, minlength=n + 1)
     return hist

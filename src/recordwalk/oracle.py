@@ -145,7 +145,7 @@ def exact_An_distribution(kernel, n, kmax=None):
         raise ValueError(
             f"level cap {kernel.level_cap} is below the horizon n = {n}")
     tail = _renewal_masses(_first_returns(kernel, n), n, kmax)
-    return TailTable(n, np.minimum(tail, 1.0), Provenance.DP, 0.0)
+    return TailTable(n, tail, Provenance.DP, 0.0)
 
 
 def tau_pmf(law, order):

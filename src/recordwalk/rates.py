@@ -65,17 +65,18 @@ def _curve(law, h, w, lam=None):
     """(lambda, Lambda, Lambda' - 1) on the curve at h = 1 - w (or arrays).
 
     lambda = -log1p(D/h) unless the caller hands in the lambda it has.
+    The gaps give r = D/w, in range after D underflows, and D = w*r.
     With phi = D + h and A = D + h*D' (so 1 - s*phi'(h) = A/phi):
       right: f0/s = psi + q, and Lambda = log1p(-q*w/phi) while that
              argument is small, else lambda + log(psi + q);
              Lambda' - 1 = h*chi*phi / ((psi + q)*A);
-      left:  f0/s = 1 - D/w, so Lambda = lambda + log1p(-D/w), and with
-             r = D/w, Lambda' - 1 = h*phi*((D' - r)/w) / ((1 - r)*A); r
-             is IncrementLaw.gap_over_w, in range after D underflows.
+      left:  f0/s = 1 - r, so Lambda = lambda + log1p(-r), and
+             Lambda' - 1 = h*phi*((D' - r)/w) / ((1 - r)*A).
     Lambda' - 1 is formed without subtracting 1, and no numerator or
     denominator subtracts nearly equal numbers.
     """
-    d, dp, psi, chi = law.gaps(h, w)
+    r, dp, psi, chi = law.gaps(h, w)
+    d = w * r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if lam is None:
             lam = -np.log1p(d / h)
@@ -86,7 +87,6 @@ def _curve(law, h, w, lam=None):
             Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(psi + q))
             excess = h * chi * phi / ((psi + q) * a)
         else:
-            r = law.gap_over_w(h, w)
             Lam = lam + np.log1p(-r)
             excess = h * phi * ((dp - r) / w) / ((1.0 - r) * a)
     return lam, Lam, excess

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,23 @@ class TestGeneratingFunction:
             sym_law().phi(1.5)
 
 
+def _mp_gap_over_w(name, w):
+    """(phi(h) - h)/w at h = 1 - w for a bundled law, in mpmath from its
+    decimal coefficients, with 40 digits more than the 2*log10(1/w) that
+    phi(h) - h cancels."""
+    spec = json.loads(bundled_law_path(name).read_text())["spec"]
+    with mpmath.workdps(40 - 2 * math.floor(math.log10(w))):
+        w = mpmath.mpf(float(w))
+        h = 1 - w
+        if spec["type"] == "stable":
+            g, b = (mpmath.mpf(repr(spec[k])) for k in ("gamma", "beta"))
+            phi = h + g / (1 + b) * (1 - h) ** (1 + b)
+        else:
+            q, *p = (mpmath.mpf(repr(v)) for v in (spec["q"], *spec["p"]))
+            phi = q + sum(v * h ** (n + 1) for n, v in enumerate(p))
+        return (phi - h) / w
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 class TestLawInterface:
     """The family-specific methods every consumer calls, against the scalar
@@ -173,7 +191,8 @@ class TestLawInterface:
             direct = 1.0 - s * law.phi_prime(x)
             _, dp, _, _ = law.gaps(x, 1.0 - x)
             assert abs((1.0 - s) + s * dp - direct) <= 1e-12
-        d, dp, _, _ = law.gaps(h, 1.0 - h)
+        r, dp, _, _ = law.gaps(h, 1.0 - h)
+        d = (1.0 - h) * r
         direct = 1.0 - s * law.phi_prime(h)
         assert abs((d + h * dp) / (d + h) - direct) <= 1e-12
         assert abs(one_minus_s_phi_prime_h(law, s) - direct) <= 1e-12
@@ -181,24 +200,32 @@ class TestLawInterface:
     def test_gaps(self, name):
         law = self.law(name)
         hs = np.array([1e-9, 0.3, 0.5, 0.9])
-        d, dp, psi, chi = law.gaps(hs, 1.0 - hs)
+        r, dp, psi, chi = law.gaps(hs, 1.0 - hs)
+        d = (1.0 - hs) * r
         for i, h in enumerate(hs):
             assert abs(d[i] - (law.phi(h) - h)) <= 1e-12
             assert abs(dp[i] - (1.0 - law.phi_prime(h))) <= 1e-12
             assert abs(psi[i] * h - (law.phi(h) - law.q)) <= 1e-12
             assert abs(chi[i] * h - (law.phi_prime(h) - psi[i])) <= 1e-12
-            assert (d[i], dp[i], psi[i], chi[i]) == tuple(law.gaps(h, 1.0 - h))
+            assert (r[i], dp[i], psi[i], chi[i]) == tuple(law.gaps(h, 1.0 - h))
         assert law.gaps(0.0, 1.0)[2] == law.p0
 
     def test_gap_over_w(self, name):
-        # D/w, and still in range where D = phi(h) - h underflows
+        # w * (D/w) against D = phi(h) - h at h = 1 - w, w = 1e-1..1e-250,
+        # from the law's decimal coefficients in mpmath, 40 digits beyond
+        # what 1 - h cancels; where D is below the normal range, D/w itself,
+        # which stays positive; 1.3 ulps measured
         law = self.law(name)
-        ws = np.array([0.5, 1e-3, 1e-100])
+        ws = 10.0 ** -np.arange(1, 251)
         ratios = law.gap_over_w(1.0 - ws, ws)
         for w, r in zip(ws, ratios):
             assert r == law.gap_over_w(1.0 - w, float(w))
-            assert abs(r * w - law.gap(1.0 - w, w)) <= 1e-14 * r * w
-        assert law.gap(1.0, 1e-250) == 0.0 < law.gap_over_w(1.0, 1e-250)
+            ref = _mp_gap_over_w(name, w)
+            d = w * r
+            if d >= np.finfo(float).tiny:
+                assert abs(d - w * ref) <= 1e-15 * w * ref, w
+            assert 0.0 < r and abs(r - ref) <= 1e-15 * ref, w
+        assert 1e-250 * law.gap_over_w(1.0, 1e-250) == 0.0
 
     def test_mdp_constants_are_the_closed_form(self, name):
         law = self.law(name)
@@ -273,7 +300,8 @@ class TestTruncation:
         # the gaps of a high-degree polynomial stay sums of nonnegative terms
         law, _ = truncated_explicit(stable_law(), order)
         for h in (1e-9, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            d, dp, psi, chi = law.gaps(h, 1.0 - h)
+            r, dp, psi, chi = law.gaps(h, 1.0 - h)
+            d = (1.0 - h) * r
             assert abs(d - (law.phi(h) - h)) <= 1e-14
             assert abs(dp - (1.0 - law.phi_prime(h))) <= 1e-14
             assert abs(psi * h - (law.phi(h) - law.q)) <= 1e-14

@@ -1,5 +1,6 @@
 """Monte Carlo sampling, record counting, and reproducibility."""
 
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -169,7 +170,9 @@ class TestRecordCounting:
                                           (19523, np.int64)])
     def test_walk_width_guard_on_stable_law(self, monkeypatch, n, width):
         # The stable CDF has 110002 entries, so n * 110002 passes 2^31 from
-        # n = 19523 on.
+        # n = 19523 on.  At these n a slice holds at most
+        # SLICE_ROWS * 200 // n = 5 rows, so the 6 rows take two slices,
+        # and each walks in the same width.
         widths = []
         weak_records = montecarlo._weak_records
 
@@ -179,7 +182,7 @@ class TestRecordCounting:
 
         monkeypatch.setattr(montecarlo, "_weak_records", spy)
         hist = montecarlo._block_histogram(STABLE, n, 9, 4, 6)
-        assert widths == [width]
+        assert widths == [width, width]
         monkeypatch.undo()
         assert np.array_equal(hist, reference_block(STABLE, n, 9, 4, 6))
 
@@ -242,11 +245,29 @@ class TestEmpiricalTail:
 
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_block_matches_plain_draw(self, name):
+        # at n = 20000 a slice holds SLICE_ROWS * 200 // n = 5 rows, so the
+        # 12 rows take 5 + 5 + 2
         law = bundled(name)
-        for n, seed, start, count in [(200, 11, 0, 1500), (37, 3, 12, 700)]:
+        for n, seed, start, count in [(200, 11, 0, 1500), (37, 3, 12, 700),
+                                      (20000, 5, 8, 12)]:
             assert np.array_equal(
                 montecarlo._block_histogram(law, n, seed, start, count),
                 reference_block(law, n, seed, start, count))
+
+    def test_long_path_block_memory_is_bounded(self):
+        # A slice takes at most SLICE_ROWS * 200 = 102400 draws, about
+        # 0.8 MB of uniforms and a few arrays of that size beside; 200
+        # rows of n = 20000 in one slice would need 32 MB of uniforms alone.
+        bound = 8 * 2**20
+        # the cached CDF is built before the trace starts
+        montecarlo._jump_cdf(STABLE, montecarlo.STABLE_JUMP_ORDER)
+        tracemalloc.start()
+        try:
+            montecarlo._block_histogram(STABLE, 20000, 5, 0, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak
 
     @pytest.mark.parametrize("workers, cpus, pool", [
         (100000, 3, 3),  # capped by the usable CPUs

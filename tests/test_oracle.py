@@ -196,6 +196,16 @@ class TestExactDistribution:
         expected = tau_pmf(law, 1).coeffs[1] ** n
         assert abs(tail[n] - expected) <= 1e-13 * expected
 
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_unclamped_tails_are_probabilities(self, law):
+        # the DP returns its sums as they come, with no clamp at 1: the
+        # largest entry is the exact 1 at k = 0
+        for n in (1, 2, 5, 20, 60, 400):
+            tail = exact_An_distribution(build_kernel(law, n), n).tail
+            assert tail[0] == 1.0
+            assert np.all((0.0 <= tail) & (tail <= 1.0)), n
+            assert np.all(np.diff(tail) <= 0.0), n
+
     def test_kmax_check(self):
         with pytest.raises(ValueError, match="kmax"):
             exact_An_distribution(build_kernel(SYM, 5), 5, kmax=-1)
