@@ -6,7 +6,9 @@ independent routes evaluate it, and differ only in where the return times
 come from:
 
 * the DP: the first-return law of the reflected chain itself, one
-  vector-matrix product per step with level 0 taboo;
+  vector-matrix product per step with level 0 taboo, over the live band
+  only: the levels the chain can reach by then and can still leave for 0
+  by step n;
 * the renewal route: the p.m.f. of the return time as the series of f0.
 
 Both then sum the powers of that p.m.f. in one routine, by baby and giant
@@ -36,6 +38,8 @@ import numpy as np
 from .fixed_point import f0_series
 from .laws import Orientation
 from .series import SeriesPoly, series_mul, series_reciprocal
+
+BAND_ROWS = 64  # kernel rows per nonzero mask when reading the bandwidths
 
 
 class Provenance(str, Enum):
@@ -110,18 +114,40 @@ def _horizon(n, kmax):
     return min(kmax, n)
 
 
+def _bandwidths(K):
+    """The largest rise and the largest fall of one step of the chain K.
+
+    The nonzero mask is formed BAND_ROWS rows at a time, never for the
+    whole kernel.  A row without a nonzero entry only widens the band.
+    """
+    rise = fall = 0
+    for lo in range(0, len(K), BAND_ROWS):
+        nz = K[lo : lo + BAND_ROWS] != 0.0
+        i = np.arange(lo, lo + len(nz))
+        last = K.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+        rise = max(rise, int(np.max(last - i)))
+        fall = max(fall, int(np.max(i - nz.argmax(axis=1))))
+    return rise, fall
+
+
 def _first_returns(kernel, n):
     """First-return law of the kernel's chain from level 0, for steps 0..n.
 
-    One vector-matrix product per step over the whole kernel, with level 0
-    taboo: f[t] is P(first return to 0 at step t).
+    One vector-matrix product per step with level 0 taboo: f[t] is
+    P(first return to 0 at step t).  Each product covers only the live
+    band, levels 0..min(L, rise*t, fall*(n - t)) for the kernel's
+    bandwidths: after t steps from 0 the chain sits at most rise*t up, and
+    from above fall*(n - t) it cannot reach 0 by step n, nor can any level
+    its mass moves to.  That is about n^3/12 multiply-adds on a nearest-
+    neighbour chain and n^3/3 when one bandwidth is L, instead of n^3.
     """
     K = kernel.matrix
+    rise, fall = _bandwidths(K)
     f = np.zeros(n + 1)
-    v = np.zeros(len(K))
-    v[0] = 1.0
+    v = np.ones(1)
     for t in range(1, n + 1):
-        v = v @ K
+        hi = min(kernel.level_cap, rise * t, fall * (n - t))
+        v = v @ K[: len(v), : hi + 1]
         f[t], v[0] = v[0], 0.0
     return f
 
@@ -132,9 +158,10 @@ def exact_An_distribution(kernel, n, kmax=None):
     Visits of the chain to level 0 form a renewal process, so A_n >= k
     exactly when the first k return times sum to at most n.  One pass of
     _first_returns gives their p.m.f. and _renewal_masses sums its powers:
-    n vector-matrix products plus about 2*sqrt(kmax) truncated products,
-    every term nonnegative.  The kernel's level cap must reach n, and the
-    error bound is 0.
+    n vector-matrix products over the live band, n^3/12 to n^3/3
+    multiply-adds, plus about 2*sqrt(kmax) truncated products, every term
+    nonnegative.  The kernel's level cap must reach n, and the error bound
+    is 0.
 
     The renewal oracle shares the renewal identity and that sum with this
     route; here the return times come from the kernel (jump_pmf and

@@ -192,7 +192,9 @@ def series_compose_val1(outer, inner, order):
     # rows j of baby: inner^j for j < k, as long as inner^(k-1) can be
     baby = np.zeros((k, min(order + 1, (k - 1) * (len(inner) - 1) + 1)))
     baby[0, 0] = 1.0
-    for j in range(1, k):
+    if k > 1:
+        baby[1, : len(inner)] = inner
+    for j in range(2, k):
         baby[j] = series_mul(baby[j - 1], inner, baby.shape[1] - 1)
     giant = series_mul(baby[-1], inner, order)  # inner^k
     blocks = np.concatenate([outer, np.zeros(-len(outer) % k)])

@@ -16,7 +16,7 @@ from recordwalk import (
     tau_pmf,
 )
 from recordwalk.laws import Orientation
-from recordwalk.oracle import _first_returns
+from recordwalk.oracle import ChainKernel, _bandwidths, _first_returns
 from recordwalk.series import series_mul
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
@@ -26,6 +26,9 @@ STABLE = IncrementLaw.stable("right", 0.5, 0.5)
 STABLE_LEFT = IncrementLaw.stable("left", 0.5, 0.5)
 
 ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE, STABLE_LEFT]
+# critical laws with a jump of 10 levels: a band of width 10 on one side
+WIDE = IncrementLaw.explicit("right", 0.1, [0.89] + [0.0] * 9 + [0.01])
+WIDE_LEFT = IncrementLaw.explicit("left", 0.1, [0.89] + [0.0] * 9 + [0.01])
 
 
 def _dense_dp(kernel, n, kmax=None):
@@ -52,6 +55,19 @@ def _dense_dp(kernel, n, kmax=None):
         nxt[kmax, 0] += landed[kmax, 0]
         dist = nxt
     return np.minimum(1.0, np.cumsum(dist.sum(axis=1)[::-1])[::-1])
+
+
+def _whole_kernel_first_returns(kernel, n):
+    """Reference for _first_returns: the whole state vector times the
+    whole kernel at every step, level 0 taboo."""
+    K = kernel.matrix
+    f = np.zeros(n + 1)
+    v = np.zeros(len(K))
+    v[0] = 1.0
+    for t in range(1, n + 1):
+        v = v @ K
+        f[t], v[0] = v[0], 0.0
+    return f
 
 
 def _full_convolution_renewal(f, n, kmax):
@@ -184,6 +200,50 @@ class TestExactDistribution:
         assert len(f) == len(tau) == n + 1
         assert np.all(f >= 0.0)
         assert np.all(np.abs(f - tau) <= 1e-13 * tau)
+
+    @pytest.mark.parametrize("law", ALL_LAWS + [WIDE, WIDE_LEFT])
+    @pytest.mark.parametrize("n", [60, 400])
+    def test_live_band_matches_the_whole_kernel(self, law, n):
+        # dropping the levels the chain cannot have reached, or cannot
+        # leave for 0 in time, changes no first-return probability
+        for cap in (n, n + 3):
+            kernel = build_kernel(law, cap)
+            f = _first_returns(kernel, n)
+            ref = _whole_kernel_first_returns(kernel, n)
+            assert np.array_equal(f != 0.0, ref != 0.0)
+            assert np.all(np.abs(f - ref) <= 2e-15 * ref)
+
+    def test_a_kernel_without_a_band_is_multiplied_whole(self):
+        # every move allowed: both bandwidths are L and the level cap
+        # bounds the live band from step 1 to step n - 1
+        K = np.random.default_rng(5).random((31, 31))
+        K /= 1.25 * K.sum(axis=1, keepdims=True)
+        kernel = ChainKernel(30, K)
+        assert _bandwidths(K) == (30, 30)
+        f = _first_returns(kernel, 30)
+        ref = _whole_kernel_first_returns(kernel, 30)
+        assert np.all(np.abs(f - ref) <= 2e-15 * ref)
+
+    @pytest.mark.parametrize(("law", "band"), [
+        (SYM, (1, 1)), (SYM_LEFT, (1, 1)), (ASYM, (2, 1)),
+        (STABLE, ("L", 1)), (STABLE_LEFT, (1, "L")),
+        (WIDE, (10, 1)), (WIDE_LEFT, (1, 10)),
+    ])
+    def test_bandwidths(self, law, band):
+        # the largest rise and fall in one step; a stable law's jumps
+        # reach across the whole kernel on one side
+        for cap in (12, 63, 64, 65, 400):
+            expected = tuple(cap if b == "L" else b for b in band)
+            assert _bandwidths(build_kernel(law, cap).matrix) == expected
+
+    def test_bandwidths_of_a_row_without_moves(self):
+        # an all-zero row counts as reaching the whole kernel both ways
+        K = np.zeros((70, 70))
+        K[np.arange(69), np.arange(1, 70)] = 1.0
+        K[69, 68] = 1.0
+        assert _bandwidths(K) == (1, 1)
+        K[5] = 0.0
+        assert _bandwidths(K) == (64, 5)
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_deep_tails_keep_relative_accuracy(self, law):
