@@ -91,8 +91,9 @@ def cmd_oracle(law, args):
         table = oracle.exact_An_distribution(kernel, args.n, kmax=args.kmax)
     else:
         table = oracle.renewal_tail_table(law, args.n, kmax=args.kmax)
-    rows = [(k, float(p), table.error_bound, table.provenance.value)
-            for k, p in enumerate(table.tail)]
+    bound, provenance = table.error_bound, table.provenance.value
+    rows = [(k, p, bound, provenance)
+            for k, p in enumerate(table.tail.tolist())]
     return ["k", "tail_prob", "error_bound", "provenance"], rows
 
 
@@ -101,10 +102,8 @@ def cmd_simulate(law, args):
                                   workers=args.workers)
     table = montecarlo.empirical_tail(config)
     kmax = args.n if args.kmax is None else min(args.kmax, args.n)
-    rows = [
-        (k, float(table.tail[k]), float(table.ci_lo[k]), float(table.ci_hi[k]))
-        for k in range(kmax + 1)
-    ]
+    rows = list(zip(range(kmax + 1), table.tail.tolist(),
+                    table.ci_lo.tolist(), table.ci_hi.tolist()))
     return ["k", "estimate", "ci_lo", "ci_hi"], rows
 
 
@@ -115,8 +114,7 @@ def cmd_series(law, args):
         coeffs = oracle.tau_pmf(law, args.order).coeffs
     else:
         coeffs, _ = oracle.return_prob_partial_sums(law, args.order)
-    rows = [(i, float(c)) for i, c in enumerate(coeffs)]
-    return ["index", "coefficient"], rows
+    return ["index", "coefficient"], list(enumerate(coeffs.tolist()))
 
 
 def cmd_verify(law, args):
@@ -141,7 +139,10 @@ def _jsonable(v):
 
 def _emit(payload, meta):
     """Write a dict payload as JSON with a `meta` key, or a (columns, rows)
-    table as CSV under a `#` header of meta, in one write to stdout."""
+    table as CSV under a `#` header of meta, in one write to stdout.
+
+    A row is a tuple of Python ints, floats and strings, whose str is their
+    repr, so a float round-trips exactly."""
     if isinstance(payload, dict):
         text = json.dumps({**_jsonable(payload), "meta": meta}, indent=2,
                           sort_keys=True)
@@ -149,8 +150,8 @@ def _emit(payload, meta):
         columns, rows = payload
         lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
         lines.append(",".join(columns))
-        lines.extend(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) for row in rows)
+        row_format = ",".join(["%s"] * len(columns))
+        lines.extend(row_format % row for row in rows)
         text = "\n".join(lines)
     sys.stdout.write(text + "\n")
 

@@ -63,7 +63,7 @@ def _solve_hw(law, s, t):
     if s == 0.0 or t == 0.0:
         return (0.0, 1.0) if s == 0.0 else (1.0, 0.0)
     h, w = bisect_logit(
-        lambda h, w: -np.log(w * law.gap_over_w(h, w) * s) + np.log(t * h),
+        lambda h, w: -_log(w * law.gap_over_w(h, w) * s) + _log(t * h),
         0.0)
     # one Newton step on t*h - s*D = 0 in the smaller of h and w; its
     # derivative is t + s*D' in h and minus that in w
@@ -76,10 +76,18 @@ def _solve_hw(law, s, t):
     return h, w
 
 
+def _log(x):
+    """log of a float as np.log takes it, -inf at 0 and nan below, without
+    a warning."""
+    if x > 0.0:
+        return math.log(x)
+    return -math.inf if x == 0.0 else math.nan
+
+
 def _logistic_hw(u):
     """(h, w) with log(h/w) = u and h + w = 1, each to full relative
     precision."""
-    t = float(np.exp(-abs(u)))
+    t = math.exp(-abs(u))
     small, big = t / (1.0 + t), 1.0 / (1.0 + t)
     return (small, big) if u < 0.0 else (big, small)
 

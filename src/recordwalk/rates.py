@@ -15,9 +15,10 @@ keeps its relative precision as lambda -> 0.  invert_slope, legendre and
 rate_point solve for no fixed point: they find Lambda' = x in u = log(h/w)
 by ITP (bisect_logit) on log(Lambda' - 1) against log(x - 1), with the
 bracket of bisection and about 11 curve evaluations instead of about 60;
-the log of the excess keeps lambda to full precision as x -> 1.  _curve
-also takes arrays of h and w, so a sweep (the legendre verify suite) reads
-many points of the curve at once, again with no solve.
+the log of the excess keeps lambda to full precision as x -> 1.  On a
+float, _curve and the gaps run on math alone, so a search makes no numpy
+call; _curve also takes arrays of h and w, so a sweep (the legendre verify
+suite) reads many points of the curve at once, again with no solve.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import _solve_hw, bisect_logit, one_minus_s_phi_prime_h
+from .fixed_point import (_log, _solve_hw, bisect_logit,
+                          one_minus_s_phi_prime_h)
 from .laws import MdpRegime, Orientation
 
 
@@ -74,15 +76,28 @@ def _curve(law, h, w, lam=None):
              Lambda' - 1 = h*phi*((D' - r)/w) / ((1 - r)*A).
     Lambda' - 1 is formed without subtracting 1, and no numerator or
     denominator subtracts nearly equal numbers.
+
+    Each formula is written twice, side by side, as in IncrementLaw.gaps:
+    a float takes the gaps' floats, math and plain branches, and returns
+    floats; an array takes numpy.  A float at w = 0 takes the array form,
+    whose division by zero gives the inf or nan that the root search reads.
     """
     r, dp, psi, chi = law.gaps(h, w)
     d = w * r
+    phi, a = d + h, d + h * dp
+    q, right = law.q, law.orientation is Orientation.RIGHT
+    if h.__class__ is float and w != 0.0:
+        lam = -math.log1p(d / h) if lam is None else lam
+        if right:
+            g = q * w / phi
+            Lam = math.log1p(-g) if g <= 0.5 else lam + math.log(psi + q)
+            return lam, Lam, h * chi * phi / ((psi + q) * a)
+        return (lam, lam + math.log1p(-r),
+                h * phi * ((dp - r) / w) / ((1.0 - r) * a))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if lam is None:
             lam = -np.log1p(d / h)
-        phi, a = d + h, d + h * dp
-        if law.orientation is Orientation.RIGHT:
-            q = law.q
+        if right:
             g = q * w / phi
             Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(psi + q))
             excess = h * chi * phi / ((psi + q) * a)
@@ -121,7 +136,7 @@ def _slope_point(law, x):
     """
     if not 1.0 < x < math.inf:
         raise ValueError("x must be finite and > 1 (G(1) = -infinity)")
-    h, w = bisect_logit(lambda h, w: np.log(_curve(law, h, w)[2]),
+    h, w = bisect_logit(lambda h, w: _log(_curve(law, h, w)[2]),
                         math.log(x - 1.0))
     lam, Lam, _ = _curve(law, h, w)
     lam, Lam = float(lam), float(Lam)

@@ -341,6 +341,43 @@ def test_emit_writes_nested_nonfinite_floats_as_strings(capsys):
                    "meta": {"version": "v"}}
 
 
+def _repr_csv(payload, meta):
+    """A (columns, rows) table as the writer wrote it with each float's repr
+    and every other value's str."""
+    columns, rows = payload
+    lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
+    lines.append(",".join(columns))
+    lines.extend(",".join(repr(v) if isinstance(v, float) else str(v)
+                          for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--n", "30", "--mode", "dp"],
+    ["oracle", "--n", "30", "--mode", "renewal"],
+    ["simulate", "--n", "20", "--paths", "2000", "--seed", "5"],
+    ["rate", "--grid", "0.001:1:40"],
+    ["series", "--what", "tau", "--order", "64"],
+])
+def test_csv_bytes_equal_the_repr_writer(capsys, argv):
+    # each row's format string gives the bytes of the per-value repr writer,
+    # on the tables as the commands build them plus rows of -0.0, inf, nan
+    # and the smallest subnormal in every float column
+    argv = [argv[0], "--law", STABLE_PATH, *argv[1:]]
+    args = build_parser().parse_args(argv)
+    law = IncrementLaw.from_json(Path(STABLE_PATH).read_text())
+    columns, rows = args.func(law, args)
+    specials = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1]
+    for v in specials:
+        rows.append(tuple(v if isinstance(x, float) else x for x in rows[-1]))
+    assert all(x.__class__ in (int, float, str) for row in rows for x in row)
+    meta = {"law_sha256": law.sha256(), "version": recordwalk.__version__}
+    _emit((columns, rows), meta)
+    out = capsys.readouterr().out
+    assert out == _repr_csv((columns, rows), meta)
+    assert all(f",{v!r}" in out for v in specials)
+
+
 def test_one_parser_serves_a_sequence_of_calls(capsys):
     # main builds its parser once per process; a usage error and another
     # subcommand in between leave the next rate call's output unchanged

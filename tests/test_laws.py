@@ -210,6 +210,15 @@ class TestLawInterface:
             assert (r[i], dp[i], psi[i], chi[i]) == tuple(law.gaps(h, 1.0 - h))
         assert law.gaps(0.0, 1.0)[2] == law.p0
 
+    @pytest.mark.parametrize("method", ["phi", "phi_prime", "phi_second"])
+    def test_float_and_array_give_the_same_bits(self, name, method):
+        # s = 1 included, where the stable phi'' is inf
+        f = getattr(self.law(name), method)
+        s = np.array([0.0, 1e-300, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 1.0])
+        floats = [f(float(v)) for v in s]
+        assert np.array_equal(np.array(floats), f(s))
+        assert np.all(np.isfinite(floats[:-1]))
+
     def test_gap_over_w(self, name):
         # w * (D/w) against D = phi(h) - h at h = 1 - w, w = 1e-1..1e-250,
         # from the law's decimal coefficients in mpmath, 40 digits beyond
