@@ -89,6 +89,9 @@ class IncrementLaw:
             raise LawValidationError(
                 f"law is not critical: sum n*p_n = {mean_down!r} but q = {q!r}"
             )
+        if not any(p[1:]):
+            raise LawValidationError(
+                "law is not critical: it needs some p_n > 0 with n >= 1")
         return IncrementLaw(orientation, q, p=p)
 
     @staticmethod
@@ -353,7 +356,8 @@ class IncrementLaw:
 
 
 def _check_unit_interval(s):
-    if not np.all((0.0 <= s) & (s <= 1.0)):
+    if not (0.0 <= s <= 1.0 if s.__class__ is float
+            else np.all((0.0 <= s) & (s <= 1.0))):
         raise ValueError(f"s = {s!r} outside [0, 1]")
 
 

@@ -16,13 +16,14 @@ steps (Paterson and Stockmeyer): about 2*sqrt(kmax) truncated products and
 one matrix-vector product per giant step.  Every term on both routes is
 nonnegative, and both are exact for both families.
 
-For level cap L the kernel reads p_0..p_L from law.jump_pmf(L + 1) and
-sums no jump probabilities.  It keeps only the moves that can return to 0
-within L steps: a right-continuous chain falls at most one level per step,
-so it drops the jumps above the cap, and a left-continuous chain rises at
-most one level per step, so it drops the step up from the cap, and lands
-the jumps of size i or more from level i, mass T_i from law.jump_tails(L),
-on 0.  The DP therefore needs L >= n.
+For level cap L the kernel is one Toeplitz band of p_0..p_L from
+law.jump_pmf(L + 1), laid along the rows or down the columns, and sums no
+jump probabilities.  It keeps only the moves that can return to 0 within
+L steps: a right-continuous chain falls at most one level per step, so it
+drops the jumps above the cap, and a left-continuous chain rises at most
+one level per step, so it drops the step up from the cap, and lands the
+jumps of size i or more from level i, mass T_i from law.jump_tails(L), on
+0.  The live band's widths come from the same law.  The DP needs L >= n.
 The renewal route takes tau_pmf of the law itself, so a stable law's
 series come from its exact generating function.
 """
@@ -34,12 +35,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fixed_point import f0_series
 from .laws import Orientation
 from .series import SeriesPoly, series_mul, series_reciprocal
-
-BAND_ROWS = 64  # kernel rows per nonzero mask when reading the bandwidths
 
 
 class Provenance(str, Enum):
@@ -52,10 +52,12 @@ class Provenance(str, Enum):
 class ChainKernel:
     """Substochastic reflected-chain transition matrix on levels
     0..level_cap, without the moves that cannot return to 0 within
-    level_cap steps."""
+    level_cap steps, and the largest rise and fall of one step."""
 
     level_cap: int
     matrix: np.ndarray
+    rise: int
+    fall: int
 
 
 @dataclass(frozen=True)
@@ -78,29 +80,31 @@ class TailTable:
 
 
 def build_kernel(law, level_cap):
-    """Assemble the reflected-chain kernel for levels 0..level_cap."""
+    """Assemble the reflected-chain kernel for levels 0..level_cap.
+
+    A right chain copies the strided view band[i, j] = p_(j - i) of
+    p_0..p_L, a left one its transpose.  A right chain rises at most to the
+    last level it reaches from 0 and falls one level; a left chain rises
+    one level and falls at most from the last level i with T_i > 0.
+    """
     if level_cap < 1:
         raise ValueError("level_cap must be >= 1")
     L = level_cap
-    q, p = law.q, law.jump_pmf(L + 1)
-    K = np.zeros((L + 1, L + 1))
+    q, p = law.q, law.jump_pmf(L + 1)[: L + 1]
+    band = sliding_window_view(np.pad(p, (L, L + 1 - len(p))), L + 1)[::-1]
     if law.orientation is Orientation.RIGHT:
         # From i: up k with p_k while i + k <= L, down one with q (from 0:
         # stay); a jump above the cap cannot fall back to 0 in L steps.
-        for i in range(L + 1):
-            row = p[: L + 1 - i]
-            K[i, i : i + len(row)] = row
-            K[i, max(i - 1, 0)] += q
-    else:
-        # From i: to 0 with T_i, to 0 < j <= i with p_(i-j), up one with q
-        # below the cap; the chain reaches the cap at step L at the soonest.
-        t = law.jump_tails(L)
-        for i in range(L + 1):
-            row = p[:i][::-1]
-            K[i, i + 1 - len(row) : i + 1] = row
-            K[i, 0] = t[i]
-        K[np.arange(L), np.arange(1, L + 1)] = q
-    return ChainKernel(L, K)
+        K = band.copy()
+        K[0, 0] += q
+        K[np.arange(1, L + 1), np.arange(L)] += q
+        return ChainKernel(L, K, int(np.flatnonzero(K[0])[-1]), 1)
+    # From i: to 0 with T_i, to 0 < j <= i with p_(i-j), up one with q
+    # below the cap; the chain reaches the cap at step L at the soonest.
+    K = band.T.copy()
+    K[:, 0] = law.jump_tails(L)
+    K[np.arange(L), np.arange(1, L + 1)] = q
+    return ChainKernel(L, K, 1, int(np.flatnonzero(K[:, 0])[-1]))
 
 
 def _horizon(n, kmax):
@@ -114,35 +118,18 @@ def _horizon(n, kmax):
     return min(kmax, n)
 
 
-def _bandwidths(K):
-    """The largest rise and the largest fall of one step of the chain K.
-
-    The nonzero mask is formed BAND_ROWS rows at a time, never for the
-    whole kernel.  A row without a nonzero entry only widens the band.
-    """
-    rise = fall = 0
-    for lo in range(0, len(K), BAND_ROWS):
-        nz = K[lo : lo + BAND_ROWS] != 0.0
-        i = np.arange(lo, lo + len(nz))
-        last = K.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
-        rise = max(rise, int(np.max(last - i)))
-        fall = max(fall, int(np.max(i - nz.argmax(axis=1))))
-    return rise, fall
-
-
 def _first_returns(kernel, n):
     """First-return law of the kernel's chain from level 0, for steps 0..n.
 
     One vector-matrix product per step with level 0 taboo: f[t] is
     P(first return to 0 at step t).  Each product covers only the live
-    band, levels 0..min(L, rise*t, fall*(n - t)) for the kernel's
-    bandwidths: after t steps from 0 the chain sits at most rise*t up, and
-    from above fall*(n - t) it cannot reach 0 by step n, nor can any level
-    its mass moves to.  That is about n^3/12 multiply-adds on a nearest-
+    band, levels 0..min(L, rise*t, fall*(n - t)) for the bandwidths that
+    build_kernel read from the law: after t steps from 0 the chain sits at
+    most rise*t up, and from above fall*(n - t) it cannot reach 0 by step
+    n, nor can any level its mass moves to.  That is about n^3/12 multiply-adds on a nearest-
     neighbour chain and n^3/3 when one bandwidth is L, instead of n^3.
     """
-    K = kernel.matrix
-    rise, fall = _bandwidths(K)
+    K, rise, fall = kernel.matrix, kernel.rise, kernel.fall
     f = np.zeros(n + 1)
     v = np.ones(1)
     for t in range(1, n + 1):

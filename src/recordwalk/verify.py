@@ -15,6 +15,8 @@ import numpy as np
 from . import fixed_point, oracle, rates
 from .laws import Orientation
 
+LDP_TREND_X_REC = 0.5  # the record density at which ldp-trend reads tails
+
 
 @dataclass(frozen=True)
 class Check:
@@ -168,12 +170,15 @@ def _suite_tauberian(law):
     ]
 
 
-def _suite_ldp_trend(law, x_rec=0.5):
-    analytic = rates.ldp_rate(law, x_rec)
+def _suite_ldp_trend(law):
+    """r_n = -log P(A_n >= ceil(x*n))/n at x = LDP_TREND_X_REC from the
+    renewal oracle, n = 100 to 800, against the LDP rate at x: monotone
+    toward it, and a geometric extrapolant within 10% of it."""
+    analytic = rates.ldp_rate(law, LDP_TREND_X_REC)
     ns = (100, 200, 400, 800)
     tau = oracle.tau_pmf(law, ns[-1])  # one series for every horizon
-    rs = [-math.log(oracle.renewal_tail(tau, n, math.ceil(x_rec * n))) / n
-          for n in ns]
+    rs = [-math.log(oracle.renewal_tail(
+        tau, n, math.ceil(LDP_TREND_X_REC * n))) / n for n in ns]
     diffs = np.diff(rs)
     toward = bool(np.all(diffs > 0) and rs[-1] < analytic) or bool(
         np.all(diffs < 0) and rs[-1] > analytic

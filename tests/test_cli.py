@@ -447,3 +447,21 @@ class TestErrors:
     def test_directory_as_law(self, tmp_path, capsys):
         assert main(["rate", "--law", str(tmp_path), "--x", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--x", "0.5"], ["mdp"], ["mdp", "--numeric"],
+        ["oracle", "--mode", "dp", "--n", "20"],
+        ["verify", "--suite", "legendre"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_law_without_a_jump_of_size_one_or_more(self, tmp_path, capsys,
+                                                   side, argv):
+        # its drift q = 1e-12 is within the criticality tolerance; the rate
+        # layer divided by zero on it before validation rejected it
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"orientation": side, "spec": {
+            "type": "explicit", "q": 1e-12, "p": [0.999999999999]}}))
+        assert main([argv[0], "--law", str(bad), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "p_n > 0 with n >= 1" in err
+        assert "Traceback" not in err

@@ -93,6 +93,14 @@ class TestExplicitFactory:
         with pytest.raises(LawValidationError):
             IncrementLaw.explicit("right", 0.5, [0.1, 0.4])
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("p", [[0.999999999999], [0.999999999999, 0.0]])
+    def test_rejects_a_law_without_a_jump_of_size_one_or_more(self, side, p):
+        # the drift q = 1e-12 is within CRITICALITY_TOL, but exact
+        # criticality needs some p_n > 0 with n >= 1
+        with pytest.raises(LawValidationError, match="p_n > 0 with n >= 1"):
+            IncrementLaw.explicit(side, 1e-12, p)
+
 
 class TestStableFactory:
     def test_parameters(self):
@@ -129,6 +137,25 @@ class TestGeneratingFunction:
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             sym_law().phi(1.5)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("s", [math.nan, -2.0**-1074, 1.0 + 2.0**-52])
+    def test_domain_checks_on_floats_and_arrays(self, name, s):
+        # a float takes its own test, which rejects what the array one does
+        law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+        for f in (law.phi, law.phi_prime, law.phi_second):
+            for arg in (s, np.array([0.5, s])):
+                with pytest.raises(ValueError, match="outside"):
+                    f(arg)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_floats_and_arrays_give_the_same_bits(self, name):
+        law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+        s = [0.0, 2.0**-1074, 1e-300, 0.1, 0.37, 0.5, 0.75, 1.0 - 2.0**-53,
+             1.0]
+        for f in (law.phi, law.phi_prime, law.phi_second):
+            floats = np.array([f(v) for v in s])
+            assert floats.tobytes() == f(np.array(s)).tobytes(), f.__name__
 
 
 def _mp_gap_over_w(name, w):

@@ -16,7 +16,7 @@ from recordwalk import (
     tau_pmf,
 )
 from recordwalk.laws import Orientation
-from recordwalk.oracle import ChainKernel, _bandwidths, _first_returns
+from recordwalk.oracle import ChainKernel, _first_returns
 from recordwalk.series import series_mul
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
@@ -29,6 +29,49 @@ ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE, STABLE_LEFT]
 # critical laws with a jump of 10 levels: a band of width 10 on one side
 WIDE = IncrementLaw.explicit("right", 0.1, [0.89] + [0.0] * 9 + [0.01])
 WIDE_LEFT = IncrementLaw.explicit("left", 0.1, [0.89] + [0.0] * 9 + [0.01])
+# a trailing zero jump, and a law with no jump of size 1 or more, which
+# validation rejects, built past it
+TRAILING = IncrementLaw.explicit("right", 0.25, [0.5, 0.25, 0.0])
+TRAILING_LEFT = IncrementLaw.explicit("left", 0.25, [0.5, 0.25, 0.0])
+NO_JUMP = IncrementLaw(Orientation.RIGHT, 1e-12, p=(0.999999999999,))
+NO_JUMP_LEFT = IncrementLaw(Orientation.LEFT, 1e-12, p=(0.999999999999,))
+KERNEL_LAWS = ALL_LAWS + [WIDE, WIDE_LEFT, TRAILING, TRAILING_LEFT, NO_JUMP,
+                          NO_JUMP_LEFT]
+BAND_ROWS = 64  # kernel rows per nonzero mask in _bandwidths_scan
+
+
+def _row_loop_kernel(law, L):
+    """Reference for build_kernel: the kernel laid out one row at a time."""
+    q, p = law.q, law.jump_pmf(L + 1)
+    K = np.zeros((L + 1, L + 1))
+    if law.orientation is Orientation.RIGHT:
+        for i in range(L + 1):
+            row = p[: L + 1 - i]
+            K[i, i : i + len(row)] = row
+            K[i, max(i - 1, 0)] += q
+    else:
+        t = law.jump_tails(L)
+        for i in range(L + 1):
+            row = p[:i][::-1]
+            K[i, i + 1 - len(row) : i + 1] = row
+            K[i, 0] = t[i]
+        K[np.arange(L), np.arange(1, L + 1)] = q
+    return K
+
+
+def _bandwidths_scan(K):
+    """Reference for the kernel's bandwidths: the largest rise and the
+    largest fall of one step, read off the nonzero mask of any matrix K,
+    BAND_ROWS rows at a time.  A row without a nonzero entry only widens
+    the band."""
+    rise = fall = 0
+    for lo in range(0, len(K), BAND_ROWS):
+        nz = K[lo : lo + BAND_ROWS] != 0.0
+        i = np.arange(lo, lo + len(nz))
+        last = K.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+        rise = max(rise, int(np.max(last - i)))
+        fall = max(fall, int(np.max(i - nz.argmax(axis=1))))
+    return rise, fall
 
 
 def _dense_dp(kernel, n, kmax=None):
@@ -150,6 +193,18 @@ class TestKernel:
         with pytest.raises(ValueError):
             build_kernel(SYM, 0)
 
+    @pytest.mark.parametrize("law", KERNEL_LAWS)
+    def test_matches_the_row_loop(self, law):
+        # the Toeplitz view gives the row loop's bits, and the bandwidths
+        # read from the law equal those scanned off the matrix
+        for cap in (1, 2, 3, 12, 63, 64, 65, 400):
+            kernel = build_kernel(law, cap)
+            ref = _row_loop_kernel(law, cap)
+            assert kernel.level_cap == cap
+            assert kernel.matrix.flags.c_contiguous
+            assert kernel.matrix.tobytes() == ref.tobytes(), cap
+            assert (kernel.rise, kernel.fall) == _bandwidths_scan(ref), cap
+
 
 class TestExactDistribution:
     def test_shape_and_monotone(self):
@@ -201,7 +256,7 @@ class TestExactDistribution:
         assert np.all(f >= 0.0)
         assert np.all(np.abs(f - tau) <= 1e-13 * tau)
 
-    @pytest.mark.parametrize("law", ALL_LAWS + [WIDE, WIDE_LEFT])
+    @pytest.mark.parametrize("law", KERNEL_LAWS)
     @pytest.mark.parametrize("n", [60, 400])
     def test_live_band_matches_the_whole_kernel(self, law, n):
         # dropping the levels the chain cannot have reached, or cannot
@@ -218,8 +273,8 @@ class TestExactDistribution:
         # bounds the live band from step 1 to step n - 1
         K = np.random.default_rng(5).random((31, 31))
         K /= 1.25 * K.sum(axis=1, keepdims=True)
-        kernel = ChainKernel(30, K)
-        assert _bandwidths(K) == (30, 30)
+        kernel = ChainKernel(30, K, 30, 30)
+        assert _bandwidths_scan(K) == (30, 30)
         f = _first_returns(kernel, 30)
         ref = _whole_kernel_first_returns(kernel, 30)
         assert np.all(np.abs(f - ref) <= 2e-15 * ref)
@@ -234,16 +289,9 @@ class TestExactDistribution:
         # reach across the whole kernel on one side
         for cap in (12, 63, 64, 65, 400):
             expected = tuple(cap if b == "L" else b for b in band)
-            assert _bandwidths(build_kernel(law, cap).matrix) == expected
-
-    def test_bandwidths_of_a_row_without_moves(self):
-        # an all-zero row counts as reaching the whole kernel both ways
-        K = np.zeros((70, 70))
-        K[np.arange(69), np.arange(1, 70)] = 1.0
-        K[69, 68] = 1.0
-        assert _bandwidths(K) == (1, 1)
-        K[5] = 0.0
-        assert _bandwidths(K) == (64, 5)
+            kernel = build_kernel(law, cap)
+            assert (kernel.rise, kernel.fall) == expected
+            assert _bandwidths_scan(kernel.matrix) == expected
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_deep_tails_keep_relative_accuracy(self, law):
