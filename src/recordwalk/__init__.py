@@ -12,7 +12,6 @@ from .laws import (  # noqa: F401
     expand_coefficients,
     truncated_explicit,
 )
-from .series import SeriesPoly  # noqa: F401
 from .fixed_point import (  # noqa: F401
     f0_series,
     h_series,

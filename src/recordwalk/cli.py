@@ -109,9 +109,9 @@ def cmd_simulate(law, args):
 
 def cmd_series(law, args):
     if args.what == "h":
-        coeffs = fixed_point.h_series(law, args.order).coeffs
+        coeffs = fixed_point.h_series(law, args.order)
     elif args.what == "tau":
-        coeffs = oracle.tau_pmf(law, args.order).coeffs
+        coeffs = oracle.tau_pmf(law, args.order)
     else:
         coeffs, _ = oracle.return_prob_partial_sums(law, args.order)
     return ["index", "coefficient"], list(enumerate(coeffs.tolist()))

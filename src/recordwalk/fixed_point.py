@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .laws import Orientation
-from .series import SeriesPoly, series_mul, series_reciprocal
+from .series import series_mul, series_reciprocal
 
 RESIDUAL_TOL = 1e-13
 U_MAX = 750.0  # |log(h/w)| beyond which h or w is 0 in double precision
@@ -138,8 +138,15 @@ def bisect_logit(f, target):
     return _logistic_hw(mid)
 
 
+def _finite(coeffs):
+    """coeffs, after a check that every one is finite."""
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite")
+    return coeffs
+
+
 def h_series(law, order):
-    """Coefficients of h through s^order.
+    """Coefficients of h through s^order: a float64 array, checked finite.
 
     Series Newton on F(H) = H - s*phi(H) up the ladder order, order//2,
     ..., 1, from h = q*s, which is right through s^1.  F'' = -s*phi''(H)
@@ -161,18 +168,18 @@ def h_series(law, order):
         f_hi = h[lo + 1 : m + 1] - phi_h[lo:m]  # F at s^(lo+1..m)
         fp = np.concatenate([[1.0], -phip_h[:d]])  # F' through s^d
         h[lo + 1 : m + 1] -= series_mul(f_hi, series_reciprocal(fp, d), d)
-    return SeriesPoly(h)
+    return _finite(h)
 
 
 def f0_series(law, order):
     """Coefficients of f0(s) = E[s^tau], tau the return time of the
-    reflected chain to 0.
+    reflected chain to 0: a float64 array, checked finite as h_series's.
 
     Right orientation: f0 = 1 + q s - q s/h(s).  Left orientation:
     f0 = s*rho(h) with rho(H) = (1 - phi(H))/(1 - H) = sum_j T_j H^j
     (law.tail_series), a consequence of h = s*phi(h), with no subtraction.
     """
-    h = h_series(law, order + 1).coeffs
+    h = h_series(law, order + 1)
     f0 = np.zeros(order + 1)  # tau >= 1
     if law.orientation is Orientation.RIGHT:
         r = series_reciprocal(h[1:], order)  # s/h; h/s has constant term q
@@ -180,7 +187,7 @@ def f0_series(law, order):
         f0[1] += law.q
     else:
         f0[1:] = law.tail_series(h[:order], order - 1)
-    return SeriesPoly(f0)
+    return _finite(f0)
 
 
 def one_minus_s_phi_prime_h(law, s):

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fixed_point import f0_series
 from .laws import Orientation
-from .series import SeriesPoly, series_mul, series_reciprocal
+from .series import series_mul, series_reciprocal
 
 
 class Provenance(str, Enum):
@@ -163,15 +163,14 @@ def exact_An_distribution(kernel, n, kmax=None):
 
 
 def tau_pmf(law, order):
-    """P(tau = m) for m = 0..order as series coefficients of f0.
+    """P(tau = m) for m = 0..order: f0's coefficients, a float64 array.
 
     Coefficients must be (numerically) nonnegative with partial sums <= 1;
     a violation beyond slack flags an unstable series step.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    f0 = f0_series(law, order)
-    c = f0.coeffs
+    c = f0_series(law, order)
     if np.any(c < -1e-10):
         raise RuntimeError(
             f"unstable series: min coefficient {c.min()!r}"
@@ -179,7 +178,7 @@ def tau_pmf(law, order):
     csum = np.cumsum(c)
     if np.any(csum > 1.0 + 1e-10):
         raise RuntimeError("tau p.m.f. partial sums exceed 1")
-    return f0
+    return c
 
 
 def _renewal_masses(f, n, kmax):
@@ -208,10 +207,11 @@ def _renewal_masses(f, n, kmax):
 
 
 def renewal_tail(tau, n, k):
-    """P(Y_1 + ... + Y_k <= n) for i.i.d. Y >= 1 with p.m.f. tau[:n + 1]."""
+    """P(Y_1 + ... + Y_k <= n), a float, for i.i.d. Y >= 1 whose p.m.f. is
+    the array tau[:n + 1], as tau_pmf returns it."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    f = np.asarray(tau.coeffs if isinstance(tau, SeriesPoly) else tau)
+    f = np.asarray(tau)
     if len(f) < n + 1:
         raise ValueError("tau p.m.f. must be truncated at >= n")
     if f[0] != 0.0:
@@ -222,7 +222,7 @@ def renewal_tail(tau, n, k):
 def renewal_tail_table(law, n, kmax=None):
     """TailTable of P(A_n >= k) from the renewal representation."""
     kmax = _horizon(n, kmax)
-    f = tau_pmf(law, n).coeffs
+    f = tau_pmf(law, n)
     return TailTable(n, _renewal_masses(f, n, kmax), Provenance.RENEWAL, 0.0)
 
 
@@ -233,7 +233,7 @@ def return_prob_partial_sums(law, n):
     u is the coefficient sequence of 1/(1 - f0(s)), one series reciprocal
     (f_0 = 0, so 1 - f0 has constant term 1).
     """
-    one_minus_f0 = -tau_pmf(law, n).coeffs[: n + 1]
+    one_minus_f0 = -tau_pmf(law, n)
     one_minus_f0[0] += 1.0
     u = series_reciprocal(one_minus_f0, n)
     if np.any(u < 0.0):

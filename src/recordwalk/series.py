@@ -1,57 +1,29 @@
 """Truncated power-series arithmetic on float coefficient arrays.
 
 All functions operate on 1-D numpy arrays where index n holds the
-coefficient of s^n, truncated at a common order.  Every product is a direct
-np.convolve, never an FFT, so products of nonnegative series keep relative
-accuracy.  A long product, truncated (series_mul) or middle, is summed over
-slices of CONV_SLICE terms of its shorter factor, one np.convolve each, so
-that each call's dot products run from cache; a truncated product makes
-only the terms through its order, about half of the full product.
-Reciprocals use Newton doubling, exact through the truncation order after
-ceil(log2(order+1)) steps, each a middle product and a truncated product;
-log W integrates W'/W through one reciprocal; exp runs its recurrence in
-blocks, one middle product with the history per block, and a lower order's
-exp is a bitwise prefix of a higher one's; composition is
-Paterson-Stockmeyer.
+coefficient of s^n, truncated at a common order: the form in which
+h_series, f0_series and tau_pmf return their series, checked finite.  Every
+product is a direct np.convolve, never an FFT, so products of nonnegative
+series keep relative accuracy.  A long product, truncated (series_mul) or
+middle, is summed over slices of CONV_SLICE terms of its shorter factor,
+one np.convolve each, so that each call's dot products run from cache; a
+truncated product makes only the terms through its order, about half of the
+full product.  Reciprocals use Newton doubling, exact through the
+truncation order after ceil(log2(order+1)) steps, each a middle product and
+a truncated product; log W integrates W'/W through one reciprocal; exp runs
+its recurrence in blocks, one middle product with the history per block,
+and a lower order's exp is a bitwise prefix of a higher one's; composition
+is Paterson-Stockmeyer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 CONV_SLICE = 1024  # terms of the shorter factor per np.convolve call
 EXP_BLOCK = 128  # series_exp coefficients per convolution step
-
-
-@dataclass(frozen=True)
-class SeriesPoly:
-    """Truncated formal power series sum_n coeffs[n] * s^n."""
-
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-D array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, s):
-        return series_eval(self.coeffs, s)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, n):
-        return float(self.coeffs[n])
 
 
 def series_eval(coeffs, s):

@@ -9,10 +9,12 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import recordwalk
-from recordwalk import SUITES, IncrementLaw, bundled_law_path, verify
+from recordwalk import (SUITES, IncrementLaw, bundled_law_path, fixed_point,
+                        verify)
 from recordwalk.cli import _emit, build_parser, main
 
 SYM_PATH = str(bundled_law_path("sym.json"))
@@ -214,6 +216,14 @@ class TestSeries:
         _, _, rows = parse_csv(out)
         assert float(rows[0][1]) == 1.0
         assert float(rows[2][1]) == 0.5
+
+    def test_nonfinite_coefficients_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(fixed_point, "series_mul",
+                            lambda a, b, order: np.full(order + 1, np.nan))
+        assert main(["series", "--law", SYM_PATH, "--what", "h"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: coefficients must be finite\n"
 
 
 class TestVerify:

@@ -16,10 +16,12 @@ from recordwalk import (
     h_series,
     run_suite,
     solve_h,
+    tau_pmf,
     truncated_explicit,
 )
 from recordwalk import fixed_point
 from recordwalk.fixed_point import ConvergenceError, one_minus_s_phi_prime_h
+from recordwalk.series import series_eval
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
@@ -37,7 +39,7 @@ def bundled_law(name):
 
 @functools.cache
 def _longest_h_series(name):
-    return h_series(bundled_law(name), 10001).coeffs
+    return h_series(bundled_law(name), 10001)
 
 
 def sym_h_closed(s):
@@ -108,21 +110,22 @@ class TestHDeriv:
 class TestHSeries:
     def test_symmetric_coefficients(self):
         # (1 - sqrt(1 - s^2))/s has odd coefficients 1/2, 1/8, 1/16, 5/128
-        c = h_series(SYM, 7).coeffs
+        c = h_series(SYM, 7)
         assert np.allclose(
             c, [0.0, 0.5, 0.0, 0.125, 0.0, 0.0625, 0.0, 0.0390625], atol=1e-15
         )
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_matches_scalar_solve(self, law):
-        poly = h_series(law, 80)
+        h = h_series(law, 80)
         for s in (0.1, 0.25, 0.4):
-            assert poly(s) == pytest.approx(solve_h(law, s), abs=1e-13)
+            assert series_eval(h, s) == pytest.approx(solve_h(law, s),
+                                                     abs=1e-13)
 
     def test_stable_path_matches_truncated_generic(self):
         trunc, _ = truncated_explicit(STABLE, 4000)
-        fast = h_series(STABLE, 30).coeffs
-        generic = h_series(trunc, 30).coeffs
+        fast = h_series(STABLE, 30)
+        generic = h_series(trunc, 30)
         # the truncated surrogate differs from the exact law only through
         # its tiny q adjustment
         assert np.max(np.abs(fast - generic)) <= 1e-5
@@ -144,7 +147,7 @@ class TestHSeries:
         # 9.0e-14 there.  An exact zero stays exactly zero.
         law = bundled_law(name)
         ref = _longest_h_series(name)[: order + 1]
-        got = h_series(law, order).coeffs
+        got = h_series(law, order)
         assert len(got) == order + 1
         assert np.array_equal(got == 0.0, ref == 0.0)
         nz = ref != 0.0
@@ -156,20 +159,20 @@ class TestHSeries:
 
 class TestF0Series:
     def test_symmetric_right(self):
-        c = f0_series(SYM, 8).coeffs
+        c = f0_series(SYM, 8)
         assert np.allclose(
             c, [0.0, 0.5, 0.25, 0.0, 0.0625, 0.0, 0.03125, 0.0, 0.01953125],
             atol=1e-15,
         )
 
     def test_orientations_agree_for_symmetric_walk(self):
-        right = f0_series(SYM, 40).coeffs
-        left = f0_series(SYM_LEFT, 40).coeffs
+        right = f0_series(SYM, 40)
+        left = f0_series(SYM_LEFT, 40)
         assert np.max(np.abs(right - left)) <= 1e-14
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_proper_pmf(self, law):
-        c = f0_series(law, 200).coeffs
+        c = f0_series(law, 200)
         assert np.all(c >= -1e-12)
         assert c[0] == 0.0
         assert np.all(np.cumsum(c) <= 1.0 + 1e-12)
@@ -177,8 +180,39 @@ class TestF0Series:
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_mass_is_one_in_the_limit(self, law):
         # tau is a.s. finite under criticality, so coefficients sum to 1
-        total = f0_series(law, 4000).coeffs.sum()
+        total = f0_series(law, 4000).sum()
         assert 0.97 <= total <= 1.0 + 1e-12
+
+
+class TestSeriesArrays:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_float_arrays_of_the_order(self, name):
+        law = bundled_law(name)
+        for build in (h_series, f0_series, tau_pmf):
+            for order in (1, 2, 50):
+                c = build(law, order)
+                assert type(c) is np.ndarray and c.dtype == np.float64
+                assert c.shape == (order + 1,)
+
+    def test_h_series_rejects_nonfinite_coefficients(self, monkeypatch):
+        monkeypatch.setattr(fixed_point, "series_mul",
+                            lambda a, b, order: np.full(order + 1, np.nan))
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            h_series(SYM, 8)
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_f0_series_rejects_nonfinite_coefficients(self, monkeypatch, law):
+        # the NaN bypasses h_series's own check, so f0_series's must catch it
+        build_h = fixed_point.h_series
+
+        def h_with_a_nan(law, order):
+            h = build_h(law, order)
+            h[2] = np.nan
+            return h
+
+        monkeypatch.setattr(fixed_point, "h_series", h_with_a_nan)
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            f0_series(law, 8)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)

@@ -1,5 +1,7 @@
 """Increment law construction, validation, serialization, and expansion."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -20,6 +22,7 @@ from recordwalk import (
     solve_h,
     truncated_explicit,
 )
+from recordwalk.cli import main
 from recordwalk.fixed_point import one_minus_s_phi_prime_h
 from recordwalk.series import series_eval
 
@@ -187,8 +190,7 @@ class TestLawInterface:
     @pytest.mark.parametrize("s", [0.1, 0.25])
     def test_phi_series_sums_to_phi_at_h(self, name, s):
         law, order = self.law(name), 128
-        phi_h, phip_h = law.phi_series(h_series(law, order).coeffs, order,
-                                       order)
+        phi_h, phip_h = law.phi_series(h_series(law, order), order, order)
         h = solve_h(law, s)
         assert abs(series_eval(phi_h, s) - law.phi(h)) <= 1e-13
         assert abs(series_eval(phip_h, s) - law.phi_prime(h)) <= 1e-13
@@ -201,7 +203,7 @@ class TestLawInterface:
         # composition with h[:d + 1] slices its long products elsewhere,
         # 2 ulps at m = 4097 and 10001 measured, against the 16 allowed
         law = self.law(name)
-        h = h_series(law, m).coeffs
+        h = h_series(law, m)
         phi_full, phip_full = law.phi_series(h, m, m)
         for d in sorted({0, 1, m // 2 - 1, (m - 1) // 2, m // 2, m - 1}):
             phi_h, phip_h = law.phi_series(h, m, d)
@@ -345,9 +347,17 @@ class TestTruncation:
 
 
 @st.composite
-def critical_laws(draw):
-    """Random critical explicit laws built by scaling a raw weight vector."""
-    m = draw(st.integers(min_value=1, max_value=5))
+def critical_laws(draw, sides=("right", "left"),
+                  families=("explicit", "stable")):
+    """Random critical laws of the given orientations and families: explicit
+    laws with support up to 8, built by scaling a raw weight vector with
+    some weight on a jump of size 1 or more, and stable laws with gamma and
+    beta in [0.02, 0.98]."""
+    side = draw(st.sampled_from(sides))
+    if draw(st.sampled_from(families)) == "stable":
+        unit = st.floats(min_value=0.02, max_value=0.98)
+        return IncrementLaw.stable(side, draw(unit), draw(unit))
+    m = draw(st.integers(min_value=1, max_value=8))
     w = draw(
         st.lists(
             st.floats(min_value=0.0, max_value=1.0),
@@ -360,7 +370,7 @@ def critical_laws(draw):
     mean = sum((n + 1) * v for n, v in enumerate(w))
     scale = r / (mean + total)
     p = [1.0 - scale * (mean + total)] + [scale * v for v in w]
-    return IncrementLaw.explicit("right", scale * mean, p)
+    return IncrementLaw.explicit(side, scale * mean, p)
 
 
 @given(critical_laws(), st.floats(min_value=0.0, max_value=1.0))
@@ -370,3 +380,47 @@ def test_random_laws_are_valid_pgfs(law, s):
     assert law.q <= val <= 1.0 + 1e-12
     assert abs(law.phi(1.0) - 1.0) <= 1e-12
     assert abs(law.phi_prime(1.0) - 1.0) <= 1e-9
+
+
+def _run_main(path, command, *args):
+    """(exit code, stdout) of cli.main run in this process on the law file
+    at path, after a check that it exits 0, 1 or 2, and with a message."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--law", str(path), *args])
+    assert code in (0, 1, 2), (command, args, code)
+    assert out.getvalue() if code == 0 else err.getvalue().startswith(
+        ("error: ", "numeric failure: ")), (command, args, err.getvalue())
+    return code, out.getvalue()
+
+
+def _tails(text):
+    return np.array([float(line.split(",")[1]) for line in text.splitlines()
+                     if line[:1].isdigit()])
+
+
+@pytest.mark.parametrize("family", ["explicit", "stable"])
+@pytest.mark.parametrize("side", ["right", "left"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_random_laws_through_the_cli(tmp_path_factory, side, family, data):
+    # every command exits 0, 1 or 2 with a message and raises nothing; the
+    # rate is finite and nonnegative, and the two exact oracles agree
+    law = data.draw(critical_laws((side,), (family,)))
+    path = tmp_path_factory.mktemp("law") / "law.json"
+    path.write_text(law.to_json())
+    for x in ("1e-12", "0.5", "0.999"):
+        code, out = _run_main(path, "rate", "--x", x)
+        assert code == 0, x
+        doc = json.loads(out)
+        for key in ("Lambda_star", "ldp_rate"):
+            assert isinstance(doc[key], float) and 0.0 <= doc[key] < math.inf
+    _run_main(path, "mdp")
+    _run_main(path, "series", "--what", "tau", "--order", "64")
+    (dp_code, dp), (rn_code, rn) = (
+        _run_main(path, "oracle", "--mode", mode, "--n", "30")
+        for mode in ("dp", "renewal"))
+    assert dp_code == rn_code == 0
+    dp, rn = _tails(dp), _tails(rn)
+    assert len(dp) == len(rn) == 31
+    assert np.all(np.abs(dp - rn) <= 1e-12 * rn)

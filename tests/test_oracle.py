@@ -10,6 +10,7 @@ from recordwalk import (
     Provenance,
     build_kernel,
     exact_An_distribution,
+    h_series,
     renewal_tail,
     renewal_tail_table,
     return_prob_partial_sums,
@@ -17,7 +18,7 @@ from recordwalk import (
 )
 from recordwalk.laws import Orientation
 from recordwalk.oracle import ChainKernel, _first_returns
-from recordwalk.series import series_mul
+from recordwalk.series import series_mul, series_reciprocal
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
 SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
@@ -251,7 +252,7 @@ class TestExactDistribution:
         # from the series of f0: the two oracles agree only if these do
         n = 200
         f = _first_returns(build_kernel(law, n), n)
-        tau = tau_pmf(law, n).coeffs
+        tau = tau_pmf(law, n)
         assert len(f) == len(tau) == n + 1
         assert np.all(f >= 0.0)
         assert np.all(np.abs(f - tau) <= 1e-13 * tau)
@@ -301,7 +302,7 @@ class TestExactDistribution:
         assert np.all(ref > 0.0)
         assert np.all(np.abs(tail - ref) <= 1e-13 * ref)
         # A_n = n: every step a return at the first step
-        expected = tau_pmf(law, 1).coeffs[1] ** n
+        expected = tau_pmf(law, 1)[1] ** n
         assert abs(tail[n] - expected) <= 1e-13 * expected
 
     @pytest.mark.parametrize("law", ALL_LAWS)
@@ -332,13 +333,13 @@ class TestExactDistribution:
 
 class TestTauPmf:
     def test_symmetric_coefficients(self):
-        c = tau_pmf(SYM, 6).coeffs
+        c = tau_pmf(SYM, 6)
         assert np.allclose(c, [0.0, 0.5, 0.25, 0.0, 0.0625, 0.0, 0.03125],
                            atol=1e-15)
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_proper(self, law):
-        c = tau_pmf(law, 300).coeffs
+        c = tau_pmf(law, 300)
         assert np.all(c >= -1e-10)
         assert np.all(np.cumsum(c) <= 1.0 + 1e-10)
 
@@ -349,7 +350,7 @@ class TestTauPmf:
 
 class TestRenewal:
     def test_single_convolution_is_cdf(self):
-        f = tau_pmf(SYM, 20).coeffs
+        f = tau_pmf(SYM, 20)
         assert renewal_tail(tau_pmf(SYM, 20), 20, 1) == pytest.approx(
             float(f[:21].sum()), abs=1e-15
         )
@@ -370,7 +371,7 @@ class TestRenewal:
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_table_matches_full_convolution(self, law):
         n = 120
-        f = tau_pmf(law, n).coeffs
+        f = tau_pmf(law, n)
         for kmax in (None, 0, 1, 7, 15, 16, 17):
             table = renewal_tail_table(law, n, kmax)
             ref = _full_convolution_renewal(f, n, n if kmax is None else kmax)
@@ -381,7 +382,7 @@ class TestRenewal:
     @pytest.mark.parametrize("n, kmax", [(400, 400), (800, 400), (1600, 800)])
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_table_matches_successive_convolutions(self, law, n, kmax):
-        f = tau_pmf(law, n).coeffs
+        f = tau_pmf(law, n)
         tail = renewal_tail_table(law, n, kmax).tail
         ref = _successive_convolution_renewal(f, n, kmax)
         assert len(tail) == kmax + 1
@@ -395,7 +396,7 @@ class TestRenewal:
         # B = max(1, isqrt(kmax)) is 1 at kmax 0 and 1, and 3 -> 4 at 16
         n = 60
         tau = tau_pmf(law, n)
-        ref = _successive_convolution_renewal(tau.coeffs, n, n)
+        ref = _successive_convolution_renewal(tau, n, n)
         for kmax in (0, 1, 15, 16, 17, n):
             tail = renewal_tail_table(law, n, kmax).tail
             want = ref[: kmax + 1]
@@ -448,7 +449,7 @@ class TestReturnProbabilities:
     def test_matches_renewal_recursion(self, law):
         # u_m = sum_{j=1..m} f_j u_{m-j}: a sum of nonnegative terms
         n = 2000
-        f = tau_pmf(law, n).coeffs
+        f = tau_pmf(law, n)
         ref = np.zeros(n + 1)
         ref[0] = 1.0
         for m in range(1, n + 1):
@@ -456,6 +457,26 @@ class TestReturnProbabilities:
         u, U = return_prob_partial_sums(law, n)
         np.testing.assert_allclose(u, ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(U, np.cumsum(ref), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_second_route_from_h_long_double(self, law):
+        # From h = s*phi(h), without f0 or 1/(1 - f0): right, u(s) =
+        # (h/s) (1/(1 - h)) / q; left, u(s) = (1 - h)/(1 - s), so u_m =
+        # 1 - sum_{1<=j<=m} h_j, which cancels, and is summed in long double.
+        # 4.2e-13 relative measured, on the stable left law.
+        n = 10**4
+        u, _ = return_prob_partial_sums(law, n)
+        h = h_series(law, n + 1)
+        if law.orientation is Orientation.RIGHT:
+            w = -h[: n + 1]
+            w[0] += 1.0
+            ref = series_mul(h[1:], series_reciprocal(w, n), n) / law.q
+        elif np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double")
+        else:
+            ref = 1.0 - np.cumsum(h[: n + 1], dtype=np.longdouble)
+            ref = ref.astype(float)
+        assert np.all(np.abs(u - ref) <= 1e-12 * ref)
 
     @pytest.mark.parametrize("law", [ASYM, STABLE, STABLE_LEFT])
     def test_nonnegative_and_increasing(self, law):

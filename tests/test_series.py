@@ -11,7 +11,6 @@ from recordwalk import IncrementLaw, h_series, truncated_explicit
 from recordwalk.series import (
     CONV_SLICE,
     EXP_BLOCK,
-    SeriesPoly,
     _middle_product,
     series_compose_val1,
     series_eval,
@@ -83,21 +82,6 @@ def _exp_reference(a, order, dtype=float):
 
 def _within_rel(a, b, tol):
     return np.all(np.abs(a - b) <= tol * np.abs(b))
-
-
-class TestSeriesPoly:
-    def test_basic_access(self):
-        p = SeriesPoly(np.array([1.0, 2.0, 3.0]))
-        assert p.order == 2
-        assert len(p) == 3
-        assert p[1] == 2.0
-        assert p(0.5) == pytest.approx(1.0 + 1.0 + 0.75)
-
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            SeriesPoly(np.array([]))
-        with pytest.raises(ValueError):
-            SeriesPoly(np.array([1.0, np.nan]))
 
 
 def test_eval_matches_polyval():
@@ -215,14 +199,14 @@ def test_compose_matches_reference(outer, inner_tail, order, zero_outer):
 def test_compose_truncated_stable_law(law, order):
     explicit, _ = truncated_explicit(law, 10000)
     outer = np.array([explicit.q, *explicit.p])
-    inner = h_series(law, order).coeffs
+    inner = h_series(law, order)
     out = series_compose_val1(outer, inner, order)
     assert _within_rel(out, _compose_reference(outer, inner, order), 1e-14)
 
 
 @pytest.mark.parametrize("law", STABLE_LAWS, ids=["right", "left"])
 def test_log_matches_recursion(law):
-    w = -h_series(law, 10000).coeffs
+    w = -h_series(law, 10000)
     w[0] += 1.0
     for order in (2000, 10000):
         out = series_log(w, order)
@@ -319,7 +303,7 @@ def test_reciprocal_matches_full_newton(order):
 def test_reciprocal_of_h_over_s_matches_full_newton():
     # f0_series' reciprocal on a right-continuous law: s/h has one sign
     # from s^2 on
-    hs = h_series(STABLE_LAWS[0], 4098).coeffs[1:]
+    hs = h_series(STABLE_LAWS[0], 4098)[1:]
     out = series_reciprocal(hs, 4096)
     assert _within_rel(out, _reciprocal_reference(hs, 4096), 1e-13)
 
@@ -332,7 +316,7 @@ def test_reciprocal_short_input_and_order_zero():
 
 def _stable_log_w(order, law=STABLE_LAWS[0]):
     """log W, W = 1 - h, of a stable law; both orientations share h."""
-    w = -h_series(law, order).coeffs
+    w = -h_series(law, order)
     w[0] += 1.0
     return series_log(w, order)
 
