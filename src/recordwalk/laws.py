@@ -193,8 +193,8 @@ class IncrementLaw:
         return w * series_eval(self._coefficients[0], h)
 
     def gaps(self, h, w):
-        """(D/w, D', psi, chi) at h = 1 - w, without cancellation; floats
-        or arrays.
+        """(D/w, D', psi, chi) at floats h and w = 1 - h, without
+        cancellation.
 
         D = phi(h) - h (the gap, as gap_over_w reports it), D' = 1 - phi'(h)
         (its derivative in w), psi = (phi(h) - q)/h and
@@ -205,13 +205,9 @@ class IncrementLaw:
         D = w^2 sum_j c_j h^j and D' = w sum_j e_j h^j with the nonnegative
         c_j = sum_{k>=j+2} (k-1-j) a_k and e_j = sum_{k>=j+2} k a_k of
         phi(s) = sum_k a_k s^k; that form takes the law as exactly critical,
-        so a drift residual within CRITICALITY_TOL is dropped.
-
-        An explicit law's sums are the same code for floats and arrays.  The
-        stable family writes each formula twice, side by side: a float takes
-        math and plain branches, each evaluated only on its own side, and
-        returns floats; an array takes numpy.  A float at w = 0, where
-        math.log raises, takes the array form and its log(0) = -inf.
+        so a drift residual within CRITICALITY_TOL is dropped.  The stable
+        family's formulas run on math, each branch evaluated only on its
+        own side.
         """
         if not self.is_stable:
             _, e, n_p = self._coefficients
@@ -220,23 +216,15 @@ class IncrementLaw:
         g, b, e = self.gamma, self.beta, 1.0 + self.beta
         # chi = g/e * (b*(w^e - 1) - e*(w^b - 1))/h^2 cancels to O(h^2) as
         # h -> 0, so its power series serves below 1/4; log w is taken from
-        # h while h < 1/2, where w = 1 - h has rounded
-        if h.__class__ is float and w != 0.0:
-            lw = math.log1p(-h) if h < 0.5 else math.log(w)
-            psi = (1.0 - g if h < _SMALLEST_NORMAL
-                   else 1.0 + g / e * math.expm1(e * lw) / h)
-            chi = (series_eval(self._coefficients, h) if h < 0.25
-                   else g / e * (b * math.expm1(e * lw)
-                                 - e * math.expm1(b * lw)) / (h * h))
-            return self.gap_over_w(h, w), g * w ** b, psi, chi
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lw = np.where(h < 0.5, np.log1p(-h), np.log(w))
-            psi = np.where(h < _SMALLEST_NORMAL, 1.0 - g,
-                           1.0 + g / e * np.expm1(e * lw) / h)
-            chi = np.where(h < 0.25, series_eval(self._coefficients, h),
-                           g / e * (b * np.expm1(e * lw)
-                                    - e * np.expm1(b * lw)) / (h * h))
-            return (self.gap_over_w(h, w), g * np.float_power(w, b), psi, chi)
+        # h while h < 1/2, where w = 1 - h has rounded, and is -inf at w = 0
+        lw = (math.log1p(-h) if h < 0.5
+              else math.log(w) if w > 0.0 else -math.inf)
+        psi = (1.0 - g if h < _SMALLEST_NORMAL
+               else 1.0 + g / e * math.expm1(e * lw) / h)
+        chi = (series_eval(self._coefficients, h) if h < 0.25
+               else g / e * (b * math.expm1(e * lw)
+                             - e * math.expm1(b * lw)) / (h * h))
+        return self.gap_over_w(h, w), g * w ** b, psi, chi
 
     @functools.cached_property
     def _coefficients(self):

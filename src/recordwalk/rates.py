@@ -15,10 +15,9 @@ keeps its relative precision as lambda -> 0.  invert_slope, legendre and
 rate_point solve for no fixed point: they find Lambda' = x in u = log(h/w)
 by ITP (bisect_logit) on log(Lambda' - 1) against log(x - 1), with the
 bracket of bisection and about 11 curve evaluations instead of about 60;
-the log of the excess keeps lambda to full precision as x -> 1.  On a
-float, _curve and the gaps run on math alone, so a search makes no numpy
-call; _curve also takes arrays of h and w, so a sweep (the legendre verify
-suite) reads many points of the curve at once, again with no solve.
+the log of the excess keeps lambda to full precision as x -> 1.  _curve
+and the gaps take Python floats and run on math alone, so a search makes
+no numpy call.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def _boundary_log(law):
 
 
 def _curve(law, h, w, lam=None):
-    """(lambda, Lambda, Lambda' - 1) on the curve at h = 1 - w (or arrays).
+    """(lambda, Lambda, Lambda' - 1) on the curve at floats h and w = 1 - h.
 
     lambda = -log1p(D/h) unless the caller hands in the lambda it has.
     The gaps give r = D/w, in range after D underflows, and D = w*r.
@@ -75,36 +74,22 @@ def _curve(law, h, w, lam=None):
       left:  f0/s = 1 - r, so Lambda = lambda + log1p(-r), and
              Lambda' - 1 = h*phi*((D' - r)/w) / ((1 - r)*A).
     Lambda' - 1 is formed without subtracting 1, and no numerator or
-    denominator subtracts nearly equal numbers.
-
-    Each formula is written twice, side by side, as in IncrementLaw.gaps:
-    a float takes the gaps' floats, math and plain branches, and returns
-    floats; an array takes numpy.  A float at w = 0 takes the array form,
-    whose division by zero gives the inf or nan that the root search reads.
+    denominator subtracts nearly equal numbers.  w = 0 is the point s = 1,
+    where lambda = Lambda = 0 and Lambda' is infinite: (-0.0, -0.0, inf).
     """
+    if w == 0.0:
+        return -0.0, -0.0, math.inf
     r, dp, psi, chi = law.gaps(h, w)
     d = w * r
     phi, a = d + h, d + h * dp
-    q, right = law.q, law.orientation is Orientation.RIGHT
-    if h.__class__ is float and w != 0.0:
-        lam = -math.log1p(d / h) if lam is None else lam
-        if right:
-            g = q * w / phi
-            Lam = math.log1p(-g) if g <= 0.5 else lam + math.log(psi + q)
-            return lam, Lam, h * chi * phi / ((psi + q) * a)
-        return (lam, lam + math.log1p(-r),
-                h * phi * ((dp - r) / w) / ((1.0 - r) * a))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if lam is None:
-            lam = -np.log1p(d / h)
-        if right:
-            g = q * w / phi
-            Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(psi + q))
-            excess = h * chi * phi / ((psi + q) * a)
-        else:
-            Lam = lam + np.log1p(-r)
-            excess = h * phi * ((dp - r) / w) / ((1.0 - r) * a)
-    return lam, Lam, excess
+    lam = -math.log1p(d / h) if lam is None else lam
+    if law.orientation is Orientation.RIGHT:
+        q = law.q
+        g = q * w / phi
+        Lam = math.log1p(-g) if g <= 0.5 else lam + math.log(psi + q)
+        return lam, Lam, h * chi * phi / ((psi + q) * a)
+    return (lam, lam + math.log1p(-r),
+            h * phi * ((dp - r) / w) / ((1.0 - r) * a))
 
 
 def _at_lambda(law, lam):
@@ -112,7 +97,7 @@ def _at_lambda(law, lam):
     if lam >= 0.0:
         raise ValueError("lambda must be negative")
     h, w = _solve_hw(law, np.exp(lam), -np.expm1(lam))
-    return [float(v) for v in _curve(law, h, w, lam)]
+    return _curve(law, h, w, lam)
 
 
 def cumulant(law, lam):
@@ -139,7 +124,6 @@ def _slope_point(law, x):
     h, w = bisect_logit(lambda h, w: _log(_curve(law, h, w)[2]),
                         math.log(x - 1.0))
     lam, Lam, _ = _curve(law, h, w)
-    lam, Lam = float(lam), float(Lam)
     if lam > -sys.float_info.min:  # lambda = -D/h is subnormal or 0
         xlam = -(x * w) * law.gap_over_w(h, w) / h
     else:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import fixed_point, oracle, rates
 from .laws import Orientation
+from .series import series_eval
 
 LDP_TREND_X_REC = 0.5  # the record density at which ldp-trend reads tails
 
@@ -91,16 +92,27 @@ def _suite_lambda_limits(law):
 def _suite_legendre(law):
     """Lambda*(x) against a brute-force sup of x*lambda - Lambda(lambda)
     over 20001 points of the curve at u = log(h/w) in [-10, 10], with
-    h = 1/(1 + e^-u) and w = 1/(1 + e^u): rates._curve gives (lambda,
-    Lambda) there with no fixed point to solve.  The sup is where
-    Lambda' = x, and log(Lambda' - 1) is close to linear in u at both ends,
-    so the slopes 1.01 to 20 have their optima well inside the grid (u in
-    [-4.6, 6.8] on the bundled laws).  A maximum at an end of the grid may
-    miss a sup beyond it, so it fails the check."""
+    h = 1/(1 + e^-u) and w = 1/(1 + e^u), read off r = D/w
+    (law.gap_over_w) with no fixed point to solve: lambda = -log1p(w*r/h),
+    and Lambda = lambda + log1p(-r) (left) or log1p(-g), g = q*w/(w*r + h)
+    (right).  Where g > 1/2, 1 - g has lost digits, so Lambda = lambda +
+    log(q + psi) there, psi = sum_n p_n h^n from jump_pmf(100); h < 2/3
+    there, as phi(h) >= h, so the lumped tail moves it by < (2/3)^100.
+    The sup is where Lambda' = x, and log(Lambda' - 1) is close to linear
+    in u at both ends, so the slopes 1.01 to 20 have their optima well
+    inside the grid (u in [-4.6, 6.8] on the bundled laws).  A maximum at
+    an end of the grid may miss a sup beyond it, so it fails the check."""
     out = []
     u = np.linspace(-10.0, 10.0, 20001)
-    lam, Lam, _ = rates._curve(law, 1.0 / (1.0 + np.exp(-u)),
-                               1.0 / (1.0 + np.exp(u)))
+    h, w = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
+    r = law.gap_over_w(h, w)
+    lam = -np.log1p(w * r / h)
+    if law.orientation is Orientation.RIGHT:
+        g = law.q * w / (w * r + h)
+        psi = series_eval(law.jump_pmf(100), h)
+        Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(law.q + psi))
+    else:
+        Lam = lam + np.log1p(-r)
     max_dev = 0.0
     for x in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0):
         i = int(np.argmax(values := x * lam - Lam))

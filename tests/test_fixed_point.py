@@ -20,7 +20,8 @@ from recordwalk import (
     truncated_explicit,
 )
 from recordwalk import fixed_point
-from recordwalk.fixed_point import ConvergenceError, one_minus_s_phi_prime_h
+from recordwalk.fixed_point import (ConvergenceError, _log,
+                                    one_minus_s_phi_prime_h)
 from recordwalk.series import series_eval
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
@@ -220,6 +221,17 @@ def test_h_limit_checks_converge(law):
     report = run_suite(law, "h-limits")
     assert len(report.checks) == 3
     assert all(c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize("x, want", [(2.0, math.log(2.0)), (math.inf, math.inf),
+                                     (0.0, -math.inf), (-0.0, -math.inf),
+                                     (-1.0, math.nan), (math.nan, math.nan)])
+def test_log_takes_floats_as_numpy_does(x, want):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert float(np.log(x)) == want or math.isnan(want)
+    got = _log(x)
+    assert got.__class__ is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-9))

@@ -228,16 +228,25 @@ class TestLawInterface:
 
     def test_gaps(self, name):
         law = self.law(name)
-        hs = np.array([1e-9, 0.3, 0.5, 0.9])
-        r, dp, psi, chi = law.gaps(hs, 1.0 - hs)
-        d = (1.0 - hs) * r
-        for i, h in enumerate(hs):
-            assert abs(d[i] - (law.phi(h) - h)) <= 1e-12
-            assert abs(dp[i] - (1.0 - law.phi_prime(h))) <= 1e-12
-            assert abs(psi[i] * h - (law.phi(h) - law.q)) <= 1e-12
-            assert abs(chi[i] * h - (law.phi_prime(h) - psi[i])) <= 1e-12
-            assert (r[i], dp[i], psi[i], chi[i]) == tuple(law.gaps(h, 1.0 - h))
+        for h in (1e-9, 0.3, 0.5, 0.9):
+            gaps = law.gaps(h, 1.0 - h)
+            assert all(v.__class__ is float for v in gaps)
+            r, dp, psi, chi = gaps
+            assert abs((1.0 - h) * r - (law.phi(h) - h)) <= 1e-12
+            assert abs(dp - (1.0 - law.phi_prime(h))) <= 1e-12
+            assert abs(psi * h - (law.phi(h) - law.q)) <= 1e-12
+            assert abs(chi * h - (law.phi_prime(h) - psi)) <= 1e-12
         assert law.gaps(0.0, 1.0)[2] == law.p0
+
+    def test_gaps_at_w_zero(self, name):
+        # h = 1, the point s = 1: D = D' = 0, psi = 1 - q and chi = phi'(1)
+        # - psi = q, the limits; 1 - s*phi'(h) is 0 there
+        law = self.law(name)
+        r, dp, psi, chi = law.gaps(1.0, 0.0)
+        assert r == dp == 0.0
+        assert abs(psi - (1.0 - law.q)) <= 1e-15
+        assert abs(chi - law.q) <= 1e-15
+        assert one_minus_s_phi_prime_h(law, 1.0) == 0.0
 
     @pytest.mark.parametrize("method", ["phi", "phi_prime", "phi_second"])
     def test_float_and_array_give_the_same_bits(self, name, method):

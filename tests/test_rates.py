@@ -19,6 +19,7 @@ from recordwalk import (
     mdp_constants,
     mdp_rate,
     rate_point,
+    rates,
 )
 
 SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
@@ -152,6 +153,26 @@ def test_ldp_rate_curve_down_to_tiny_densities(law):
     for x in (1e-100, 1e-300):
         v = ldp_rate(law, x)
         assert math.isfinite(v) and v >= 0.0
+
+
+@pytest.mark.parametrize("law", ALL_LAWS)
+def test_curve_at_w_zero(law):
+    # w = 0 is the point s = 1: lambda = Lambda = 0 and Lambda' = inf,
+    # where the root search reads log(Lambda' - 1) = inf
+    got = rates._curve(law, 1.0, 0.0)
+    assert got == (0.0, 0.0, math.inf)
+    assert all(v.__class__ is float for v in got)
+    assert math.copysign(1.0, got[0]) == math.copysign(1.0, got[1]) == -1.0
+
+
+def test_rate_point_where_the_search_meets_w_zero():
+    # stable right at x_rec = 1e-300 evaluates the curve at w = 0 during its
+    # search; lambda and Lambda underflow to -0.0 and the rate to 0
+    pt = rate_point(STABLE, 1e-300)
+    for v in (pt.lam, pt.Lambda):
+        assert v == 0.0 and math.copysign(1.0, v) == -1.0
+    for v in (pt.Lambda_star, pt.ldp_rate):
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
 @pytest.mark.parametrize("law", ALL_LAWS)

@@ -27,6 +27,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -35,9 +36,9 @@ import pytest
 
 from recordwalk import (IncrementLaw, build_kernel, bundled_law_path,
                         cumulant_deriv, exact_An_distribution, rate_point,
-                        renewal_tail_table, tau_pmf)
-from recordwalk.fixed_point import (h_series, one_minus_s_phi_prime_h,
-                                    solve_hw)
+                        rates, renewal_tail_table, tau_pmf)
+from recordwalk.fixed_point import (_logistic_hw, h_series,
+                                    one_minus_s_phi_prime_h, solve_hw)
 
 BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
            "stable_g05_b05_left.json"]
@@ -148,6 +149,39 @@ def test_rate_point_against_reference(name):
         assert rel(pt.ldp_rate, rate) <= 1e-12, x_rec
         assert rel(pt.lam, lam) <= 1e-13, x_rec
         assert rel(pt.Lambda, lam_) <= 1e-13, x_rec
+
+
+# u = log(h/w) from -200 to 200 in steps of 5, plus the stable family's
+# branch points h = 1/4 (chi) and h = 1/2 (log w) and the smallest normal h
+# (psi), each with its neighbouring doubles.  Reference fixes q, gamma and
+# beta at 160 digits, which leaves Lambda' - 1 unresolved below h ~ 1e-150
+# (stable right reads it 100% off at the smallest normal h), so the excess
+# is compared where h >= 1e-150 only.  Measured: 2.7e-16 (lambda), 3.1e-16
+# (Lambda) and 6.0e-16 (excess); the bound is tight enough that a formula
+# scaled by 1 + 4e-15 fails it.
+CURVE_POINTS = [_logistic_hw(float(u)) for u in range(-200, 201, 5)] + [
+    (h, 1.0 - h) for h0 in (0.25, 0.5, sys.float_info.min)
+    for h in (math.nextafter(h0, 0.0), h0, math.nextafter(h0, 1.0))]
+CURVE_REL_BOUND = 2e-15
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_curve_against_reference(name):
+    # the float rate curve (lambda, Lambda, Lambda' - 1) at (h, w), against
+    # the definitions at the point whose smaller coordinate is exact
+    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    ref = reference(name)
+    for h, w in CURVE_POINTS:
+        got = rates._curve(law, h, w)
+        assert all(v.__class__ is float for v in got), (h, w)
+        with mpmath.workdps(900):
+            at = mpmath.mpf(h) if h <= 0.5 else 1 - mpmath.mpf(w)
+            lam, lam_, slope = ref.curve(at)
+            exact = (lam, lam_, slope - 1)
+            for what, v, e in zip(("lambda", "Lambda", "excess"), got, exact):
+                if what == "excess" and h < 1e-150:
+                    continue
+                assert rel(v, e) <= CURVE_REL_BOUND, (what, h, w)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
