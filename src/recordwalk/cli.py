@@ -3,10 +3,12 @@ and the verification suites.
 
 Each `cmd_*` maps (law, args) to a payload and writes nothing: a dict,
 printed as strict JSON with a `meta` object, or a (columns, rows) table,
-printed as CSV under a `#`-prefixed header.  `main` alone loads the law,
-builds meta (law hash, package version, and seed for simulate), maps errors
-to exit codes and writes.  Exit codes: 0 success / all checks pass,
-1 numeric failure or a failed verify report, 2 usage error.
+printed as CSV under a `#`-prefixed header.  `main` alone loads the law
+(it reads the file on every call, but parses, validates and hashes each
+distinct file content once per process), builds meta (law hash, package
+version, and seed for simulate), maps errors to exit codes and writes.
+Exit codes: 0 success / all checks pass, 1 numeric failure or a failed
+verify report, 2 usage error.
 """
 
 from __future__ import annotations
@@ -205,11 +207,20 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=16)
+def _load_law(data):
+    """The law of a law file's bytes and its sha256, built once per distinct
+    content in a process.  A law is frozen and its cached properties are
+    pure, so calls may share it; a file that fails to load is not cached."""
+    law = IncrementLaw.from_json(data)
+    return law, law.sha256()
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         with open(args.law, "rb") as fh:
-            law = IncrementLaw.from_json(fh.read())
+            law, law_sha256 = _load_law(fh.read())
         payload = args.func(law, args)
     except (LawValidationError, OSError,
             montecarlo.TooFewPathsError) as exc:
@@ -218,7 +229,7 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    meta = {"law_sha256": law.sha256(), "version": __version__}
+    meta = {"law_sha256": law_sha256, "version": __version__}
     if args.command == "simulate":
         meta["seed"] = args.seed
     _emit(payload, meta)

@@ -15,7 +15,7 @@ import pytest
 import recordwalk
 from recordwalk import (SUITES, IncrementLaw, bundled_law_path, fixed_point,
                         verify)
-from recordwalk.cli import _emit, build_parser, main
+from recordwalk.cli import _emit, _load_law, build_parser, main
 
 SYM_PATH = str(bundled_law_path("sym.json"))
 STABLE_PATH = str(bundled_law_path("stable_g05_b05.json"))
@@ -405,6 +405,90 @@ def test_one_parser_serves_a_sequence_of_calls(capsys):
     code, again = run_cli(capsys, *argv)
     assert code == 0
     assert again == first
+
+
+def test_load_law_shares_one_object_for_equal_bytes():
+    data = bundled_law_path("asym.json").read_bytes()
+    law, digest = _load_law(data)
+    assert _load_law(bytes(bytearray(data)))[0] is law
+    assert law == IncrementLaw.from_json(data)
+    assert digest == law.sha256()
+    # library callers still build a fresh law from each from_json call
+    assert IncrementLaw.from_json(data) is not IncrementLaw.from_json(data)
+
+
+def test_law_file_rewritten_in_place_is_loaded_again(capsys, tmp_path):
+    path = str(tmp_path / "law.json")
+    argv = ["rate", "--law", path, "--x", "0.3"]
+    outputs = {}
+    for name in ("sym.json", "asym.json"):
+        Path(path).write_bytes(bundled_law_path(name).read_bytes())
+        code, outputs[name] = run_cli(capsys, *argv)
+        assert code == 0
+        code, direct = run_cli(capsys, "rate", "--law",
+                               str(bundled_law_path(name)), "--x", "0.3")
+        assert code == 0 and outputs[name] == direct
+        law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+        assert json.loads(outputs[name])["meta"]["law_sha256"] == law.sha256()
+    assert outputs["sym.json"] != outputs["asym.json"]
+
+
+def test_malformed_file_where_a_good_law_was_exits_2_every_call(capsys,
+                                                                tmp_path):
+    path = tmp_path / "law.json"
+    path.write_bytes(bundled_law_path("sym.json").read_bytes())
+    argv = ["rate", "--law", str(path), "--x", "0.5"]
+    assert run_cli(capsys, *argv)[0] == 0
+    path.write_text('{"orientation": "right", "spec": {"type": "explicit"')
+    for _ in range(2):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_two_paths_with_equal_bytes_share_one_cache_entry(capsys, tmp_path):
+    data = bundled_law_path("sym_left.json").read_bytes()
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_bytes(data)
+    _load_law.cache_clear()
+    outs = [run_cli(capsys, "mdp", "--law", str(path)) for path in paths]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    info = _load_law.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.filterwarnings("ignore:.*below 10/paths")
+@pytest.mark.parametrize("argv", [
+    ["rate", "--x", "0.3"],
+    ["rate", "--grid", "1e-300:1:5"],
+    ["mdp"],
+    ["mdp", "--numeric"],
+    ["oracle", "--n", "12", "--mode", "dp"],
+    ["oracle", "--n", "12", "--mode", "renewal"],
+    ["series", "--what", "tau", "--order", "32"],
+    ["simulate", "--n", "12", "--paths", "1000", "--seed", "7",
+     "--workers", "1"],
+    ["simulate", "--n", "12", "--paths", "1000", "--seed", "7",
+     "--workers", "2"],
+    ["verify", "--suite", "lambda-limits"],
+])
+@pytest.mark.parametrize("name", BUNDLED_LAWS)
+def test_cold_and_warm_law_cache_print_the_same_bytes(capsys, name, argv):
+    # a law loaded afresh, the same law from the cache, and the cached law
+    # after a call on another law print the same stdout bytes
+    path = str(bundled_law_path(name))
+    other = str(bundled_law_path(
+        BUNDLED_LAWS[(BUNDLED_LAWS.index(name) + 1) % len(BUNDLED_LAWS)]))
+    _load_law.cache_clear()
+    cold = run_cli(capsys, argv[0], "--law", path, *argv[1:])
+    warm = run_cli(capsys, argv[0], "--law", path, *argv[1:])
+    assert _load_law.cache_info().hits == 1
+    assert run_cli(capsys, argv[0], "--law", other, *argv[1:])[0] == 0
+    again = run_cli(capsys, argv[0], "--law", path, *argv[1:])
+    assert cold[0] == 0
+    assert cold == warm == again
 
 
 def test_runs_as_module():
