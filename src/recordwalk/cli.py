@@ -7,8 +7,8 @@ printed as CSV under a `#`-prefixed header.  `main` alone loads the law
 (it reads the file on every call, but parses, validates and hashes each
 distinct file content once per process), builds meta (law hash, package
 version, and seed for simulate), maps errors to exit codes and writes.
-Exit codes: 0 success / all checks pass, 1 numeric failure or a failed
-verify report, 2 usage error.
+Exit codes: 0 success / all checks pass, 1 numeric failure, out of memory
+or a failed verify report, 2 usage error.
 """
 
 from __future__ import annotations
@@ -228,6 +228,9 @@ def main(argv=None):
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     meta = {"law_sha256": law_sha256, "version": __version__}
     if args.command == "simulate":

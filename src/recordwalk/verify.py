@@ -89,20 +89,14 @@ def _suite_lambda_limits(law):
     ]
 
 
-def _suite_legendre(law):
-    """Lambda*(x) against a brute-force sup of x*lambda - Lambda(lambda)
-    over 20001 points of the curve at u = log(h/w) in [-10, 10], with
-    h = 1/(1 + e^-u) and w = 1/(1 + e^u), read off r = D/w
+def _legendre_grid(law):
+    """lambda and Lambda at 20001 points of the curve at u = log(h/w) in
+    [-10, 10], with h = 1/(1 + e^-u) and w = 1/(1 + e^u), read off r = D/w
     (law.gap_over_w) with no fixed point to solve: lambda = -log1p(w*r/h),
     and Lambda = lambda + log1p(-r) (left) or log1p(-g), g = q*w/(w*r + h)
     (right).  Where g > 1/2, 1 - g has lost digits, so Lambda = lambda +
     log(q + psi) there, psi = sum_n p_n h^n from jump_pmf(100); h < 2/3
-    there, as phi(h) >= h, so the lumped tail moves it by < (2/3)^100.
-    The sup is where Lambda' = x, and log(Lambda' - 1) is close to linear
-    in u at both ends, so the slopes 1.01 to 20 have their optima well
-    inside the grid (u in [-4.6, 6.8] on the bundled laws).  A maximum at
-    an end of the grid may miss a sup beyond it, so it fails the check."""
-    out = []
+    there, as phi(h) >= h, so the lumped tail moves it by < (2/3)^100."""
     u = np.linspace(-10.0, 10.0, 20001)
     h, w = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
     r = law.gap_over_w(h, w)
@@ -113,11 +107,23 @@ def _suite_legendre(law):
         Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(law.q + psi))
     else:
         Lam = lam + np.log1p(-r)
+    return lam, Lam
+
+
+def _suite_legendre(law):
+    """Lambda*(x) against a brute-force sup of x*lambda - Lambda(lambda)
+    over the 20001 points of _legendre_grid.  The sup is where
+    Lambda' = x, and log(Lambda' - 1) is close to linear in u at both ends,
+    so the slopes 1.01 to 20 have their optima well inside the grid (u in
+    [-4.6, 6.8] on the bundled laws).  A maximum at an end of the grid may
+    miss a sup beyond it, so it fails the check."""
+    out = []
+    lam, Lam = _legendre_grid(law)
     max_dev = 0.0
     for x in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0):
         i = int(np.argmax(values := x * lam - Lam))
         dev = abs(rates.legendre(law, x) - values[i])
-        max_dev = max(max_dev, dev if 0 < i < u.size - 1 else math.inf)
+        max_dev = max(max_dev, dev if 0 < i < lam.size - 1 else math.inf)
     out.append(_check("Legendre vs grid maximization (max dev)", 0.0, max_dev,
                       1e-6, "grid sup over 2e4 points of the curve"))
     env_dev = 0.0

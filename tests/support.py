@@ -1,0 +1,145 @@
+"""What the test modules share: the test laws, the bundled-law names and
+loader, the in-process CLI runner and CSV parser, the bundled laws in
+mpmath, and the series references that run in more than one dtype.
+
+The test laws are built by the factories, not read from the bundled files
+they equal, so a test of either route compares it against the other.
+"""
+
+import contextlib
+import io
+import json
+from importlib import resources
+
+import mpmath
+import numpy as np
+
+from recordwalk import (IncrementLaw, Orientation, bundled_law_path,
+                        expand_coefficients)
+from recordwalk.cli import main
+
+SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
+SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
+ASYM = IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
+ASYM_LEFT = IncrementLaw.explicit("left", 0.4, [0.35, 0.1, 0.15])
+STABLE = IncrementLaw.stable("right", 0.5, 0.5)
+STABLE_LEFT = IncrementLaw.stable("left", 0.5, 0.5)
+
+# the five bundled laws; a test parametrized by it has ids law0..law4
+ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE, STABLE_LEFT]
+
+BUNDLED_LAWS = sorted(
+    f.name for f in resources.files("recordwalk.data").iterdir()
+    if f.name.endswith(".json")
+)
+
+
+def bundled_law(name):
+    """The bundled law file `name`, e.g. 'sym.json', loaded afresh."""
+    return IncrementLaw.from_json(bundled_law_path(name).read_text())
+
+
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of cli.main run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def parse_csv(text):
+    """(meta lines, column names, rows of fields) of a CSV output."""
+    lines = text.strip().splitlines()
+    meta = [l for l in lines if l.startswith("#")]
+    body = [l for l in lines if not l.startswith("#")]
+    header = body[0].split(",")
+    rows = [l.split(",") for l in body[1:]]
+    return meta, header, rows
+
+
+class MpLaw:
+    """q, phi and phi' of a bundled law in mpmath, from the decimal
+    coefficients of its file, each formed at the working precision of the
+    call, so that a caller at 900 digits gets a law exact to 900 digits."""
+
+    def __init__(self, name):
+        doc = json.loads(bundled_law_path(name).read_text())
+        self.spec = doc["spec"]
+        self.right = doc["orientation"] == "right"
+        self.stable = self.spec["type"] == "stable"
+
+    def _mpf(self, key):
+        return mpmath.mpf(repr(self.spec[key]))
+
+    def _p(self):
+        return [mpmath.mpf(repr(v)) for v in self.spec["p"]]
+
+    @property
+    def q(self):
+        if self.stable:
+            return self._mpf("gamma") / (1 + self._mpf("beta"))
+        return self._mpf("q")
+
+    def phi(self, s):
+        if self.stable:
+            return s + self.q * (1 - s) ** (1 + self._mpf("beta"))
+        return self.q + sum(v * s ** (n + 1) for n, v in enumerate(self._p()))
+
+    def dphi(self, s):
+        if self.stable:
+            return 1 - self._mpf("gamma") * (1 - s) ** self._mpf("beta")
+        return sum((n + 1) * v * s ** n for n, v in enumerate(self._p()))
+
+
+def reciprocal_reference(f, order, dtype=float):
+    """Newton doubling R <- R(2 - F R) with both products formed in full,
+    in the given dtype."""
+    f = np.asarray(f, dtype=dtype)[: order + 1]
+    r = np.array([1 / f[0]])
+    m = 1
+    while m <= order:
+        m = min(2 * m, order + 1)
+        corr = -np.convolve(f[:m], r)[:m]
+        corr[0] += 2
+        r = np.convolve(r, corr)[:m]
+    return np.concatenate([r, np.zeros(order + 1 - len(r), dtype)])
+
+
+def exp_reference(a, order, dtype=float):
+    """e_m = (1/m) sum_{j=1..m} j a_j e_{m-j}, reading e backwards, one
+    dot per coefficient in the given dtype."""
+    apad = np.zeros(order + 1, dtype)
+    apad[: min(len(a), order + 1)] = a[: order + 1]
+    ja = np.arange(order + 1) * apad
+    e = np.zeros(order + 1, dtype)
+    e[0] = 1
+    for m in range(1, order + 1):
+        e[m] = np.dot(ja[1 : m + 1], e[m - 1 :: -1][:m]) / m
+    return e
+
+
+def hitting_time_returns(law, n):
+    """P(tau = m), m = 0..n, for the return time tau to 0 of the reflected
+    chain, by the hitting-time theorem (Kemperman, 1961):
+    [s^N] h^j = (j/N) [x^(N-j)] phi^N.  With f0 = s*(c_0 + sum_j c_j h^j),
+    c = (q + p_0, p_1, ...) on the right and the jump tails (T_0, T_1, ...)
+    on the left, P(tau = 1) = c_0 and, for m >= 2,
+    P(tau = m) = (1/(m-1)) sum_{j>=1} j c_j [x^(m-1-j)] phi^(m-1).
+    Each power of phi is the last one times phi, one step of the free walk,
+    convolved with phi's coefficients through its last nonzero one only;
+    every term is nonnegative."""
+    a = expand_coefficients(law, n)
+    if law.orientation is Orientation.RIGHT:
+        c = a[1:].copy()
+        c[0] += a[0]
+    else:
+        c = law.jump_tails(n - 1)
+    jc = np.arange(n) * c
+    phi = a[: np.flatnonzero(a)[-1] + 1]
+    f = np.zeros(n + 1)
+    f[1] = c[0]
+    power = np.ones(1)
+    for m in range(2, n + 1):
+        power = np.convolve(power, phi)[: n - 1]  # phi^(m-1) through x^(n-2)
+        f[m] = np.dot(jc[1:m], power[m - 2 :: -1]) / (m - 1)
+    return f

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from recordwalk import (
-    IncrementLaw,
     SimConfig,
     build_kernel,
     count_weak_records,
@@ -29,16 +28,10 @@ from recordwalk import (
 )
 from recordwalk.fixed_point import one_minus_s_phi_prime_h
 from recordwalk.montecarlo import _sample_block
-
-SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
-SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
-ASYM = IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
-ASYM_LEFT = IncrementLaw.explicit("left", 0.4, [0.35, 0.1, 0.15])
-STABLE = IncrementLaw.stable("right", 0.5, 0.5)
-STABLE_LEFT = IncrementLaw.stable("left", 0.5, 0.5)
+from support import ASYM, ASYM_LEFT, STABLE, STABLE_LEFT, SYM, SYM_LEFT
 
 EXPLICIT_LAWS = [SYM, SYM_LEFT, ASYM, ASYM_LEFT]
-ALL_LAWS = EXPLICIT_LAWS + [STABLE, STABLE_LEFT]
+SIX_LAWS = EXPLICIT_LAWS + [STABLE, STABLE_LEFT]
 
 
 def report(capsys, num, name, ok, detail=""):
@@ -163,7 +156,7 @@ def test_criterion_07_mdp_closed_forms(capsys):
 def test_criterion_08_pathwise_identity(capsys):
     mismatches = 0
     n, paths = 30, 10000
-    for i, law in enumerate(ALL_LAWS):
+    for i, law in enumerate(SIX_LAWS):
         rng = np.random.default_rng(1000 + i)
         inc = _sample_block(law, rng.random((paths, n)))
         for row in inc:
@@ -171,7 +164,7 @@ def test_criterion_08_pathwise_identity(capsys):
                 mismatches += 1
     ok = mismatches == 0
     report(capsys, 8, "weak records equal reflected zero visits path-wise",
-           ok, f"{len(ALL_LAWS) * paths} paths, {mismatches} mismatches")
+           ok, f"{len(SIX_LAWS) * paths} paths, {mismatches} mismatches")
 
 
 def test_criterion_09_monte_carlo_calibration(capsys):
@@ -193,7 +186,7 @@ def test_criterion_09_monte_carlo_calibration(capsys):
 def test_criterion_10_cumulant_limits(capsys):
     worst_slope = 0.0
     worst_gap = 0.0
-    for law in ALL_LAWS:
+    for law in SIX_LAWS:
         d = cumulant_deriv(law, -20.0)
         worst_slope = max(worst_slope, abs(d - 1.0))
         if not 1.0 <= d <= 1.001:

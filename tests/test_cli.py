@@ -4,9 +4,9 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -16,44 +16,26 @@ import recordwalk
 from recordwalk import (SUITES, IncrementLaw, bundled_law_path, fixed_point,
                         verify)
 from recordwalk.cli import _emit, _load_law, build_parser, main
+from support import BUNDLED_LAWS, bundled_law, parse_csv, run_cli
 
 SYM_PATH = str(bundled_law_path("sym.json"))
 STABLE_PATH = str(bundled_law_path("stable_g05_b05.json"))
-BUNDLED_LAWS = sorted(
-    f.name for f in resources.files("recordwalk.data").iterdir()
-    if f.name.endswith(".json")
-)
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
-
-
-def parse_csv(text):
-    lines = text.strip().splitlines()
-    meta = [l for l in lines if l.startswith("#")]
-    body = [l for l in lines if not l.startswith("#")]
-    header = body[0].split(",")
-    rows = [l.split(",") for l in body[1:]]
-    return meta, header, rows
 
 
 class TestRate:
-    def test_single_point_json(self, capsys):
-        code, out = run_cli(capsys, "rate", "--law", SYM_PATH, "--x", "0.5")
+    def test_single_point_json(self):
+        code, out, _ = run_cli("rate", "--law", SYM_PATH, "--x", "0.5")
         assert code == 0
         doc = json.loads(out)
         assert doc["x"] == 2.0
         assert doc["ldp_rate"] > 0.0
         assert doc["lambda"] < 0.0
-        law = IncrementLaw.from_json(bundled_law_path("sym.json").read_text())
+        law = bundled_law("sym.json")
         assert doc["meta"]["law_sha256"] == law.sha256()
 
-    def test_grid_csv(self, capsys):
-        code, out = run_cli(capsys, "rate", "--law", SYM_PATH,
-                            "--grid", "0.2:0.8:4")
+    def test_grid_csv(self):
+        code, out, _ = run_cli("rate", "--law", SYM_PATH,
+                               "--grid", "0.2:0.8:4")
         assert code == 0
         meta, header, rows = parse_csv(out)
         assert header[0] == "x"
@@ -81,8 +63,8 @@ class TestRate:
             main(["rate", "--law", SYM_PATH, "--grid", "0:1:3"])
         assert exc.value.code == 2
 
-    def test_full_density_prints_strict_json(self, capsys):
-        code, out = run_cli(capsys, "rate", "--law", SYM_PATH, "--x", "1")
+    def test_full_density_prints_strict_json(self):
+        code, out, _ = run_cli("rate", "--law", SYM_PATH, "--x", "1")
         assert code == 0
 
         def reject(constant):
@@ -94,26 +76,25 @@ class TestRate:
 
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     @pytest.mark.parametrize("x", ["1e-6", "1e-12", "1e-300"])
-    def test_tiny_density_gives_a_finite_nonnegative_rate(self, capsys, name,
-                                                          x):
-        code, out = run_cli(capsys, "rate", "--law",
-                            str(bundled_law_path(name)), "--x", x)
+    def test_tiny_density_gives_a_finite_nonnegative_rate(self, name, x):
+        code, out, _ = run_cli("rate", "--law",
+                               str(bundled_law_path(name)), "--x", x)
         assert code == 0
         rate = json.loads(out)["ldp_rate"]
         assert isinstance(rate, float) and 0.0 <= rate < 1.0
 
 
 class TestMdp:
-    def test_closed_form(self, capsys):
-        code, out = run_cli(capsys, "mdp", "--law", SYM_PATH)
+    def test_closed_form(self):
+        code, out, _ = run_cli("mdp", "--law", SYM_PATH)
         assert code == 0
         doc = json.loads(out)
         assert doc["alpha"] == 0.5
         assert doc["regime"] == "FiniteVariance"
         assert doc["rate_exponent"] == 2.0
 
-    def test_numeric(self, capsys):
-        code, out = run_cli(capsys, "mdp", "--law", STABLE_PATH, "--numeric")
+    def test_numeric(self):
+        code, out, _ = run_cli("mdp", "--law", STABLE_PATH, "--numeric")
         assert code == 0
         doc = json.loads(out)
         assert doc["regime"] == "NumericEstimate"
@@ -121,11 +102,11 @@ class TestMdp:
 
 
 class TestOracle:
-    def test_modes_agree(self, capsys):
-        code_dp, out_dp = run_cli(capsys, "oracle", "--law", SYM_PATH,
-                                  "--n", "10", "--mode", "dp")
-        code_rn, out_rn = run_cli(capsys, "oracle", "--law", SYM_PATH,
-                                  "--n", "10", "--mode", "renewal")
+    def test_modes_agree(self):
+        code_dp, out_dp, _ = run_cli("oracle", "--law", SYM_PATH,
+                                     "--n", "10", "--mode", "dp")
+        code_rn, out_rn, _ = run_cli("oracle", "--law", SYM_PATH,
+                                     "--n", "10", "--mode", "renewal")
         assert code_dp == code_rn == 0
         _, _, rows_dp = parse_csv(out_dp)
         _, _, rows_rn = parse_csv(out_rn)
@@ -158,12 +139,12 @@ class TestOracle:
 
 
 class TestSimulate:
-    def test_byte_identical_reruns_and_workers(self, capsys):
+    def test_byte_identical_reruns_and_workers(self):
         args = ["simulate", "--law", SYM_PATH, "--n", "10",
                 "--paths", "20000", "--seed", "9"]
-        _, first = run_cli(capsys, *args)
-        _, second = run_cli(capsys, *args)
-        _, eight = run_cli(capsys, *args, "--workers", "8")
+        _, first, _ = run_cli(*args)
+        _, second, _ = run_cli(*args)
+        _, eight, _ = run_cli(*args, "--workers", "8")
         assert first == second == eight
         meta, header, rows = parse_csv(first)
         assert any("seed=9" in m for m in meta)
@@ -183,35 +164,36 @@ class TestSimulate:
          "5633139708f21f71c6619bc4368536f4e09c22e9ad9afc17c8b99f6664e4aeed"),
     ])
     @pytest.mark.filterwarnings("ignore:.*below 10/paths")
-    def test_draws_are_pinned(self, capsys, name, digest):
+    def test_draws_are_pinned(self, name, digest):
         # SHA-256 of the CSV rows without the `#` header, which carries the
         # version: any change to the stream, the sampler or the record count
         # moves it.
-        _, out = run_cli(capsys, "simulate", "--law",
-                         str(bundled_law_path(name)), "--n", "60",
-                         "--paths", "16384", "--seed", "11", "--workers", "2")
+        _, out, _ = run_cli("simulate", "--law",
+                            str(bundled_law_path(name)), "--n", "60",
+                            "--paths", "16384", "--seed", "11",
+                            "--workers", "2")
         rows = "".join(l for l in out.splitlines(keepends=True)
                        if not l.startswith("#"))
         assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
-    def test_kmax_limits_rows(self, capsys):
-        _, out = run_cli(capsys, "simulate", "--law", SYM_PATH, "--n", "10",
-                         "--paths", "2000", "--seed", "1", "--kmax", "3")
+    def test_kmax_limits_rows(self):
+        _, out, _ = run_cli("simulate", "--law", SYM_PATH, "--n", "10",
+                            "--paths", "2000", "--seed", "1", "--kmax", "3")
         _, _, rows = parse_csv(out)
         assert len(rows) == 4
 
 
 class TestSeries:
-    def test_h_coefficients(self, capsys):
-        code, out = run_cli(capsys, "series", "--law", SYM_PATH,
-                            "--what", "h", "--order", "5")
+    def test_h_coefficients(self):
+        code, out, _ = run_cli("series", "--law", SYM_PATH,
+                               "--what", "h", "--order", "5")
         assert code == 0
         _, _, rows = parse_csv(out)
         assert float(rows[1][1]) == 0.5  # leading coefficient is q
 
-    def test_returns(self, capsys):
-        code, out = run_cli(capsys, "series", "--law", SYM_PATH,
-                            "--what", "returns", "--order", "8")
+    def test_returns(self):
+        code, out, _ = run_cli("series", "--law", SYM_PATH,
+                               "--what", "returns", "--order", "8")
         assert code == 0
         _, _, rows = parse_csv(out)
         assert float(rows[0][1]) == 1.0
@@ -227,29 +209,27 @@ class TestSeries:
 
 
 class TestVerify:
-    def test_passing_suite(self, capsys):
-        code, out = run_cli(capsys, "verify", "--law", SYM_PATH,
-                            "--suite", "h-limits")
+    def test_passing_suite(self):
+        code, out, _ = run_cli("verify", "--law", SYM_PATH,
+                               "--suite", "h-limits")
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
 
-    def test_failing_suite_prints_report_and_exits_1(self, capsys,
-                                                     monkeypatch):
+    def test_failing_suite_prints_report_and_exits_1(self, monkeypatch):
         failed = verify.Check("forced", 0.0, 1.0, 0.0, False, "test")
         monkeypatch.setitem(verify._SUITE_FUNCS, "h-limits",
                             lambda law: [failed])
-        code, out = run_cli(capsys, "verify", "--law", SYM_PATH,
-                            "--suite", "h-limits")
+        code, out, _ = run_cli("verify", "--law", SYM_PATH,
+                               "--suite", "h-limits")
         assert code == 1
         doc = json.loads(out)
         assert doc["passed"] is False
         assert doc["checks"] == [{"name": "forced", "target": 0.0,
                                   "observed": 1.0, "tolerance": 0.0,
                                   "passed": False, "provenance": "test"}]
-        assert doc["meta"]["law_sha256"] == IncrementLaw.from_json(
-            bundled_law_path("sym.json").read_text()).sha256()
+        assert doc["meta"]["law_sha256"] == bundled_law("sym.json").sha256()
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,9 +238,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     @pytest.mark.parametrize("suite", SUITES)
-    def test_every_suite_round_trips_json(self, capsys, suite, name):
-        code, out = run_cli(capsys, "verify", "--law",
-                            str(bundled_law_path(name)), "--suite", suite)
+    def test_every_suite_round_trips_json(self, suite, name):
+        code, out, _ = run_cli("verify", "--law",
+                               str(bundled_law_path(name)), "--suite", suite)
         assert code == 0
         doc = json.loads(out)
         assert doc["suite"] == suite
@@ -277,17 +257,16 @@ class TestVerify:
     ["series", "--what", "returns", "--order", "6"],
     ["verify", "--suite", "mdp-constants"],
 ])
-def test_every_output_carries_meta(capsys, argv):
-    code, out = run_cli(capsys, *argv, "--law", SYM_PATH)
+def test_every_output_carries_meta(argv):
+    code, out, _ = run_cli(*argv, "--law", SYM_PATH)
     assert code == 0
     if out.startswith("{"):
         meta = json.loads(out)["meta"]
     else:
         header = parse_csv(out)[0]
         meta = dict(line[2:].split("=", 1) for line in header)
-    expected = {"law_sha256": IncrementLaw.from_json(
-        bundled_law_path("sym.json").read_text()).sha256(),
-        "version": recordwalk.__version__}
+    expected = {"law_sha256": bundled_law("sym.json").sha256(),
+                "version": recordwalk.__version__}
     if argv[0] == "simulate":  # a CSV header, so the seed reads as text
         expected["seed"] = "4"
     assert meta == expected
@@ -320,9 +299,9 @@ def test_out_of_range_seed_is_usage_error(capsys, seed):
 
 
 @pytest.mark.filterwarnings("ignore:.*below 10/paths")
-def test_largest_seed_is_accepted(capsys):
-    code, out = run_cli(capsys, "simulate", "--law", SYM_PATH, "--n", "6",
-                        "--paths", "1000", "--seed", str(2**128 - 1))
+def test_largest_seed_is_accepted():
+    code, out, _ = run_cli("simulate", "--law", SYM_PATH, "--n", "6",
+                           "--paths", "1000", "--seed", str(2**128 - 1))
     assert code == 0
     assert f"# seed={2**128 - 1}" in out
 
@@ -375,7 +354,7 @@ def test_csv_bytes_equal_the_repr_writer(capsys, argv):
     # and the smallest subnormal in every float column
     argv = [argv[0], "--law", STABLE_PATH, *argv[1:]]
     args = build_parser().parse_args(argv)
-    law = IncrementLaw.from_json(Path(STABLE_PATH).read_text())
+    law = bundled_law("stable_g05_b05.json")
     columns, rows = args.func(law, args)
     specials = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1]
     for v in specials:
@@ -393,16 +372,16 @@ def test_one_parser_serves_a_sequence_of_calls(capsys):
     # subcommand in between leave the next rate call's output unchanged
     assert build_parser() is build_parser()
     argv = ["rate", "--law", SYM_PATH, "--x", "0.3"]
-    code, first = run_cli(capsys, *argv)
+    code, first, _ = run_cli(*argv)
     assert code == 0
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--law", SYM_PATH, "--x", "0.5", "--grid", "0:1:3"])
     assert exc.value.code == 2
     capsys.readouterr()
-    code, out = run_cli(capsys, "oracle", "--law", SYM_PATH, "--n", "6",
-                        "--mode", "dp")
+    code, out, _ = run_cli("oracle", "--law", SYM_PATH, "--n", "6",
+                           "--mode", "dp")
     assert code == 0 and parse_csv(out)[1][0] == "k"
-    code, again = run_cli(capsys, *argv)
+    code, again, _ = run_cli(*argv)
     assert code == 0
     assert again == first
 
@@ -417,18 +396,18 @@ def test_load_law_shares_one_object_for_equal_bytes():
     assert IncrementLaw.from_json(data) is not IncrementLaw.from_json(data)
 
 
-def test_law_file_rewritten_in_place_is_loaded_again(capsys, tmp_path):
+def test_law_file_rewritten_in_place_is_loaded_again(tmp_path):
     path = str(tmp_path / "law.json")
     argv = ["rate", "--law", path, "--x", "0.3"]
     outputs = {}
     for name in ("sym.json", "asym.json"):
         Path(path).write_bytes(bundled_law_path(name).read_bytes())
-        code, outputs[name] = run_cli(capsys, *argv)
+        code, outputs[name], _ = run_cli(*argv)
         assert code == 0
-        code, direct = run_cli(capsys, "rate", "--law",
-                               str(bundled_law_path(name)), "--x", "0.3")
+        code, direct, _ = run_cli("rate", "--law",
+                                  str(bundled_law_path(name)), "--x", "0.3")
         assert code == 0 and outputs[name] == direct
-        law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+        law = bundled_law(name)
         assert json.loads(outputs[name])["meta"]["law_sha256"] == law.sha256()
     assert outputs["sym.json"] != outputs["asym.json"]
 
@@ -438,7 +417,7 @@ def test_malformed_file_where_a_good_law_was_exits_2_every_call(capsys,
     path = tmp_path / "law.json"
     path.write_bytes(bundled_law_path("sym.json").read_bytes())
     argv = ["rate", "--law", str(path), "--x", "0.5"]
-    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(*argv)[0] == 0
     path.write_text('{"orientation": "right", "spec": {"type": "explicit"')
     for _ in range(2):
         code = main(argv)
@@ -447,13 +426,13 @@ def test_malformed_file_where_a_good_law_was_exits_2_every_call(capsys,
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_two_paths_with_equal_bytes_share_one_cache_entry(capsys, tmp_path):
+def test_two_paths_with_equal_bytes_share_one_cache_entry(tmp_path):
     data = bundled_law_path("sym_left.json").read_bytes()
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
         path.write_bytes(data)
     _load_law.cache_clear()
-    outs = [run_cli(capsys, "mdp", "--law", str(path)) for path in paths]
+    outs = [run_cli("mdp", "--law", str(path)) for path in paths]
     assert outs[0] == outs[1] and outs[0][0] == 0
     info = _load_law.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
@@ -475,34 +454,66 @@ def test_two_paths_with_equal_bytes_share_one_cache_entry(capsys, tmp_path):
     ["verify", "--suite", "lambda-limits"],
 ])
 @pytest.mark.parametrize("name", BUNDLED_LAWS)
-def test_cold_and_warm_law_cache_print_the_same_bytes(capsys, name, argv):
+def test_cold_and_warm_law_cache_print_the_same_bytes(name, argv):
     # a law loaded afresh, the same law from the cache, and the cached law
     # after a call on another law print the same stdout bytes
     path = str(bundled_law_path(name))
     other = str(bundled_law_path(
         BUNDLED_LAWS[(BUNDLED_LAWS.index(name) + 1) % len(BUNDLED_LAWS)]))
     _load_law.cache_clear()
-    cold = run_cli(capsys, argv[0], "--law", path, *argv[1:])
-    warm = run_cli(capsys, argv[0], "--law", path, *argv[1:])
+    cold = run_cli(argv[0], "--law", path, *argv[1:])
+    warm = run_cli(argv[0], "--law", path, *argv[1:])
     assert _load_law.cache_info().hits == 1
-    assert run_cli(capsys, argv[0], "--law", other, *argv[1:])[0] == 0
-    again = run_cli(capsys, argv[0], "--law", path, *argv[1:])
+    assert run_cli(argv[0], "--law", other, *argv[1:])[0] == 0
+    again = run_cli(argv[0], "--law", path, *argv[1:])
     assert cold[0] == 0
     assert cold == warm == again
 
 
-def test_runs_as_module():
+def _module_env(**extra):
+    """The environment in which `python -m recordwalk` runs this source."""
     src = str(Path(recordwalk.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_runs_as_module():
     proc = subprocess.run(
         [sys.executable, "-m", "recordwalk", "oracle", "--law", SYM_PATH,
          "--n", "5", "--mode", "dp"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_module_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     _, header, rows = parse_csv(proc.stdout)
     assert header[0] == "k" and len(rows) == 6
+
+
+def _lower_address_space():
+    """Run in the child alone: what `ulimit -v 1500000` sets, 1.43 GiB."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (1500000 * 1024, hard))
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (["oracle", "--mode", "dp", "--n", "30000"], "(30001, 30001)"),
+    (["series", "--what", "tau", "--order", "400000000"], "(400000002,)"),
+], ids=["oracle-dp", "series-tau"])
+def test_out_of_memory_is_one_line_and_exit_1(argv, shape):
+    # the DP kernel (6.71 GiB) and the h series (2.98 GiB) do not fit under
+    # the child's own address-space limit; neither command is run without it
+    proc = subprocess.run(
+        [sys.executable, "-m", "recordwalk", argv[0], "--law", SYM_PATH,
+         *argv[1:]],
+        env=_module_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+        text=True, timeout=120, preexec_fn=_lower_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and proc.stderr.endswith("\n")
+    assert lines[0].startswith("out of memory: Unable to allocate ")
+    assert f"shape {shape}" in lines[0]
 
 
 class TestErrors:

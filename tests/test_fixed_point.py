@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recordwalk import (
-    IncrementLaw,
-    bundled_law_path,
     f0_series,
     h_series,
     run_suite,
@@ -23,19 +21,10 @@ from recordwalk import fixed_point
 from recordwalk.fixed_point import (ConvergenceError, _log,
                                     one_minus_s_phi_prime_h)
 from recordwalk.series import series_eval
+from support import (ASYM, BUNDLED_LAWS, STABLE, SYM, SYM_LEFT,
+                     bundled_law)
 
-SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
-SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
-ASYM = IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
-STABLE = IncrementLaw.stable("right", 0.5, 0.5)
-
-ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE]
-BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
-           "stable_g05_b05_left.json"]
-
-
-def bundled_law(name):
-    return IncrementLaw.from_json(bundled_law_path(name).read_text())
+LAWS = [SYM, SYM_LEFT, ASYM, STABLE]
 
 
 @functools.cache
@@ -73,7 +62,7 @@ class TestSolveH:
         with pytest.raises(ValueError):
             solve_h(SYM, 1.1)
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_residual_check_raises(self, name, monkeypatch):
         law = bundled_law(name)
         monkeypatch.setattr(fixed_point, "RESIDUAL_TOL", -1.0)
@@ -81,11 +70,20 @@ class TestSolveH:
             with pytest.raises(ConvergenceError):
                 solve_h(law, s)
 
-    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize("law", LAWS)
     def test_residual_small_everywhere(self, law):
         for s in np.linspace(1e-6, 1.0 - 1e-10, 200):
             h = solve_h(law, float(s))
             assert abs(s * law.phi(h) - h) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [1.5, -1e-300, math.nan])
+@pytest.mark.parametrize("name", BUNDLED_LAWS)
+def test_solve_h_array_rejects_point_outside_unit_interval(name, bad):
+    # a grid of s values swept through solve_h, one float at a time
+    law = bundled_law(name)
+    with pytest.raises(ValueError):
+        [solve_h(law, s) for s in np.array([0.2, bad, 0.7])]
 
 
 def h_deriv(law, s):
@@ -98,7 +96,7 @@ class TestHDeriv:
         assert h_deriv(SYM, 0.6) == pytest.approx(25.0 / 36.0, abs=1e-12)
 
     def test_finite_differences(self):
-        for law in ALL_LAWS:
+        for law in LAWS:
             s, d = 0.7, 1e-6
             fd = (solve_h(law, s + d) - solve_h(law, s - d)) / (2 * d)
             assert h_deriv(law, s) == pytest.approx(fd, rel=1e-7)
@@ -116,7 +114,7 @@ class TestHSeries:
             c, [0.0, 0.5, 0.0, 0.125, 0.0, 0.0625, 0.0, 0.0390625], atol=1e-15
         )
 
-    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize("law", LAWS)
     def test_matches_scalar_solve(self, law):
         h = h_series(law, 80)
         for s in (0.1, 0.25, 0.4):
@@ -137,7 +135,7 @@ class TestHSeries:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 9, 16, 17, 4097,
                                        10001])
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_ladder_prefix_of_the_longest(self, name, order):
         # Each order takes its own precision ladder, order >> k, so its
         # coefficients are rounded along another path than order 10001's,
@@ -171,14 +169,14 @@ class TestF0Series:
         left = f0_series(SYM_LEFT, 40)
         assert np.max(np.abs(right - left)) <= 1e-14
 
-    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize("law", LAWS)
     def test_proper_pmf(self, law):
         c = f0_series(law, 200)
         assert np.all(c >= -1e-12)
         assert c[0] == 0.0
         assert np.all(np.cumsum(c) <= 1.0 + 1e-12)
 
-    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize("law", LAWS)
     def test_mass_is_one_in_the_limit(self, law):
         # tau is a.s. finite under criticality, so coefficients sum to 1
         total = f0_series(law, 4000).sum()
@@ -186,7 +184,7 @@ class TestF0Series:
 
 
 class TestSeriesArrays:
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_float_arrays_of_the_order(self, name):
         law = bundled_law(name)
         for build in (h_series, f0_series, tau_pmf):
@@ -201,7 +199,7 @@ class TestSeriesArrays:
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             h_series(SYM, 8)
 
-    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize("law", LAWS)
     def test_f0_series_rejects_nonfinite_coefficients(self, monkeypatch, law):
         # the NaN bypasses h_series's own check, so f0_series's must catch it
         build_h = fixed_point.h_series
@@ -216,7 +214,7 @@ class TestSeriesArrays:
             f0_series(law, 8)
 
 
-@pytest.mark.parametrize("law", ALL_LAWS)
+@pytest.mark.parametrize("law", LAWS)
 def test_h_limit_checks_converge(law):
     report = run_suite(law, "h-limits")
     assert len(report.checks) == 3

@@ -4,20 +4,14 @@ its log forms meet log(0) near the bracket ends."""
 
 import math
 import warnings
-from importlib import resources
 
 import numpy as np
 import pytest
 
-from recordwalk import (IncrementLaw, bundled_law_path, cumulant,
-                        cumulant_deriv, rate_point, run_suite)
+from recordwalk import cumulant, cumulant_deriv, rate_point, run_suite
 from recordwalk import fixed_point, rates
 from recordwalk.fixed_point import U_MAX, _logistic_hw, solve_hw
-
-BUNDLED_LAWS = sorted(
-    f.name for f in resources.files("recordwalk.data").iterdir()
-    if f.name.endswith(".json")
-)
+from support import BUNDLED_LAWS, bundled_law
 
 # five record densities per decade of [1e-12, 1], as rate queries draw
 # them, and the two extremes
@@ -26,11 +20,6 @@ S = [1e-300, 1e-6, 0.5, *(1.0 - 10.0**-k for k in range(2, 16))]
 # lambda at -1e-8, just below it, just above -40, and at -40
 LAM_ENDS = [float(v) for v in -np.exp(np.linspace(
     math.log(1e-8), math.log(40.0), 20001)[[0, 1, -2, -1]])]
-
-
-@pytest.fixture(params=BUNDLED_LAWS)
-def law(request):
-    return IncrementLaw.from_json(bundled_law_path(request.param).read_text())
 
 
 def _bisection_steps(f, target):
@@ -46,7 +35,9 @@ def _bisection_steps(f, target):
     return steps
 
 
-def test_no_more_evaluations_than_bisection(law, monkeypatch):
+@pytest.mark.parametrize("name", BUNDLED_LAWS)
+def test_no_more_evaluations_than_bisection(name, monkeypatch):
+    law = bundled_law(name)
     counts = []  # (evaluations, bisection's evaluations) per call
     real = fixed_point.bisect_logit
 
@@ -76,7 +67,9 @@ def test_no_more_evaluations_than_bisection(law, monkeypatch):
     assert np.mean([used for used, _ in counts]) <= 16.0
 
 
-def test_no_warning_at_the_ends(law):
+@pytest.mark.parametrize("name", BUNDLED_LAWS)
+def test_no_warning_at_the_ends(name):
+    law = bundled_law(name)
     s = [0.0, 1e-300, 1e-6, 0.5, 1.0 - 1e-15, 1.0 - 2.0**-53, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

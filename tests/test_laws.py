@@ -1,7 +1,5 @@
 """Increment law construction, validation, serialization, and expansion."""
 
-import contextlib
-import io
 import json
 import math
 
@@ -15,36 +13,21 @@ from recordwalk import (
     IncrementLaw,
     LawValidationError,
     Orientation,
-    bundled_law_path,
     expand_coefficients,
     h_series,
     mdp_constants,
     solve_h,
     truncated_explicit,
 )
-from recordwalk.cli import main
 from recordwalk.fixed_point import one_minus_s_phi_prime_h
 from recordwalk.series import series_eval
-
-BUNDLED = ["sym.json", "sym_left.json", "asym.json", "stable_g05_b05.json",
-           "stable_g05_b05_left.json"]
-
-
-def sym_law(orientation="right"):
-    return IncrementLaw.explicit(orientation, 0.5, [0.0, 0.5])
-
-
-def asym_law():
-    return IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
-
-
-def stable_law(orientation="right"):
-    return IncrementLaw.stable(orientation, 0.5, 0.5)
+from support import (ALL_LAWS, ASYM, BUNDLED_LAWS, STABLE, STABLE_LEFT, SYM,
+                     SYM_LEFT, MpLaw, bundled_law, parse_csv, run_cli)
 
 
 class TestExplicitFactory:
     def test_symmetric_walk(self):
-        law = sym_law()
+        law = SYM
         assert law.q == 0.5
         assert law.p == (0.0, 0.5)
         assert law.sigma2 == pytest.approx(1.0)
@@ -52,10 +35,9 @@ class TestExplicitFactory:
 
     def test_sigma2_second_factorial_moment(self):
         # sigma2 = sum (n+1) n p_n = 2*0.1 + 6*0.15
-        assert asym_law().sigma2 == pytest.approx(1.1)
+        assert ASYM.sigma2 == pytest.approx(1.1)
 
-    @pytest.mark.parametrize("law", [sym_law(), sym_law("left"), asym_law(),
-                                     stable_law(), stable_law("left")])
+    @pytest.mark.parametrize("law", ALL_LAWS)
     def test_constructor_law_matches_factory(self, law):
         # sigma2 is derived from p, so a law built by the dataclass
         # constructor itself carries it too
@@ -66,7 +48,7 @@ class TestExplicitFactory:
         assert direct.sha256() == law.sha256()
 
     def test_orientation_coercion(self):
-        assert sym_law("left").orientation is Orientation.LEFT
+        assert SYM_LEFT.orientation is Orientation.LEFT
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(LawValidationError):
@@ -107,7 +89,7 @@ class TestExplicitFactory:
 
 class TestStableFactory:
     def test_parameters(self):
-        law = stable_law()
+        law = STABLE
         assert law.is_stable
         assert law.q == pytest.approx(0.5 / 1.5)
         assert law.p0 == pytest.approx(0.5)
@@ -121,14 +103,14 @@ class TestStableFactory:
 
 class TestGeneratingFunction:
     def test_explicit_values(self):
-        law = sym_law()
+        law = SYM
         assert law.phi(0.6) == pytest.approx(0.5 + 0.5 * 0.36, abs=1e-15)
         assert law.phi(1.0) == pytest.approx(1.0, abs=1e-15)
         assert law.phi_prime(1.0) == pytest.approx(1.0, abs=1e-15)
         assert law.phi_second(1.0) == pytest.approx(law.sigma2)
 
     def test_stable_values(self):
-        law = stable_law()
+        law = STABLE
         assert law.phi(0.0) == pytest.approx(law.q, abs=1e-15)
         assert law.phi(1.0) == 1.0
         assert law.phi_prime(1.0) == 1.0
@@ -139,21 +121,21 @@ class TestGeneratingFunction:
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            sym_law().phi(1.5)
+            SYM.phi(1.5)
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
     @pytest.mark.parametrize("s", [math.nan, -2.0**-1074, 1.0 + 2.0**-52])
     def test_domain_checks_on_floats_and_arrays(self, name, s):
         # a float takes its own test, which rejects what the array one does
-        law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+        law = bundled_law(name)
         for f in (law.phi, law.phi_prime, law.phi_second):
             for arg in (s, np.array([0.5, s])):
                 with pytest.raises(ValueError, match="outside"):
                     f(arg)
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_floats_and_arrays_give_the_same_bits(self, name):
-        law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+        law = bundled_law(name)
         s = [0.0, 2.0**-1074, 1e-300, 0.1, 0.37, 0.5, 0.75, 1.0 - 2.0**-53,
              1.0]
         for f in (law.phi, law.phi_prime, law.phi_second):
@@ -161,35 +143,23 @@ class TestGeneratingFunction:
             assert floats.tobytes() == f(np.array(s)).tobytes(), f.__name__
 
 
-def _mp_gap_over_w(name, w):
-    """(phi(h) - h)/w at h = 1 - w for a bundled law, in mpmath from its
-    decimal coefficients, with 40 digits more than the 2*log10(1/w) that
-    phi(h) - h cancels."""
-    spec = json.loads(bundled_law_path(name).read_text())["spec"]
+def _mp_gap_over_w(mp_law, w):
+    """(phi(h) - h)/w at h = 1 - w for a bundled law in mpmath, with 40
+    digits more than the 2*log10(1/w) that phi(h) - h cancels."""
     with mpmath.workdps(40 - 2 * math.floor(math.log10(w))):
         w = mpmath.mpf(float(w))
         h = 1 - w
-        if spec["type"] == "stable":
-            g, b = (mpmath.mpf(repr(spec[k])) for k in ("gamma", "beta"))
-            phi = h + g / (1 + b) * (1 - h) ** (1 + b)
-        else:
-            q, *p = (mpmath.mpf(repr(v)) for v in (spec["q"], *spec["p"]))
-            phi = q + sum(v * h ** (n + 1) for n, v in enumerate(p))
-        return (phi - h) / w
+        return (mp_law.phi(h) - h) / w
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", BUNDLED_LAWS)
 class TestLawInterface:
     """The family-specific methods every consumer calls, against the scalar
     generating function."""
 
-    @staticmethod
-    def law(name):
-        return IncrementLaw.from_json(bundled_law_path(name).read_text())
-
     @pytest.mark.parametrize("s", [0.1, 0.25])
     def test_phi_series_sums_to_phi_at_h(self, name, s):
-        law, order = self.law(name), 128
+        law, order = bundled_law(name), 128
         phi_h, phip_h = law.phi_series(h_series(law, order), order, order)
         h = solve_h(law, s)
         assert abs(series_eval(phi_h, s) - law.phi(h)) <= 1e-13
@@ -202,7 +172,7 @@ class TestLawInterface:
         # sym's two-term composition give the same bits; asym's
         # composition with h[:d + 1] slices its long products elsewhere,
         # 2 ulps at m = 4097 and 10001 measured, against the 16 allowed
-        law = self.law(name)
+        law = bundled_law(name)
         h = h_series(law, m)
         phi_full, phip_full = law.phi_series(h, m, m)
         for d in sorted({0, 1, m // 2 - 1, (m - 1) // 2, m // 2, m - 1}):
@@ -214,7 +184,7 @@ class TestLawInterface:
                           <= 16 * np.spacing(np.abs(ref))), d
 
     def test_one_minus_s_phi_prime(self, name):
-        law, s = self.law(name), 0.5
+        law, s = bundled_law(name), 0.5
         h = solve_h(law, s)
         for x in (0.0, 0.3, h, 0.9):
             direct = 1.0 - s * law.phi_prime(x)
@@ -227,7 +197,7 @@ class TestLawInterface:
         assert abs(one_minus_s_phi_prime_h(law, s) - direct) <= 1e-12
 
     def test_gaps(self, name):
-        law = self.law(name)
+        law = bundled_law(name)
         for h in (1e-9, 0.3, 0.5, 0.9):
             gaps = law.gaps(h, 1.0 - h)
             assert all(v.__class__ is float for v in gaps)
@@ -241,7 +211,7 @@ class TestLawInterface:
     def test_gaps_at_w_zero(self, name):
         # h = 1, the point s = 1: D = D' = 0, psi = 1 - q and chi = phi'(1)
         # - psi = q, the limits; 1 - s*phi'(h) is 0 there
-        law = self.law(name)
+        law = bundled_law(name)
         r, dp, psi, chi = law.gaps(1.0, 0.0)
         assert r == dp == 0.0
         assert abs(psi - (1.0 - law.q)) <= 1e-15
@@ -251,7 +221,7 @@ class TestLawInterface:
     @pytest.mark.parametrize("method", ["phi", "phi_prime", "phi_second"])
     def test_float_and_array_give_the_same_bits(self, name, method):
         # s = 1 included, where the stable phi'' is inf
-        f = getattr(self.law(name), method)
+        f = getattr(bundled_law(name), method)
         s = np.array([0.0, 1e-300, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 1.0])
         floats = [f(float(v)) for v in s]
         assert np.array_equal(np.array(floats), f(s))
@@ -262,12 +232,12 @@ class TestLawInterface:
         # from the law's decimal coefficients in mpmath, 40 digits beyond
         # what 1 - h cancels; where D is below the normal range, D/w itself,
         # which stays positive; 1.3 ulps measured
-        law = self.law(name)
+        law, mp_law = bundled_law(name), MpLaw(name)
         ws = 10.0 ** -np.arange(1, 251)
         ratios = law.gap_over_w(1.0 - ws, ws)
         for w, r in zip(ws, ratios):
             assert r == law.gap_over_w(1.0 - w, float(w))
-            ref = _mp_gap_over_w(name, w)
+            ref = _mp_gap_over_w(mp_law, w)
             d = w * r
             if d >= np.finfo(float).tiny:
                 assert abs(d - w * ref) <= 1e-15 * w * ref, w
@@ -275,22 +245,21 @@ class TestLawInterface:
         assert 1e-250 * law.gap_over_w(1.0, 1e-250) == 0.0
 
     def test_mdp_constants_are_the_closed_form(self, name):
-        law = self.law(name)
+        law = bundled_law(name)
         alpha, c, regime = law.mdp_closed_form()
         consts = mdp_constants(law)
         assert (consts.alpha, consts.c, consts.regime) == (alpha, c, regime)
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("law", [sym_law(), asym_law(), stable_law(),
-                                     stable_law("left")])
+    @pytest.mark.parametrize("law", [SYM, ASYM, STABLE, STABLE_LEFT])
     def test_json_round_trip(self, law):
         assert IncrementLaw.from_json(law.to_json()) == law
 
     def test_hash_is_stable(self):
-        law = sym_law()
-        assert law.sha256() == sym_law().sha256()
-        assert law.sha256() != sym_law("left").sha256()
+        rebuilt = IncrementLaw.explicit("right", SYM.q, SYM.p)
+        assert SYM.sha256() == rebuilt.sha256()
+        assert SYM.sha256() != SYM_LEFT.sha256()
 
     def test_unknown_spec_type(self):
         with pytest.raises(LawValidationError):
@@ -299,25 +268,25 @@ class TestSerialization:
             )
 
     def test_json_shape(self):
-        d = json.loads(stable_law().to_json())
+        d = json.loads(STABLE.to_json())
         assert d["spec"] == {"type": "stable", "gamma": 0.5, "beta": 0.5}
 
 
 class TestExpansion:
     def test_explicit_coefficients(self):
-        a = expand_coefficients(sym_law(), 5)
+        a = expand_coefficients(SYM, 5)
         assert np.allclose(a, [0.5, 0.0, 0.5, 0.0, 0.0, 0.0])
 
     def test_stable_leading_coefficients(self):
         # a_0 = q and a_1 = p_0 = 1 - gamma
-        a = expand_coefficients(stable_law(), 2000)
+        a = expand_coefficients(STABLE, 2000)
         assert a[0] == pytest.approx(0.5 / 1.5, abs=1e-15)
         assert a[1] == pytest.approx(0.5, abs=1e-15)
         assert np.all(a[1:] >= 0.0)
         assert a.sum() == pytest.approx(1.0, abs=1e-3)  # heavy tail remains
 
     def test_stable_matches_phi(self):
-        law = stable_law()
+        law = STABLE
         a = expand_coefficients(law, 400)
         s = 0.3
         direct = float(np.polyval(a[::-1], s))
@@ -325,12 +294,12 @@ class TestExpansion:
 
     def test_order_check(self):
         with pytest.raises(ValueError):
-            expand_coefficients(sym_law(), 0)
+            expand_coefficients(SYM, 0)
 
 
 class TestTruncation:
     def test_truncated_stable_is_exactly_critical(self):
-        law2, deficit = truncated_explicit(stable_law(), 5000)
+        law2, deficit = truncated_explicit(STABLE, 5000)
         assert not law2.is_stable
         assert 0.0 < deficit < 1e-5
         drift = math.fsum(n * v for n, v in enumerate(law2.p))
@@ -338,14 +307,14 @@ class TestTruncation:
         assert law2.q + math.fsum(law2.p) == pytest.approx(1.0, abs=1e-12)
 
     def test_explicit_passes_through(self):
-        law = sym_law()
+        law = SYM
         out, deficit = truncated_explicit(law, 100)
         assert out is law and deficit == 0.0
 
     @pytest.mark.parametrize("order", [200, 2000])
     def test_gaps_of_a_long_support(self, order):
         # the gaps of a high-degree polynomial stay sums of nonnegative terms
-        law, _ = truncated_explicit(stable_law(), order)
+        law, _ = truncated_explicit(STABLE, order)
         for h in (1e-9, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             r, dp, psi, chi = law.gaps(h, 1.0 - h)
             d = (1.0 - h) * r
@@ -391,23 +360,6 @@ def test_random_laws_are_valid_pgfs(law, s):
     assert abs(law.phi_prime(1.0) - 1.0) <= 1e-9
 
 
-def _run_main(path, command, *args):
-    """(exit code, stdout) of cli.main run in this process on the law file
-    at path, after a check that it exits 0, 1 or 2, and with a message."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--law", str(path), *args])
-    assert code in (0, 1, 2), (command, args, code)
-    assert out.getvalue() if code == 0 else err.getvalue().startswith(
-        ("error: ", "numeric failure: ")), (command, args, err.getvalue())
-    return code, out.getvalue()
-
-
-def _tails(text):
-    return np.array([float(line.split(",")[1]) for line in text.splitlines()
-                     if line[:1].isdigit()])
-
-
 @pytest.mark.parametrize("family", ["explicit", "stable"])
 @pytest.mark.parametrize("side", ["right", "left"])
 @given(data=st.data())
@@ -418,18 +370,28 @@ def test_random_laws_through_the_cli(tmp_path_factory, side, family, data):
     law = data.draw(critical_laws((side,), (family,)))
     path = tmp_path_factory.mktemp("law") / "law.json"
     path.write_text(law.to_json())
+
+    def run(command, *args):
+        # exits 0, 1 or 2, and with a message
+        code, out, err = run_cli(command, "--law", str(path), *args)
+        assert code in (0, 1, 2), (command, args, code)
+        assert out if code == 0 else err.startswith(
+            ("error: ", "numeric failure: ")), (command, args, err)
+        return code, out
+
     for x in ("1e-12", "0.5", "0.999"):
-        code, out = _run_main(path, "rate", "--x", x)
+        code, out = run("rate", "--x", x)
         assert code == 0, x
         doc = json.loads(out)
         for key in ("Lambda_star", "ldp_rate"):
             assert isinstance(doc[key], float) and 0.0 <= doc[key] < math.inf
-    _run_main(path, "mdp")
-    _run_main(path, "series", "--what", "tau", "--order", "64")
+    run("mdp")
+    run("series", "--what", "tau", "--order", "64")
     (dp_code, dp), (rn_code, rn) = (
-        _run_main(path, "oracle", "--mode", mode, "--n", "30")
+        run("oracle", "--mode", mode, "--n", "30")
         for mode in ("dp", "renewal"))
     assert dp_code == rn_code == 0
-    dp, rn = _tails(dp), _tails(rn)
+    dp, rn = (np.array([float(row[1]) for row in parse_csv(text)[2]])
+              for text in (dp, rn))
     assert len(dp) == len(rn) == 31
     assert np.all(np.abs(dp - rn) <= 1e-12 * rn)

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from recordwalk import (
     Provenance,
     SimConfig,
     build_kernel,
-    bundled_law_path,
     count_weak_records,
     empirical_tail,
     exact_An_distribution,
@@ -24,19 +22,8 @@ from recordwalk import (
 )
 from recordwalk import montecarlo
 from recordwalk.montecarlo import TooFewPathsError, _wilson
-
-SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
-SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
-ASYM = IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
-STABLE = IncrementLaw.stable("right", 0.5, 0.5)
-BUNDLED_LAWS = sorted(
-    f.name for f in resources.files("recordwalk.data").iterdir()
-    if f.name.endswith(".json")
-)
-
-
-def bundled(name):
-    return IncrementLaw.from_json(bundled_law_path(name).read_text())
+from support import (ASYM, BUNDLED_LAWS, STABLE, STABLE_LEFT, SYM, SYM_LEFT,
+                     bundled_law)
 
 
 def reference_block(law, n, seed, start, count):
@@ -94,7 +81,7 @@ class TestSampling:
     def test_top_uniform_draws_the_lumped_stable_jump(self, side):
         # A stable law's CDF ends with all jumps of size >= the lumping
         # order in one, the larger of STABLE_JUMP_ORDER and the path length.
-        law = IncrementLaw.stable(side, 0.5, 0.5)
+        law = STABLE if side == "right" else STABLE_LEFT
         u = np.nextafter(1.0, 0.0)
         sign = -1 if side == "right" else 1
         order = montecarlo.STABLE_JUMP_ORDER
@@ -108,7 +95,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_counted_index_is_searchsorted(self, name):
-        cdf = montecarlo._jump_cdf(bundled(name), montecarlo.STABLE_JUMP_ORDER)
+        cdf = montecarlo._jump_cdf(bundled_law(name),
+                                   montecarlo.STABLE_JUMP_ORDER)
         inner = cdf[cdf < 1.0]
         u = np.concatenate([
             inner, np.nextafter(inner, 0.0), [0.0, np.nextafter(1.0, 0.0)],
@@ -247,7 +235,7 @@ class TestEmpiricalTail:
     def test_block_matches_plain_draw(self, name):
         # at n = 20000 a slice holds SLICE_ROWS * 200 // n = 5 rows, so the
         # 12 rows take 5 + 5 + 2
-        law = bundled(name)
+        law = bundled_law(name)
         for n, seed, start, count in [(200, 11, 0, 1500), (37, 3, 12, 700),
                                       (20000, 5, 8, 12)]:
             assert np.array_equal(

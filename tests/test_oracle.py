@@ -19,14 +19,9 @@ from recordwalk import (
 from recordwalk.laws import Orientation
 from recordwalk.oracle import ChainKernel, _first_returns
 from recordwalk.series import series_mul, series_reciprocal
+from support import (ALL_LAWS, ASYM, ASYM_LEFT, STABLE, STABLE_LEFT, SYM,
+                     SYM_LEFT, hitting_time_returns)
 
-SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
-SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
-ASYM = IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
-STABLE = IncrementLaw.stable("right", 0.5, 0.5)
-STABLE_LEFT = IncrementLaw.stable("left", 0.5, 0.5)
-
-ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE, STABLE_LEFT]
 # critical laws with a jump of 10 levels: a band of width 10 on one side
 WIDE = IncrementLaw.explicit("right", 0.1, [0.89] + [0.0] * 9 + [0.01])
 WIDE_LEFT = IncrementLaw.explicit("left", 0.1, [0.89] + [0.0] * 9 + [0.01])
@@ -166,7 +161,7 @@ class TestKernel:
         # ASYM's support {0, 1, 2} reaches past caps 1 and 2: a right
         # row drops the jumps above the cap, mass T_(L+1-i), and a left
         # row lands the jumps of size i or more on 0, mass T_i
-        law = IncrementLaw.explicit(side, ASYM.q, ASYM.p)
+        law = ASYM if side == "right" else ASYM_LEFT
         K = build_kernel(law, cap).matrix
         t = law.jump_tails(cap + 1)
         assert np.allclose(K.sum(axis=1), 1.0 - _dropped(law, cap),
@@ -181,7 +176,7 @@ class TestKernel:
         assert K[1, 1] == 0.0
 
     def test_left_rows_lump_deep_jumps(self):
-        K = build_kernel(IncrementLaw.explicit("left", ASYM.q, ASYM.p), 5).matrix
+        K = build_kernel(ASYM_LEFT, 5).matrix
         # from level 0: up with q, stay with p_0 + p_1 + p_2
         assert K[0, 1] == pytest.approx(0.4)
         assert K[0, 0] == pytest.approx(0.6)
@@ -256,6 +251,29 @@ class TestExactDistribution:
         assert len(f) == len(tau) == n + 1
         assert np.all(f >= 0.0)
         assert np.all(np.abs(f - tau) <= 1e-13 * tau)
+
+    @pytest.mark.parametrize(("law", "n"), [
+        pytest.param(law, n, id=f"law{i}-{n}")
+        for n, laws in ((400, ALL_LAWS), (1600, ALL_LAWS[:3]))
+        for i, law in enumerate(laws)
+    ])
+    def test_hitting_time_theorem_gates_both_routes(self, law, n):
+        # a third exact route to the return-time law, from the powers of
+        # phi alone: the chain's first returns and the series of f0 agree
+        # with it, zero for zero.  Bounds stated before the first run, from
+        # a prototype at n = 400: 5.6e-15 against the chain on every law;
+        # 6.7e-15 against the series on the explicit laws (2.0e-14 at
+        # n = 1600), 1.0e-13 on stable right and 1.3e-14 on stable left.
+        # Read here: 5.7e-15; 2.0e-14, 1.0e-13 and 1.4e-14
+        ref = hitting_time_returns(law, n)
+        chain = _first_returns(build_kernel(law, n), n)
+        series = tau_pmf(law, n)
+        series_tol = 2e-13 if law is STABLE else 5e-14
+        assert ref[0] == 0.0 and np.all(ref >= 0.0)
+        for got, tol in ((chain, 1e-14), (series, series_tol)):
+            assert len(got) == n + 1
+            assert np.array_equal(got != 0.0, ref != 0.0)
+            assert np.all(np.abs(got - ref) <= tol * ref)
 
     @pytest.mark.parametrize("law", KERNEL_LAWS)
     @pytest.mark.parametrize("n", [60, 400])
@@ -477,6 +495,27 @@ class TestReturnProbabilities:
             ref = 1.0 - np.cumsum(h[: n + 1], dtype=np.longdouble)
             ref = ref.astype(float)
         assert np.all(np.abs(u - ref) <= 1e-12 * ref)
+
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize(("n", "mode"),
+                             [(400, "dp"), (400, "renewal"), (1600, "renewal")])
+    def test_bulk_moment_identities(self, law, n, mode):
+        # A_n counts the visits to 0 at steps 1..n, so E[A_n] = U_n - 1 and
+        # E[A_n(A_n - 1)] = 2 sum_{i,j>=1, i+j<=n} u_i u_j, the ordered
+        # pairs of visits; on the tail, sum_{k>=1} P(A_n >= k) and
+        # 2 sum_{k>=1} (k - 1) P(A_n >= k).  Every sum is of nonnegative
+        # terms.  Bound stated before the first run: 3.5e-15 and 6.3e-15
+        # measured on a prototype, and read here
+        if mode == "dp":
+            tail = exact_An_distribution(build_kernel(law, n), n).tail
+        else:
+            tail = renewal_tail_table(law, n).tail
+        u, U = return_prob_partial_sums(law, n)
+        first = math.fsum(tail[1:])
+        second = 2.0 * math.fsum(np.arange(n) * tail[1:])
+        pairs = 2.0 * math.fsum(u[1:n] * (U[n - 1 : 0 : -1] - 1.0))
+        assert abs(first - (U[n] - 1.0)) <= 1e-14 * (U[n] - 1.0)
+        assert abs(second - pairs) <= 1e-14 * pairs
 
     @pytest.mark.parametrize("law", [ASYM, STABLE, STABLE_LEFT])
     def test_nonnegative_and_increasing(self, law):

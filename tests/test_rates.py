@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recordwalk import (
-    IncrementLaw,
     MdpRegime,
     cumulant,
     cumulant_deriv,
@@ -21,14 +20,7 @@ from recordwalk import (
     rate_point,
     rates,
 )
-
-SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
-SYM_LEFT = IncrementLaw.explicit("left", 0.5, [0.0, 0.5])
-ASYM = IncrementLaw.explicit("right", 0.4, [0.35, 0.1, 0.15])
-STABLE = IncrementLaw.stable("right", 0.5, 0.5)
-STABLE_LEFT = IncrementLaw.stable("left", 0.5, 0.5)
-
-ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE, STABLE_LEFT]
+from support import ALL_LAWS, ASYM, STABLE, STABLE_LEFT, SYM, SYM_LEFT
 
 
 class TestCumulant:

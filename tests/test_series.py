@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recordwalk import IncrementLaw, h_series, truncated_explicit
+from recordwalk import h_series, truncated_explicit
 from recordwalk.series import (
     CONV_SLICE,
     EXP_BLOCK,
@@ -19,9 +19,9 @@ from recordwalk.series import (
     series_mul,
     series_reciprocal,
 )
+from support import STABLE, STABLE_LEFT, exp_reference, reciprocal_reference
 
-STABLE_LAWS = [IncrementLaw.stable("right", 0.5, 0.5),
-               IncrementLaw.stable("left", 0.5, 0.5)]
+STABLE_LAWS = [STABLE, STABLE_LEFT]
 
 
 def _compose_reference(outer, inner, order):
@@ -52,32 +52,6 @@ def _log_reference(w, order):
         conv = np.dot(j[1:m] * l[1:m], wpad[m - 1 : 0 : -1])
         l[m] = wpad[m] - conv / m
     return l
-
-
-def _reciprocal_reference(f, order):
-    """Newton doubling R <- R(2 - F R) with both products formed in full."""
-    f = np.asarray(f, dtype=float)[: order + 1]
-    r = np.array([1.0 / f[0]])
-    m = 1
-    while m <= order:
-        m = min(2 * m, order + 1)
-        corr = -np.convolve(f[:m], r)[:m]
-        corr[0] += 2.0
-        r = np.convolve(r, corr)[:m]
-    return np.concatenate([r, np.zeros(order + 1 - len(r))])
-
-
-def _exp_reference(a, order, dtype=float):
-    """e_m = (1/m) sum_{j=1..m} j a_j e_{m-j}, reading e backwards, one
-    dot per coefficient in the given dtype."""
-    apad = np.zeros(order + 1, dtype)
-    apad[: min(len(a), order + 1)] = a[: order + 1]
-    ja = np.arange(order + 1) * apad
-    e = np.zeros(order + 1, dtype)
-    e[0] = 1.0
-    for m in range(1, order + 1):
-        e[m] = np.dot(ja[1 : m + 1], e[m - 1 :: -1][:m]) / m
-    return e
 
 
 def _within_rel(a, b, tol):
@@ -297,15 +271,15 @@ def test_reciprocal_matches_full_newton(order):
     r = series_reciprocal(f, order)
     assert len(r) == order + 1
     assert r[0] == 1.0
-    assert _within_rel(r, _reciprocal_reference(f, order), 1e-13)
+    assert _within_rel(r, reciprocal_reference(f, order), 1e-13)
 
 
 def test_reciprocal_of_h_over_s_matches_full_newton():
     # f0_series' reciprocal on a right-continuous law: s/h has one sign
     # from s^2 on
-    hs = h_series(STABLE_LAWS[0], 4098)[1:]
+    hs = h_series(STABLE, 4098)[1:]
     out = series_reciprocal(hs, 4096)
-    assert _within_rel(out, _reciprocal_reference(hs, 4096), 1e-13)
+    assert _within_rel(out, reciprocal_reference(hs, 4096), 1e-13)
 
 
 def test_reciprocal_short_input_and_order_zero():
@@ -314,7 +288,7 @@ def test_reciprocal_short_input_and_order_zero():
     assert np.allclose(out, 0.5 ** np.arange(2001), rtol=1e-15, atol=0)
 
 
-def _stable_log_w(order, law=STABLE_LAWS[0]):
+def _stable_log_w(order, law=STABLE):
     """log W, W = 1 - h, of a stable law; both orientations share h."""
     w = -h_series(law, order)
     w[0] += 1.0
@@ -331,10 +305,10 @@ def test_exp_bit_identical_to_loop(law):
     cases = [(lw[:40], 60)] + [(f * lw, order) for f in (1.5, 0.5)
                                for order in range(EXP_BLOCK)]
     for a, order in cases:
-        assert np.array_equal(series_exp(a, order), _exp_reference(a, order))
+        assert np.array_equal(series_exp(a, order), exp_reference(a, order))
     for a, order in [(1.5 * lw, 3000), (0.5 * lw, 1100)]:
         assert np.array_equal(series_exp(a, order)[:EXP_BLOCK],
-                              _exp_reference(a, EXP_BLOCK - 1))
+                              exp_reference(a, EXP_BLOCK - 1))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -348,7 +322,7 @@ def test_exp_against_long_double():
     lw = _stable_log_w(order)
     for f, tol in [(1.5, 1.5e-10), (0.5, 7e-15)]:
         a = f * lw
-        ref = _exp_reference(a, order, np.longdouble)
+        ref = exp_reference(a, order, np.longdouble)
         err = np.abs(series_exp(a, order) - ref) / np.abs(ref)
         assert float(np.max(err)) <= tol, f
 
@@ -363,7 +337,7 @@ def test_exp_block_edges_match_loop():
     for a, order in cases:
         out = series_exp(a, order)
         assert len(out) == order + 1
-        assert _within_rel(out, _exp_reference(a, order), 1e-14)
+        assert _within_rel(out, exp_reference(a, order), 1e-14)
 
 
 def test_exp_lower_orders_are_prefixes():
@@ -399,4 +373,4 @@ def test_exp_of_a_short_polynomial():
     # through the order they ask for.
     a = 0.5 * _stable_log_w(4 * EXP_BLOCK + 1)[:40]
     order = 4 * EXP_BLOCK + 1
-    assert _within_rel(series_exp(a, order), _exp_reference(a, order), 1e-11)
+    assert _within_rel(series_exp(a, order), exp_reference(a, order), 1e-11)

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from recordwalk import (IncrementLaw, Orientation, SUITES, bundled_law_path,
-                        cumulant, invert_slope, legendre, run_suite)
-from recordwalk.series import series_eval
+from recordwalk import (SUITES, cumulant, invert_slope, legendre, run_suite,
+                        verify)
+from support import BUNDLED_LAWS, SYM, bundled_law
 
-SYM = IncrementLaw.explicit("right", 0.5, [0.0, 0.5])
-BUNDLED_LAWS = ["asym.json", "stable_g05_b05.json", "stable_g05_b05_left.json",
-                "sym.json", "sym_left.json"]
 LEGENDRE_SLOPES = (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
 
 
@@ -38,7 +35,7 @@ def test_fast_suites_pass_on_symmetric_walk(suite):
     "name", ["asym.json", "stable_g05_b05.json", "stable_g05_b05_left.json"]
 )
 def test_core_suites_pass_on_bundled_laws(name):
-    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
+    law = bundled_law(name)
     for suite in ("h-limits", "lambda-limits", "oracle-equivalence",
                   "mdp-constants"):
         report = run_suite(law, suite)
@@ -61,23 +58,12 @@ def test_checks_hold_python_scalars():
 
 @pytest.mark.parametrize("name", BUNDLED_LAWS)
 def test_legendre_grid_lies_on_the_solved_curve(name):
-    law = IncrementLaw.from_json(bundled_law_path(name).read_text())
-    # the suite's grid: 20001 points of u = log(h/w) in [-10, 10], from
-    # r = D/w; on the right, Lambda = log1p(-g) while g = q*w/phi <= 1/2,
-    # else lambda + log(q + psi)
-    u = np.linspace(-10.0, 10.0, 20001)
-    h, w = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
-    r = law.gap_over_w(h, w)
-    lam = -np.log1p(w * r / h)
-    if law.orientation is Orientation.RIGHT:
-        g = law.q * w / (w * r + h)
-        psi = series_eval(law.jump_pmf(100), h)
-        Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(law.q + psi))
-    else:
-        Lam = lam + np.log1p(-r)
+    law = bundled_law(name)
+    lam, Lam = verify._legendre_grid(law)
+    assert lam.size == Lam.size == 20001
     # the solve route at the grid's lambda lands on the grid's Lambda
     # (4.0e-16 relative measured)
-    for i in range(0, u.size, 1000):
+    for i in range(0, lam.size, 1000):
         assert abs(cumulant(law, float(lam[i])) - Lam[i]) <= 1e-14 * abs(
             Lam[i]), i
     # each slope's optimum lies strictly inside the grid
