@@ -42,22 +42,18 @@ def solve_h(law, s):
     return solve_hw(law, s)[0]
 
 
-def solve_hw(law, s):
+def solve_hw(law, s, t=None):
     """(h(s), w) with w = 1 - h, as solve_h takes s.
 
     The root is bracketed in u = log(h/w) on log(t*h) = log(s*D), with
     t = 1 - s, the fixed-point equation in the gap D = phi(h) - h, until the
     bracket ends are adjacent doubles.  That leaves about |u| ulps in h and
     w; one Newton step on t*h = s*D in the smaller of the two removes them,
-    so both keep their relative precision on all of [0, 1].
+    so both keep their relative precision on all of [0, 1].  A caller that
+    knows t to more relative precision than 1.0 - s hands it in (cumulant
+    has -expm1(lambda)).
     """
-    return _solve_hw(law, s, 1.0 - s)
-
-
-def _solve_hw(law, s, t):
-    """solve_hw with t = 1 - s handed in, for callers that know it to more
-    relative precision than 1.0 - s (cumulant has -expm1(lambda))."""
-    s, t = float(s), float(t)
+    s, t = float(s), float(1.0 - s if t is None else t)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s = {s!r} outside [0, 1]")
     if s == 0.0 or t == 0.0:
@@ -123,18 +119,16 @@ def bisect_logit(f, target):
     never evaluated, until the bracket ends are adjacent doubles: the
     bracket of bisection, in at most one step more, and far fewer on a
     smooth f, which callers make close to linear in u by handing in log
-    forms.  f is evaluated with numpy's divide and invalid warnings off, so
-    that a log form may meet log(0) near the ends.
+    forms.  f runs on Python floats; _log takes log(0) to -inf.
     """
     lo, hi, ylo, yhi, j = -U_MAX, U_MAX, math.nan, math.nan, 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            x = _itp_point(lo, mid, hi, ylo, yhi, j)
-            if (y := float(f(*_logistic_hw(x))) - target) < 0.0:
-                lo, ylo = x, y
-            else:
-                hi, yhi = x, y
-            j += 1
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        x = _itp_point(lo, mid, hi, ylo, yhi, j)
+        if (y := float(f(*_logistic_hw(x))) - target) < 0.0:
+            lo, ylo = x, y
+        else:
+            hi, yhi = x, y
+        j += 1
     return _logistic_hw(mid)
 
 

@@ -130,27 +130,25 @@ class IncrementLaw:
     # -- generating function -----------------------------------------------
 
     def phi(self, s):
-        """phi(s) = q + sum_n p_n s^(n+1), the step PGF reparameterization."""
+        """phi(s) = q + sum_n p_n s^(n+1), the step PGF reparameterization,
+        at a float s in [0, 1]."""
         _check_unit_interval(s)
         if self.is_stable:
-            # np.float_power calls the C library's pow, as float ** does, so
-            # floats and arrays give the same bits; np.power may not
             e = 1.0 + self.beta
-            return s + self.gamma / e * np.float_power(1.0 - s, e)
+            return s + self.gamma / e * (1.0 - s) ** e
         return self.q + s * series_eval(self.p, s)
 
     def phi_prime(self, s):
         _check_unit_interval(s)
         if self.is_stable:
-            return 1.0 - self.gamma * np.float_power(1.0 - s, self.beta)
+            return 1.0 - self.gamma * (1.0 - s) ** self.beta
         return series_eval([(n + 1) * v for n, v in enumerate(self.p)], s)
 
     def phi_second(self, s):
         _check_unit_interval(s)
-        if self.is_stable:  # inf at s = 1, for floats and arrays alike
-            with np.errstate(divide="ignore"):
-                return self.gamma * self.beta * np.float_power(
-                    1.0 - s, self.beta - 1.0)
+        if self.is_stable:  # inf at s = 1
+            return (math.inf if s == 1.0 else
+                    self.gamma * self.beta * (1.0 - s) ** (self.beta - 1.0))
         d2 = [(n + 1) * n * v for n, v in enumerate(self.p)]
         return series_eval(d2[1:], s)
 
@@ -186,7 +184,7 @@ class IncrementLaw:
         the first of gaps, alone: the gap D = phi(h) - h over w, which stays
         in the normal range where D, of order w^2 or w^(1+beta), has
         underflowed.  Callers form D as w * (D/w)."""
-        if self.is_stable:  # float ** and np.float_power agree, as in phi
+        if self.is_stable:  # C pow on floats and arrays; np.power may differ
             if w.__class__ is float:
                 return self.gamma / (1.0 + self.beta) * w ** self.beta
             return self.gamma / (1.0 + self.beta) * np.float_power(w, self.beta)
@@ -344,8 +342,7 @@ class IncrementLaw:
 
 
 def _check_unit_interval(s):
-    if not (0.0 <= s <= 1.0 if s.__class__ is float
-            else np.all((0.0 <= s) & (s <= 1.0))):
+    if not 0.0 <= s <= 1.0:
         raise ValueError(f"s = {s!r} outside [0, 1]")
 
 

@@ -71,13 +71,6 @@ class TailTable:
     ci_lo: np.ndarray | None = None
     ci_hi: np.ndarray | None = None
 
-    def prob_at_least(self, k):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k >= len(self.tail):
-            return 0.0
-        return float(self.tail[k])
-
 
 def build_kernel(law, level_cap):
     """Assemble the reflected-chain kernel for levels 0..level_cap.

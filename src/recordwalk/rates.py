@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixed_point import (_log, _solve_hw, bisect_logit,
-                          one_minus_s_phi_prime_h)
+from .fixed_point import (_log, bisect_logit, one_minus_s_phi_prime_h,
+                          solve_hw)
 from .laws import MdpRegime, Orientation
 
 
@@ -52,6 +52,7 @@ class MdpConstants:
     scaling_exponents: tuple
     rate_coefficient: float
     rate_exponent: float
+    bulk_constant: float
     uncertainty: float = 0.0
 
 
@@ -96,7 +97,7 @@ def _at_lambda(law, lam):
     """_curve at s = e^lambda, for a float lambda < 0."""
     if lam >= 0.0:
         raise ValueError("lambda must be negative")
-    h, w = _solve_hw(law, np.exp(lam), -np.expm1(lam))
+    h, w = solve_hw(law, np.exp(lam), -np.expm1(lam))
     return _curve(law, h, w, lam)
 
 
@@ -175,22 +176,22 @@ def rate_point(law, x_rec):
 # -- moderate deviations -----------------------------------------------------
 
 def _fill_mdp(law, alpha, c, regime, uncertainty=0.0):
+    """MdpConstants from the renewal index g, its complement 1 - g and the
+    bulk constant C of U_n ~ C*n^g/Gamma(1 + g): right (1 - alpha, alpha,
+    (1 - alpha)*c/q), left (alpha, 1 - alpha, 1/((1 - alpha)*c)).  The rate
+    is the Mittag-Leffler tail, (1 - g)*g^(g/(1-g))/C^(1/(1-g)) x^(1/(1-g))."""
     if law.orientation is Orientation.RIGHT:
-        scaling = (1.0 - alpha, alpha)
-        coeff = alpha / (1.0 - alpha) * (law.q / c) ** (1.0 / alpha)
-        exponent = 1.0 / alpha
+        g, g1, bulk = 1.0 - alpha, alpha, (1.0 - alpha) * c / law.q
     else:
-        scaling = (alpha, 1.0 - alpha)
-        coeff = (c * (1.0 - alpha) ** (2.0 - alpha) * alpha**alpha) ** (
-            1.0 / (1.0 - alpha)
-        )
-        exponent = 1.0 / (1.0 - alpha)
-    return MdpConstants(alpha, c, regime, scaling, coeff, exponent, uncertainty)
+        g, g1, bulk = alpha, 1.0 - alpha, 1.0 / ((1.0 - alpha) * c)
+    coeff = g1 * g ** (g / g1) / bulk ** (1.0 / g1)
+    return MdpConstants(alpha, c, regime, (g, g1), coeff, 1.0 / g1, bulk,
+                        uncertainty)
 
 
 def mdp_constants(law, method="auto"):
     """Power-law constants (alpha, c) of 1 - s*phi'(h(s)) near s = 1, plus
-    the moderate-deviation rate coefficient and exponent they induce.
+    the bulk constant and MDP rate coefficient and exponent they induce.
 
     method="auto" uses the law's closed form (IncrementLaw.mdp_closed_form).
     method="numeric" fits (alpha, c) by log-log regression on the three

@@ -28,6 +28,22 @@ STABLE_LEFT = IncrementLaw.stable("left", 0.5, 0.5)
 # the five bundled laws; a test parametrized by it has ids law0..law4
 ALL_LAWS = [SYM, SYM_LEFT, ASYM, STABLE, STABLE_LEFT]
 
+# laws at the edges of the parameter space, each both ways: the stable
+# family at gamma in {0.02, 0.98} and beta in {0.03, 0.97}; a lazy law; a
+# long jump of 50 levels; a jump of 9 levels taken with probability 0.1
+STABLE_EDGE_LAWS = [IncrementLaw.stable(side, gamma, beta)
+                    for side in ("right", "left") for gamma in (0.02, 0.98)
+                    for beta in (0.03, 0.97)]
+LAZY, LAZY_LEFT = (IncrementLaw.explicit(side, 0.01, [0.98, 0.01])
+                   for side in ("right", "left"))
+LONG_JUMP, LONG_JUMP_LEFT = (
+    IncrementLaw.explicit(side, 0.5, [0.49] + [0.0] * 49 + [0.01])
+    for side in ("right", "left"))
+JUMP_9, JUMP_9_LEFT = (IncrementLaw.explicit(side, 0.9, [0.0] * 9 + [0.1])
+                       for side in ("right", "left"))
+EDGE_LAWS = [*STABLE_EDGE_LAWS, LAZY, LAZY_LEFT, LONG_JUMP, LONG_JUMP_LEFT,
+             JUMP_9, JUMP_9_LEFT]
+
 BUNDLED_LAWS = sorted(
     f.name for f in resources.files("recordwalk.data").iterdir()
     if f.name.endswith(".json")

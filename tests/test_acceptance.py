@@ -82,7 +82,7 @@ def test_criterion_03_ldp_trend(capsys):
     for n in (100, 200, 400, 800):
         k = math.ceil(x_rec * n)
         tab = renewal_tail_table(SYM, n, kmax=k)
-        rs.append(-math.log(tab.prob_at_least(k)) / n)
+        rs.append(-math.log(tab.tail[k]) / n)
     monotone = all(b < a for a, b in zip(rs, rs[1:])) and rs[-1] > analytic
     extrap = 2.0 * rs[-1] - rs[-2]
     rel = abs(extrap - analytic) / analytic

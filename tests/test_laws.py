@@ -115,6 +115,7 @@ class TestGeneratingFunction:
         assert law.phi(1.0) == 1.0
         assert law.phi_prime(1.0) == 1.0
         assert law.phi_second(1.0) == math.inf
+        assert math.isfinite(law.phi_second(1.0 - 2.0**-53))
         assert law.phi_second(0.75) == pytest.approx(
             0.25 * 0.25**-0.5, abs=1e-15
         )
@@ -126,21 +127,14 @@ class TestGeneratingFunction:
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     @pytest.mark.parametrize("s", [math.nan, -2.0**-1074, 1.0 + 2.0**-52])
     def test_domain_checks_on_floats_and_arrays(self, name, s):
-        # a float takes its own test, which rejects what the array one does
+        # the trio takes floats only: one outside [0, 1] is rejected by
+        # name, and an array is refused, not evaluated
         law = bundled_law(name)
         for f in (law.phi, law.phi_prime, law.phi_second):
-            for arg in (s, np.array([0.5, s])):
-                with pytest.raises(ValueError, match="outside"):
-                    f(arg)
-
-    @pytest.mark.parametrize("name", BUNDLED_LAWS)
-    def test_floats_and_arrays_give_the_same_bits(self, name):
-        law = bundled_law(name)
-        s = [0.0, 2.0**-1074, 1e-300, 0.1, 0.37, 0.5, 0.75, 1.0 - 2.0**-53,
-             1.0]
-        for f in (law.phi, law.phi_prime, law.phi_second):
-            floats = np.array([f(v) for v in s])
-            assert floats.tobytes() == f(np.array(s)).tobytes(), f.__name__
+            with pytest.raises(ValueError, match="outside"):
+                f(s)
+            with pytest.raises(ValueError):
+                f(np.array([0.5, 0.25]))
 
 
 def _mp_gap_over_w(mp_law, w):
@@ -217,15 +211,6 @@ class TestLawInterface:
         assert abs(psi - (1.0 - law.q)) <= 1e-15
         assert abs(chi - law.q) <= 1e-15
         assert one_minus_s_phi_prime_h(law, 1.0) == 0.0
-
-    @pytest.mark.parametrize("method", ["phi", "phi_prime", "phi_second"])
-    def test_float_and_array_give_the_same_bits(self, name, method):
-        # s = 1 included, where the stable phi'' is inf
-        f = getattr(bundled_law(name), method)
-        s = np.array([0.0, 1e-300, 0.25, 0.5, 0.75, 1.0 - 2.0**-53, 1.0])
-        floats = [f(float(v)) for v in s]
-        assert np.array_equal(np.array(floats), f(s))
-        assert np.all(np.isfinite(floats[:-1]))
 
     def test_gap_over_w(self, name):
         # w * (D/w) against D = phi(h) - h at h = 1 - w, w = 1e-1..1e-250,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from recordwalk import (
     MdpRegime,
+    Orientation,
     cumulant,
     cumulant_deriv,
     invert_slope,
@@ -20,7 +21,8 @@ from recordwalk import (
     rate_point,
     rates,
 )
-from support import ALL_LAWS, ASYM, STABLE, STABLE_LEFT, SYM, SYM_LEFT
+from support import (ALL_LAWS, ASYM, LAZY, LONG_JUMP_LEFT, STABLE,
+                     STABLE_EDGE_LAWS, STABLE_LEFT, SYM, SYM_LEFT)
 
 
 class TestCumulant:
@@ -216,6 +218,32 @@ class TestMdpConstants:
         assert numeric.alpha == pytest.approx(closed.alpha, rel=0.02)
         assert numeric.c == pytest.approx(closed.c, rel=0.02)
         assert numeric.uncertainty < 0.05
+
+    @pytest.mark.parametrize(
+        "law", ALL_LAWS + STABLE_EDGE_LAWS + [LAZY, LONG_JUMP_LEFT])
+    def test_mittag_leffler_tail_identity(self, law):
+        # the MDP rate is the Mittag-Leffler tail of index g, one formula
+        # for both orientations, against the closed forms per orientation:
+        # right alpha/(1-alpha)*(q/c)^(1/alpha) and the tauberian target
+        # (1-alpha)*c/(q*Gamma(2-alpha)), left
+        # (c*(1-alpha)^(2-alpha)*alpha^alpha)^(1/(1-alpha)) and
+        # 1/((1-alpha)*c*Gamma(1+alpha)); 4.8e-15 and 2.2e-16 read at worst
+        consts = mdp_constants(law)
+        a, c = consts.alpha, consts.c
+        if law.orientation is Orientation.RIGHT:
+            scaling, exponent = (1.0 - a, a), 1.0 / a
+            coeff = a / (1.0 - a) * (law.q / c) ** (1.0 / a)
+            target = (1.0 - a) * c / (law.q * math.gamma(2.0 - a))
+        else:
+            scaling, exponent = (a, 1.0 - a), 1.0 / (1.0 - a)
+            coeff = (c * (1.0 - a) ** (2.0 - a) * a**a) ** (1.0 / (1.0 - a))
+            target = 1.0 / ((1.0 - a) * c * math.gamma(1.0 + a))
+        assert consts.scaling_exponents == scaling
+        assert consts.rate_exponent == exponent
+        assert abs(consts.rate_coefficient - coeff) <= 1e-14 * coeff
+        g = scaling[0]
+        bulk = consts.bulk_constant / math.gamma(1.0 + g)
+        assert abs(bulk - target) <= 1e-15 * target
 
     def test_method_check(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from recordwalk import (SUITES, cumulant, invert_slope, legendre, run_suite,
                         verify)
-from support import BUNDLED_LAWS, SYM, bundled_law
+from support import ALL_LAWS, BUNDLED_LAWS, EDGE_LAWS, SYM, bundled_law
 
 LEGENDRE_SLOPES = (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
 
@@ -40,6 +40,16 @@ def test_core_suites_pass_on_bundled_laws(name):
                   "mdp-constants"):
         report = run_suite(law, suite)
         assert report.passed, (suite, [c for c in report.checks if not c.passed])
+
+
+@pytest.mark.parametrize("law", ALL_LAWS + EDGE_LAWS)
+def test_lambda_limits_pass_on_every_law(law):
+    # the blow-up check reads the slope of log Lambda' near 0- against
+    # theta = 1 - g, within 10%: 5.5% off at worst (stable 0.98, 0.03,
+    # left); on the two beta = 0.03 right laws theta is 0.029, and Lambda'
+    # grows only 1.31-fold from -1e-4 to -1e-8
+    report = run_suite(law, "lambda-limits")
+    assert report.passed, [c for c in report.checks if not c.passed]
 
 
 def test_legendre_suite_on_symmetric_walk():
