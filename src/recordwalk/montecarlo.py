@@ -9,20 +9,35 @@ so BLOCK_SIZE must be a multiple of 4.  The uniforms of a path therefore
 depend on neither BLOCK_SIZE nor the worker count, blocks never overlap,
 and the integer merge makes the result bit-identical for any worker count.
 
-Inside a block, rows are drawn and walked a slice at a time from the
-block's one Generator, at most SLICE_ROWS rows and SLICE_ROWS * 200 draws.
-Row-major draws read the stream words in the same order whatever the slice,
-each slice's arrays stay in cache, and memory does not grow with n.
+Inside a block, rows are drawn a slice at a time from the block's one
+Generator, at most SLICE_ROWS rows and SLICE_ROWS * 200 draws.  Row-major
+draws read the stream words in the same order whatever the slice, and each
+slice's arrays stay in cache.
 
-Jumps are drawn by inverse CDF from law.jump_pmf(order), with order at least
-the path length: the jumps of size order or more are lumped into one of size
-order, which no path of n <= order steps can tell apart from them.  The
-index is searchsorted(cdf, u, side="right"), found by counting u >= cdf[j]
-over the first COUNTED entries of the CDF: it is nondecreasing, so the count
-is exact for every u below cdf[COUNTED - 1], and only the draws at or past
-it (none on a CDF of at most COUNTED entries) search the whole CDF.  The
-walk runs in int32 while n * len(cdf), which bounds |S_m|, is below 2**31,
-and in int64 beyond.
+Jumps are drawn by inverse CDF from _jump_cdf(law, order), with order at
+least the path length: the jumps of size order or more are lumped into one
+of size order, which no path of n <= order steps can tell apart from them.
+The index is searchsorted(cdf, u, side="right"), found by counting u >=
+cdf[j] over the first COUNTED entries of the CDF: it is nondecreasing, so
+the count is exact for every u below cdf[COUNTED - 1], and only the draws at
+or past it (none on a CDF of at most COUNTED entries) search the whole CDF.
+
+A block is walked one of two ways, to the same records.
+- A path of n <= SHORT_PATH steps draws from the CDF lumped at order n, so
+  each index is at most n + 1 and is kept in one byte, in a row per step
+  holding that step of every path.  The reflected chain L = M - S is walked
+  a row at a time across the whole block, and a weak record is a visit of L
+  to 0.  The walk keeps x = L on the left and x = n - L on the right, where
+  a step with index i is x <- min(max(x + 1 - i, 0), n): x + 1 and i fit a
+  byte while n <= SHORT_PATH, and clipping L at n loses nothing, since a
+  chain at level n or above never returns to 0 within n steps.  Memory per
+  worker: n * BLOCK_SIZE bytes of indices (2.08 MB at n = SHORT_PATH) and
+  one slice of uniforms (0.82 MB).
+- A longer path draws from the CDF lumped at max(n, STABLE_JUMP_ORDER), and
+  records are counted slice by slice on the partial sums S, in int32 while
+  n * len(cdf), which bounds |S_m|, is below 2**31, and in int64 beyond.
+  Memory per worker is one slice of uniforms and a few arrays of its size,
+  whatever n.
 """
 
 from __future__ import annotations
@@ -41,6 +56,7 @@ from .oracle import Provenance, TailTable
 BLOCK_SIZE = 8192  # a multiple of 4: see the module docstring
 SLICE_ROWS = 512  # most rows drawn and walked at a time inside a block
 COUNTED = 8  # CDF entries searched by counting
+SHORT_PATH = 254  # the longest path walked a step at a time: n + 1 fits a byte
 STABLE_JUMP_ORDER = 110000  # the least lumping order of a stable law's jumps
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
@@ -69,15 +85,16 @@ class SimConfig:
 
 @functools.lru_cache(maxsize=32)
 def _jump_cdf(law, order):
-    """CDF over [+unit jump, then jumps of size 0, 1, 2, ...].
+    """CDF over [+unit jump, then jumps of size 0, 1, ..., order].
 
     Fixed ordering: the skip-free unit step comes first (mass q), then the
     opposite-direction jump sizes in increasing order, from
-    law.jump_pmf(order).  Its last jump carries all the mass left, so the
-    CDF ends at 1 or above and rounding in the cumulative sum cannot leave
-    uniforms below 1 past it.
+    law.jump_pmf(order), with an explicit law's support cut at size order.
+    Its last jump carries all the mass left, so the CDF ends at 1 or above
+    and rounding in the cumulative sum cannot leave uniforms below 1 past it.
     """
-    cdf = law.q + np.concatenate([[0.0], np.cumsum(law.jump_pmf(order))])
+    pmf = law.jump_pmf(order)[: order + 1]
+    cdf = law.q + np.concatenate([[0.0], np.cumsum(pmf)])
     cdf[-1] = max(cdf[-1], 1.0)
     cdf.setflags(write=False)  # one cached array serves every block
     return cdf
@@ -100,13 +117,14 @@ def _sample_block(law, uniforms):
     return np.subtract(idx, 1, out=idx)
 
 
-def _jump_index(cdf, u):
-    """searchsorted(cdf, u, side="right") in int32, for u in [0, 1).
+def _jump_index(cdf, u, dtype=np.int32):
+    """searchsorted(cdf, u, side="right") for u in [0, 1), in a dtype that
+    holds len(cdf) - 1.
 
     Entries of 1 or more are above every u and count nothing.  After the
     loop `hit` holds u >= cdf[COUNTED - 1], the draws the count may miss.
     """
-    idx = np.zeros(u.shape, dtype=np.int32)
+    idx = np.zeros(u.shape, dtype=dtype)
     hit = np.empty(u.shape, dtype=bool)
     head = cdf[:COUNTED]
     for c in head[head < 1.0]:
@@ -141,28 +159,59 @@ def reflected_zero_visits(path):
     return int(np.count_nonzero(sbar[1:] == 0))
 
 
-def _walk_records(inc, max_step):
-    """Weak records per row of increments inc, none of size above max_step.
-
-    The walk runs in int32 while n * max_step, which bounds |S_m|, fits.
-    """
-    width = np.int32 if inc.shape[-1] * max_step < 2**31 else np.int64
+def _walk_records(inc, width):
+    """Weak records per row of increments inc, on partial sums in width."""
     return _weak_records(np.cumsum(inc, axis=-1, dtype=width))
+
+
+def _slices(gen, n, count):
+    """(first row, uniforms) of each slice of a block's count rows."""
+    rows = max(1, min(SLICE_ROWS, SLICE_ROWS * 200 // n))
+    buf = np.empty((min(rows, count), n))
+    for lo in range(0, count, rows):
+        yield lo, gen.random(out=buf[: min(rows, count - lo)])
+
+
+def _walk_sums(law, n, gen, count):
+    """Weak records per path of a long block, slice by slice on S."""
+    max_step = _jump_cdf(law, max(n, STABLE_JUMP_ORDER)).size
+    width = np.int32 if n * max_step < 2**31 else np.int64
+    records = np.empty(count, dtype=np.intp)
+    for lo, uniforms in _slices(gen, n, count):
+        records[lo : lo + len(uniforms)] = _walk_records(
+            _sample_block(law, uniforms), width)
+    return records
+
+
+def _walk_levels(law, n, gen, count):
+    """Weak records per path of a short block: the zero visits of L = M - S,
+    a step of every path at a time (see the module docstring)."""
+    cdf = _jump_cdf(law, n)
+    steps = np.empty((n, count), dtype=np.uint8)
+    for lo, uniforms in _slices(gen, n, count):
+        steps[:, lo : lo + len(uniforms)] = _jump_index(cdf, uniforms,
+                                                        np.uint8).T
+    # constant arrays, not scalars: np.minimum(array, scalar) is not vectorized
+    one, cap = np.ones(count, np.uint8), np.full(count, n, np.uint8)
+    x0 = cap if law.orientation is Orientation.RIGHT else np.zeros_like(cap)
+    x, t = x0.copy(), np.empty_like(cap)  # x0: x where L = 0
+    hit, records = np.empty(count, bool), np.zeros(count, np.uint8)
+    for idx in steps:
+        np.add(x, one, out=t)
+        np.maximum(t, idx, out=t)
+        np.subtract(t, idx, out=x)
+        np.minimum(x, cap, out=x)
+        np.equal(x, x0, out=hit)
+        np.add(records, hit, out=records)
+    return records
 
 
 def _block_histogram(law, n, seed, start, count):
     bg = np.random.Philox(key=seed)
     bg.advance(start * n // 4)  # path p starts at word p*n
-    gen = np.random.Generator(bg)
-    max_step = _jump_cdf(law, max(n, STABLE_JUMP_ORDER)).size
-    rows = max(1, min(SLICE_ROWS, SLICE_ROWS * 200 // n))
-    buf = np.empty((min(rows, count), n))
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, count, rows):
-        uniforms = gen.random(out=buf[: min(rows, count - lo)])
-        records = _walk_records(_sample_block(law, uniforms), max_step)
-        hist += np.bincount(records, minlength=n + 1)
-    return hist
+    walk = _walk_levels if n <= SHORT_PATH else _walk_sums
+    records = walk(law, n, np.random.Generator(bg), count)
+    return np.bincount(records, minlength=n + 1)
 
 
 def empirical_tail(config):

@@ -22,8 +22,14 @@ from recordwalk import (
 )
 from recordwalk import montecarlo
 from recordwalk.montecarlo import TooFewPathsError, _wilson
-from support import (ASYM, BUNDLED_LAWS, STABLE, STABLE_LEFT, SYM, SYM_LEFT,
-                     bundled_law)
+from support import (ASYM, BUNDLED_LAWS, LONG_JUMP, LONG_JUMP_LEFT, STABLE,
+                     STABLE_LEFT, SYM, SYM_LEFT, bundled_law)
+
+# critical, with support 0..299: p_0 = 0.5 - 0.5/299 and p_299 = 0.5/299
+SUPPORT_300, SUPPORT_300_LEFT = (
+    IncrementLaw.explicit(side, 0.5, [0.5 - 0.5 / 299] + [0.0] * 298
+                          + [0.5 / 299])
+    for side in ("right", "left"))
 
 
 def reference_block(law, n, seed, start, count):
@@ -152,7 +158,7 @@ class TestRecordCounting:
         inc = np.full((1, 3), 2**30, dtype=np.int32)
         wrapped = np.cumsum(inc, axis=-1, dtype=np.int32)
         assert montecarlo._weak_records(wrapped)[0] == 1
-        assert montecarlo._walk_records(inc, 2**30)[0] == 3
+        assert montecarlo._walk_records(inc, np.int64)[0] == 3
 
     @pytest.mark.parametrize("n, width", [(19522, np.int32),
                                           (19523, np.int64)])
@@ -160,15 +166,15 @@ class TestRecordCounting:
         # The stable CDF has 110002 entries, so n * 110002 passes 2^31 from
         # n = 19523 on.  At these n a slice holds at most
         # SLICE_ROWS * 200 // n = 5 rows, so the 6 rows take two slices,
-        # and each walks in the same width.
+        # and the long-path walk runs each in the same width.
         widths = []
-        weak_records = montecarlo._weak_records
+        walk_records = montecarlo._walk_records
 
-        def spy(s):
-            widths.append(s.dtype)
-            return weak_records(s)
+        def spy(inc, walk_width):
+            widths.append(walk_width)
+            return walk_records(inc, walk_width)
 
-        monkeypatch.setattr(montecarlo, "_weak_records", spy)
+        monkeypatch.setattr(montecarlo, "_walk_records", spy)
         hist = montecarlo._block_histogram(STABLE, n, 9, 4, 6)
         assert widths == [width, width]
         monkeypatch.undo()
@@ -233,14 +239,38 @@ class TestEmpiricalTail:
 
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_block_matches_plain_draw(self, name):
-        # at n = 20000 a slice holds SLICE_ROWS * 200 // n = 5 rows, so the
-        # 12 rows take 5 + 5 + 2
+        # n <= SHORT_PATH = 254 walks the reflected chain a step at a time
+        # and n = 255 is the first long path.  1100 rows are no whole number
+        # of slices: 512 rows up to n = 200, 404 at 253, 403 at 254 and 401
+        # at 255.  At n = 20000 a slice holds SLICE_ROWS * 200 // n = 5
+        # rows, so the 12 rows take 5 + 5 + 2.
         law = bundled_law(name)
-        for n, seed, start, count in [(200, 11, 0, 1500), (37, 3, 12, 700),
-                                      (20000, 5, 8, 12)]:
+        assert montecarlo.SHORT_PATH == 254
+        for n, seed, start, count in [
+                (1, 6, 4, 1100), (2, 6, 4, 1100), (37, 3, 12, 700),
+                (60, 6, 4, 1100), (200, 11, 0, 1500), (253, 6, 4, 1100),
+                (254, 6, 4, 1100), (255, 6, 4, 1100), (20000, 5, 8, 12)]:
             assert np.array_equal(
                 montecarlo._block_histogram(law, n, seed, start, count),
                 reference_block(law, n, seed, start, count))
+
+    @pytest.mark.parametrize("law, n", [
+        (LONG_JUMP, 30), (LONG_JUMP_LEFT, 30),
+        (SUPPORT_300, 253), (SUPPORT_300_LEFT, 253),
+        (SUPPORT_300, 254), (SUPPORT_300_LEFT, 254),
+    ], ids=["long-jump-30", "long-jump-left-30", "support-300-253",
+            "support-300-left-253", "support-300-254", "support-300-left-254"])
+    def test_short_walk_lumps_jumps_past_the_horizon(self, law, n):
+        # The short walk's CDF lumps the support at size n, so its index
+        # stays within n + 1, which fits a byte; the reference draws from
+        # the whole support, and these rows draw jumps of size n or more.
+        cdf = montecarlo._jump_cdf(law, n)
+        assert cdf.size == n + 2
+        uniforms = np.random.Generator(np.random.Philox(key=2)).random(
+            (1100, n))
+        assert np.count_nonzero(uniforms >= cdf[n]) > 0
+        hist = montecarlo._block_histogram(law, n, 2, 0, 1100)
+        assert np.array_equal(hist, reference_block(law, n, 2, 0, 1100))
 
     def test_long_path_block_memory_is_bounded(self):
         # A slice takes at most SLICE_ROWS * 200 = 102400 draws, about
@@ -252,6 +282,22 @@ class TestEmpiricalTail:
         tracemalloc.start()
         try:
             montecarlo._block_histogram(STABLE, 20000, 5, 0, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak
+
+    def test_short_path_block_memory_is_bounded(self):
+        # One 8192-path block at n = SHORT_PATH = 254 holds 254 * 8192 bytes
+        # of jump indices (2.08 MB) and one slice of 403 rows of uniforms
+        # (0.82 MB), plus a byte index and a mask of the slice (0.2 MB); a
+        # two-byte index array alone would take 4.16 MB.
+        bound = 3.5 * 2**20
+        n = montecarlo.SHORT_PATH
+        montecarlo._jump_cdf(STABLE, n)
+        tracemalloc.start()
+        try:
+            montecarlo._block_histogram(STABLE, n, 5, 0, montecarlo.BLOCK_SIZE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
