@@ -14,30 +14,29 @@ Generator, at most SLICE_ROWS rows and SLICE_ROWS * 200 draws.  Row-major
 draws read the stream words in the same order whatever the slice, and each
 slice's arrays stay in cache.
 
-Jumps are drawn by inverse CDF from _jump_cdf(law, order), with order at
-least the path length: the jumps of size order or more are lumped into one
-of size order, which no path of n <= order steps can tell apart from them.
-The index is searchsorted(cdf, u, side="right"), found by counting u >=
-cdf[j] over the first COUNTED entries of the CDF: it is nondecreasing, so
-the count is exact for every u below cdf[COUNTED - 1], and only the draws at
-or past it (none on a CDF of at most COUNTED entries) search the whole CDF.
+Every path of n steps draws its jumps by inverse CDF from _jump_cdf(law, n):
+the jumps of size n or more are lumped into one of size n, which no path of
+n steps can tell apart from them.  The index is searchsorted(cdf, u,
+side="right"), found by counting u >= cdf[j] over the first COUNTED entries
+of the CDF: it is nondecreasing, so the count is exact for every u below
+cdf[COUNTED - 1], and only the draws at or past it (none on a CDF of at most
+COUNTED entries) search the whole CDF.
 
 A block is walked one of two ways, to the same records.
-- A path of n <= SHORT_PATH steps draws from the CDF lumped at order n, so
-  each index is at most n + 1 and is kept in one byte, in a row per step
-  holding that step of every path.  The reflected chain L = M - S is walked
-  a row at a time across the whole block, and a weak record is a visit of L
-  to 0.  The walk keeps x = L on the left and x = n - L on the right, where
-  a step with index i is x <- min(max(x + 1 - i, 0), n): x + 1 and i fit a
-  byte while n <= SHORT_PATH, and clipping L at n loses nothing, since a
-  chain at level n or above never returns to 0 within n steps.  Memory per
-  worker: n * BLOCK_SIZE bytes of indices (2.08 MB at n = SHORT_PATH) and
-  one slice of uniforms (0.82 MB).
-- A longer path draws from the CDF lumped at max(n, STABLE_JUMP_ORDER), and
-  records are counted slice by slice on the partial sums S, in int32 while
-  n * len(cdf), which bounds |S_m|, is below 2**31, and in int64 beyond.
-  Memory per worker is one slice of uniforms and a few arrays of its size,
-  whatever n.
+- A path of n <= SHORT_PATH steps has each index at most n + 1 and keeps it
+  in one byte, in a row per step holding that step of every path.  The
+  reflected chain L = M - S is walked a row at a time across the whole
+  block, and a weak record is a visit of L to 0.  The walk keeps x = L on
+  the left and x = n - L on the right, where a step with index i is
+  x <- min(max(x + 1 - i, 0), n): x + 1 and i fit a byte while
+  n <= SHORT_PATH, and clipping L at n loses nothing, since a chain at level
+  n or above never returns to 0 within n steps.  Memory per worker:
+  n * BLOCK_SIZE bytes of indices (2.08 MB at n = SHORT_PATH) and one slice
+  of uniforms (0.82 MB).
+- A longer path counts records slice by slice on the partial sums S, in
+  int32 while n * len(cdf), which bounds |S_m|, is below 2**31, and in
+  int64 beyond.  Memory per worker is one slice of uniforms and a few
+  arrays of its size, whatever n.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ BLOCK_SIZE = 8192  # a multiple of 4: see the module docstring
 SLICE_ROWS = 512  # most rows drawn and walked at a time inside a block
 COUNTED = 8  # CDF entries searched by counting
 SHORT_PATH = 254  # the longest path walked a step at a time: n + 1 fits a byte
-STABLE_JUMP_ORDER = 110000  # the least lumping order of a stable law's jumps
+STABLE_JUMP_ORDER = 110000  # the lumping order of sample_increment
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
 
@@ -101,17 +100,18 @@ def _jump_cdf(law, order):
 
 
 def sample_increment(law, uniform):
-    """Inverse-CDF draw of one walk increment from a uniform in [0, 1)."""
+    """Inverse-CDF draw of one walk increment from a uniform in [0, 1), from
+    the CDF lumped at STABLE_JUMP_ORDER: a stable law's jumps of that size
+    or more are drawn as one of that size."""
     if not 0.0 <= uniform < 1.0:
         raise ValueError("uniform must lie in [0, 1)")
-    return int(_sample_block(law, np.array([[uniform]]))[0, 0])
+    idx = _jump_index(_jump_cdf(law, STABLE_JUMP_ORDER), np.array([uniform]))
+    return int(_increments(law, idx)[0])
 
 
-def _sample_block(law, uniforms):
-    """Vectorized inverse-CDF sampling; uniforms has shape (paths, n)."""
-    cdf = _jump_cdf(law, max(uniforms.shape[1], STABLE_JUMP_ORDER))
-    idx = _jump_index(cdf, uniforms)
-    # idx 0 -> unit jump; idx j >= 1 -> opposite jump of size j-1
+def _increments(law, idx):
+    """Walk increments, in place, from jump indices: index 0 is the unit
+    jump and index j >= 1 the opposite jump of size j - 1."""
     if law.orientation is Orientation.RIGHT:
         return np.subtract(1, idx, out=idx)
     return np.subtract(idx, 1, out=idx)
@@ -159,11 +159,6 @@ def reflected_zero_visits(path):
     return int(np.count_nonzero(sbar[1:] == 0))
 
 
-def _walk_records(inc, width):
-    """Weak records per row of increments inc, on partial sums in width."""
-    return _weak_records(np.cumsum(inc, axis=-1, dtype=width))
-
-
 def _slices(gen, n, count):
     """(first row, uniforms) of each slice of a block's count rows."""
     rows = max(1, min(SLICE_ROWS, SLICE_ROWS * 200 // n))
@@ -172,21 +167,20 @@ def _slices(gen, n, count):
         yield lo, gen.random(out=buf[: min(rows, count - lo)])
 
 
-def _walk_sums(law, n, gen, count):
+def _walk_sums(law, cdf, n, gen, count):
     """Weak records per path of a long block, slice by slice on S."""
-    max_step = _jump_cdf(law, max(n, STABLE_JUMP_ORDER)).size
-    width = np.int32 if n * max_step < 2**31 else np.int64
+    width = np.int32 if n * cdf.size < 2**31 else np.int64
     records = np.empty(count, dtype=np.intp)
     for lo, uniforms in _slices(gen, n, count):
-        records[lo : lo + len(uniforms)] = _walk_records(
-            _sample_block(law, uniforms), width)
+        inc = _increments(law, _jump_index(cdf, uniforms, width))
+        records[lo : lo + len(uniforms)] = _weak_records(
+            np.cumsum(inc, axis=-1, dtype=width))
     return records
 
 
-def _walk_levels(law, n, gen, count):
+def _walk_levels(law, cdf, n, gen, count):
     """Weak records per path of a short block: the zero visits of L = M - S,
     a step of every path at a time (see the module docstring)."""
-    cdf = _jump_cdf(law, n)
     steps = np.empty((n, count), dtype=np.uint8)
     for lo, uniforms in _slices(gen, n, count):
         steps[:, lo : lo + len(uniforms)] = _jump_index(cdf, uniforms,
@@ -210,7 +204,7 @@ def _block_histogram(law, n, seed, start, count):
     bg = np.random.Philox(key=seed)
     bg.advance(start * n // 4)  # path p starts at word p*n
     walk = _walk_levels if n <= SHORT_PATH else _walk_sums
-    records = walk(law, n, np.random.Generator(bg), count)
+    records = walk(law, _jump_cdf(law, n), n, np.random.Generator(bg), count)
     return np.bincount(records, minlength=n + 1)
 
 

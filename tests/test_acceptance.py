@@ -27,7 +27,7 @@ from recordwalk import (
     return_prob_partial_sums,
 )
 from recordwalk.fixed_point import one_minus_s_phi_prime_h
-from recordwalk.montecarlo import _sample_block
+from recordwalk.montecarlo import _increments, _jump_cdf, _jump_index
 from support import ASYM, ASYM_LEFT, STABLE, STABLE_LEFT, SYM, SYM_LEFT
 
 EXPLICIT_LAWS = [SYM, SYM_LEFT, ASYM, ASYM_LEFT]
@@ -158,7 +158,8 @@ def test_criterion_08_pathwise_identity(capsys):
     n, paths = 30, 10000
     for i, law in enumerate(SIX_LAWS):
         rng = np.random.default_rng(1000 + i)
-        inc = _sample_block(law, rng.random((paths, n)))
+        inc = _increments(law, _jump_index(_jump_cdf(law, n),
+                                           rng.random((paths, n))))
         for row in inc:
             if count_weak_records(row) != reflected_zero_visits(row):
                 mismatches += 1

@@ -86,18 +86,18 @@ class TestSampling:
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_top_uniform_draws_the_lumped_stable_jump(self, side):
         # A stable law's CDF ends with all jumps of size >= the lumping
-        # order in one, the larger of STABLE_JUMP_ORDER and the path length.
+        # order in one: STABLE_JUMP_ORDER for sample_increment, and the path
+        # length for a block's walk.
         law = STABLE if side == "right" else STABLE_LEFT
         u = np.nextafter(1.0, 0.0)
         sign = -1 if side == "right" else 1
         order = montecarlo.STABLE_JUMP_ORDER
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            short = montecarlo._sample_block(law, np.full((2, 3), u))
-            long = montecarlo._sample_block(law, np.full((1, order + 5), u))
+            short = montecarlo._increments(law, montecarlo._jump_index(
+                montecarlo._jump_cdf(law, 3), np.full((2, 3), u)))
             assert sample_increment(law, float(u)) == sign * order
-        assert np.all(short == sign * order)
-        assert np.all(long == sign * (order + 5))
+        assert np.all(short == sign * 3)
 
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_counted_index_is_searchsorted(self, name):
@@ -158,27 +158,28 @@ class TestRecordCounting:
         inc = np.full((1, 3), 2**30, dtype=np.int32)
         wrapped = np.cumsum(inc, axis=-1, dtype=np.int32)
         assert montecarlo._weak_records(wrapped)[0] == 1
-        assert montecarlo._walk_records(inc, np.int64)[0] == 3
+        assert montecarlo._weak_records(
+            np.cumsum(inc, axis=-1, dtype=np.int64))[0] == 3
 
-    @pytest.mark.parametrize("n, width", [(19522, np.int32),
-                                          (19523, np.int64)])
+    @pytest.mark.parametrize("n, width", [(46339, np.int32),
+                                          (46340, np.int64)])
     def test_walk_width_guard_on_stable_law(self, monkeypatch, n, width):
-        # The stable CDF has 110002 entries, so n * 110002 passes 2^31 from
-        # n = 19523 on.  At these n a slice holds at most
-        # SLICE_ROWS * 200 // n = 5 rows, so the 6 rows take two slices,
-        # and the long-path walk runs each in the same width.
+        # The stable CDF lumped at n has n + 2 entries, so n * (n + 2)
+        # passes 2^31 from n = 46340 on.  At these n a slice holds
+        # SLICE_ROWS * 200 // n = 2 rows, so the 3 rows take two slices,
+        # and the long-path walk sums each in the same width.
         widths = []
-        walk_records = montecarlo._walk_records
+        weak_records = montecarlo._weak_records
 
-        def spy(inc, walk_width):
-            widths.append(walk_width)
-            return walk_records(inc, walk_width)
+        def spy(s):
+            widths.append(s.dtype)
+            return weak_records(s)
 
-        monkeypatch.setattr(montecarlo, "_walk_records", spy)
-        hist = montecarlo._block_histogram(STABLE, n, 9, 4, 6)
+        monkeypatch.setattr(montecarlo, "_weak_records", spy)
+        hist = montecarlo._block_histogram(STABLE, n, 9, 4, 3)
         assert widths == [width, width]
         monkeypatch.undo()
-        assert np.array_equal(hist, reference_block(STABLE, n, 9, 4, 6))
+        assert np.array_equal(hist, reference_block(STABLE, n, 9, 4, 3))
 
     @given(st.lists(st.sampled_from([-3, -2, -1, 0, 1]), min_size=1,
                     max_size=60))
@@ -258,12 +259,18 @@ class TestEmpiricalTail:
         (LONG_JUMP, 30), (LONG_JUMP_LEFT, 30),
         (SUPPORT_300, 253), (SUPPORT_300_LEFT, 253),
         (SUPPORT_300, 254), (SUPPORT_300_LEFT, 254),
+        (SUPPORT_300, 255), (SUPPORT_300_LEFT, 255),
+        (SUPPORT_300, 299), (SUPPORT_300_LEFT, 299),
     ], ids=["long-jump-30", "long-jump-left-30", "support-300-253",
-            "support-300-left-253", "support-300-254", "support-300-left-254"])
-    def test_short_walk_lumps_jumps_past_the_horizon(self, law, n):
-        # The short walk's CDF lumps the support at size n, so its index
-        # stays within n + 1, which fits a byte; the reference draws from
-        # the whole support, and these rows draw jumps of size n or more.
+            "support-300-left-253", "support-300-254", "support-300-left-254",
+            "support-300-255", "support-300-left-255", "support-300-299",
+            "support-300-left-299"])
+    def test_walks_lump_jumps_past_the_horizon(self, law, n):
+        # Both walks draw from the CDF that lumps the support at size n, so
+        # the short walk's index stays within n + 1, which fits a byte, and
+        # the long walk (n = 255, 299) never sees a jump past n; the
+        # reference draws from the whole support, and these rows draw jumps
+        # of size n or more.
         cdf = montecarlo._jump_cdf(law, n)
         assert cdf.size == n + 2
         uniforms = np.random.Generator(np.random.Philox(key=2)).random(
@@ -278,7 +285,7 @@ class TestEmpiricalTail:
         # rows of n = 20000 in one slice would need 32 MB of uniforms alone.
         bound = 8 * 2**20
         # the cached CDF is built before the trace starts
-        montecarlo._jump_cdf(STABLE, montecarlo.STABLE_JUMP_ORDER)
+        montecarlo._jump_cdf(STABLE, 20000)
         tracemalloc.start()
         try:
             montecarlo._block_histogram(STABLE, 20000, 5, 0, 200)
