@@ -41,7 +41,7 @@ _positive_int = functools.partial(_int_at_least, 1)
 
 
 def _seed(text):
-    """A Philox key: an int with 0 <= seed < 2**128."""
+    """The Monte Carlo stream's seed: an int with 0 <= seed < 2**128."""
     value = _nonnegative_int(text)
     if value >= 2**128:
         raise argparse.ArgumentTypeError(f"must be < 2**128, got {value}")

@@ -1,13 +1,14 @@
 """Monte Carlo estimation of the weak-record tail.
 
-Paths are driven by a counter-based Philox stream keyed by the seed, and
-processed in fixed blocks of BLOCK_SIZE paths whose integer count histograms
-are summed.  Path p reads n uniforms, one 64-bit word each, from words
+Paths are driven by one PCG64DXSM stream seeded by the seed, and processed
+in fixed blocks of BLOCK_SIZE paths whose integer count histograms are
+summed.  Path p reads n uniforms, one 64-bit word each, from words
 p*n .. p*n + n - 1 of the stream: the block starting at path `start` calls
-Philox.advance(start*n/4), which skips counter values of four words each,
-so BLOCK_SIZE must be a multiple of 4.  The uniforms of a path therefore
-depend on neither BLOCK_SIZE nor the worker count, blocks never overlap,
-and the integer merge makes the result bit-identical for any worker count.
+PCG64DXSM.advance(start*n), which jumps the generator's state by start*n
+words in O(log(start*n)) steps, so a block may start at any path.  The
+uniforms of a path therefore depend on neither BLOCK_SIZE nor the worker
+count, blocks never overlap, and the integer merge makes the result
+bit-identical for any worker count.
 
 Inside a block, rows are drawn a slice at a time from the block's one
 Generator, at most SLICE_ROWS rows and SLICE_ROWS * 200 draws.  Row-major
@@ -52,7 +53,7 @@ import numpy as np
 from .laws import IncrementLaw, Orientation
 from .oracle import Provenance, TailTable
 
-BLOCK_SIZE = 8192  # a multiple of 4: see the module docstring
+BLOCK_SIZE = 8192  # paths per block: see the module docstring
 SLICE_ROWS = 512  # most rows drawn and walked at a time inside a block
 COUNTED = 8  # CDF entries searched by counting
 SHORT_PATH = 254  # the longest path walked a step at a time: n + 1 fits a byte
@@ -201,8 +202,8 @@ def _walk_levels(law, cdf, n, gen, count):
 
 
 def _block_histogram(law, n, seed, start, count):
-    bg = np.random.Philox(key=seed)
-    bg.advance(start * n // 4)  # path p starts at word p*n
+    bg = np.random.PCG64DXSM(seed)
+    bg.advance(start * n)  # path p starts at word p*n
     walk = _walk_levels if n <= SHORT_PATH else _walk_sums
     records = walk(law, _jump_cdf(law, n), n, np.random.Generator(bg), count)
     return np.bincount(records, minlength=n + 1)

@@ -35,8 +35,8 @@ SUPPORT_300, SUPPORT_300_LEFT = (
 def reference_block(law, n, seed, start, count):
     """A block's histogram the plain way: one draw of all its rows, a full
     searchsorted and an int64 walk."""
-    bg = np.random.Philox(key=seed)
-    bg.advance(start * n // 4)
+    bg = np.random.PCG64DXSM(seed)
+    bg.advance(start * n)
     uniforms = np.random.Generator(bg).random((count, n))
     cdf = montecarlo._jump_cdf(law, max(n, montecarlo.STABLE_JUMP_ORDER))
     idx = np.searchsorted(cdf, uniforms, side="right")
@@ -217,9 +217,10 @@ class TestEmpiricalTail:
     @pytest.mark.parametrize("law", [SYM, STABLE], ids=["sym", "stable-right"])
     @pytest.mark.parametrize("n", [7, 20])
     def test_block_size_invariance(self, monkeypatch, law, n):
-        # Path p reads stream words p*n .. p*n + n - 1 whatever the blocks.
+        # Path p reads stream words p*n .. p*n + n - 1 whatever the blocks:
+        # blocks of 4099 and 13 paths start at paths no multiple of 4.
         tables = []
-        for block in (8192, 4096, 12):
+        for block in (8192, 4099, 4096, 13, 12):
             monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block)
             tables.append(empirical_tail(SimConfig(law, n, 20000, 3)))
         for table in tables[1:]:
@@ -244,11 +245,13 @@ class TestEmpiricalTail:
         # and n = 255 is the first long path.  1100 rows are no whole number
         # of slices: 512 rows up to n = 200, 404 at 253, 403 at 254 and 401
         # at 255.  At n = 20000 a slice holds SLICE_ROWS * 200 // n = 5
-        # rows, so the 12 rows take 5 + 5 + 2.
+        # rows, so the 12 rows take 5 + 5 + 2.  A block may start at any
+        # path, start = 5 too: the stream advances by words.
         law = bundled_law(name)
         assert montecarlo.SHORT_PATH == 254
         for n, seed, start, count in [
                 (1, 6, 4, 1100), (2, 6, 4, 1100), (37, 3, 12, 700),
+                (37, 3, 5, 700), (255, 3, 5, 700),
                 (60, 6, 4, 1100), (200, 11, 0, 1500), (253, 6, 4, 1100),
                 (254, 6, 4, 1100), (255, 6, 4, 1100), (20000, 5, 8, 12)]:
             assert np.array_equal(
@@ -273,7 +276,7 @@ class TestEmpiricalTail:
         # of size n or more.
         cdf = montecarlo._jump_cdf(law, n)
         assert cdf.size == n + 2
-        uniforms = np.random.Generator(np.random.Philox(key=2)).random(
+        uniforms = np.random.Generator(np.random.PCG64DXSM(2)).random(
             (1100, n))
         assert np.count_nonzero(uniforms >= cdf[n]) > 0
         hist = montecarlo._block_histogram(law, n, 2, 0, 1100)
@@ -342,9 +345,6 @@ class TestEmpiricalTail:
         plain = empirical_tail(SimConfig(ASYM, 9, 4500, 2))
         assert np.array_equal(table.tail, plain.tail)
 
-    def test_block_size_multiple_of_four(self):
-        assert montecarlo.BLOCK_SIZE % 4 == 0
-
     def test_seed_changes_output(self):
         a = empirical_tail(SimConfig(SYM, 12, 20000, 1))
         b = empirical_tail(SimConfig(SYM, 12, 20000, 2))
@@ -354,6 +354,18 @@ class TestEmpiricalTail:
         n = 12
         mc = empirical_tail(SimConfig(SYM, n, 200000, 5))
         dp = exact_An_distribution(build_kernel(SYM, n), n)
+        hw = (mc.ci_hi - mc.ci_lo) / 2.0
+        assert np.all(np.abs(mc.tail - dp.tail) <= 5.0 * hw + 1e-12)
+
+    @pytest.mark.parametrize("name", BUNDLED_LAWS)
+    @pytest.mark.parametrize("n", [60, 300])
+    @pytest.mark.filterwarnings("ignore:.*below 10/paths")
+    def test_every_bundled_law_matches_dp(self, name, n):
+        # n = 60 takes the short walk and n = 300 the long one; two blocks,
+        # the second starting at path 8192.
+        law = bundled_law(name)
+        mc = empirical_tail(SimConfig(law, n, 16384, 23))
+        dp = exact_An_distribution(build_kernel(law, n), n)
         hw = (mc.ci_hi - mc.ci_lo) / 2.0
         assert np.all(np.abs(mc.tail - dp.tail) <= 5.0 * hw + 1e-12)
 
