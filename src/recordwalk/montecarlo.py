@@ -27,13 +27,15 @@ A block is walked one of two ways, to the same records.
 - A path of n <= SHORT_PATH steps has each index at most n + 1 and keeps it
   in one byte, in a row per step holding that step of every path.  The
   reflected chain L = M - S is walked a row at a time across the whole
-  block, and a weak record is a visit of L to 0.  The walk keeps x = L on
-  the left and x = n - L on the right, where a step with index i is
-  x <- min(max(x + 1 - i, 0), n): x + 1 and i fit a byte while
-  n <= SHORT_PATH, and clipping L at n loses nothing, since a chain at level
-  n or above never returns to 0 within n steps.  Memory per worker:
-  n * BLOCK_SIZE bytes of indices (2.08 MB at n = SHORT_PATH) and one slice
-  of uniforms (0.82 MB).
+  block, each row overwritten by that step's level, and a weak record is a
+  visit of L to 0, all counted in one sum over the rows.  The walk keeps
+  x = L on the left and x = n - L on the right, where a step with index i
+  is x <- max(x + 1 - i, 0), then x <- min(x, n) on the right only, the
+  reflection at L = 0; on the left L grows by at most 1 a step, so x <= n.
+  x + 1 and i fit a byte while n <= SHORT_PATH, and clipping L at n loses
+  nothing: a chain at level n or above never returns to 0 within n steps.
+  Memory per worker: n * BLOCK_SIZE bytes of indices, then levels (2.08 MB
+  at n = SHORT_PATH), and one slice of uniforms (0.82 MB).
 - A longer path counts records slice by slice on the partial sums S, in
   int32 while n * len(cdf), which bounds |S_m|, is below 2**31, and in
   int64 beyond.  Memory per worker is one slice of uniforms and a few
@@ -181,24 +183,26 @@ def _walk_sums(law, cdf, n, gen, count):
 
 def _walk_levels(law, cdf, n, gen, count):
     """Weak records per path of a short block: the zero visits of L = M - S,
-    a step of every path at a time (see the module docstring)."""
+    a step of every path at a time, each row of indices overwritten by that
+    step's level (see the module docstring)."""
     steps = np.empty((n, count), dtype=np.uint8)
     for lo, uniforms in _slices(gen, n, count):
         steps[:, lo : lo + len(uniforms)] = _jump_index(cdf, uniforms,
                                                         np.uint8).T
+    right = law.orientation is Orientation.RIGHT
     # constant arrays, not scalars: np.minimum(array, scalar) is not vectorized
     one, cap = np.ones(count, np.uint8), np.full(count, n, np.uint8)
-    x0 = cap if law.orientation is Orientation.RIGHT else np.zeros_like(cap)
-    x, t = x0.copy(), np.empty_like(cap)  # x0: x where L = 0
-    hit, records = np.empty(count, bool), np.zeros(count, np.uint8)
+    x0 = cap if right else np.zeros_like(cap)  # x where L = 0
+    x, t = x0, np.empty_like(cap)
     for idx in steps:
         np.add(x, one, out=t)
         np.maximum(t, idx, out=t)
-        np.subtract(t, idx, out=x)
-        np.minimum(x, cap, out=x)
-        np.equal(x, x0, out=hit)
-        np.add(records, hit, out=records)
-    return records
+        x = np.subtract(t, idx, out=idx)
+        if right:
+            np.minimum(x, cap, out=x)
+    # into the uint8 rows themselves: a bool view as out makes numpy copy
+    np.equal(steps, x0, out=steps)
+    return np.add.reduce(steps, axis=0, dtype=np.uint8)
 
 
 def _block_histogram(law, n, seed, start, count):

@@ -181,8 +181,10 @@ class TestSimulate:
         assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
     def test_kmax_limits_rows(self):
-        _, out, _ = run_cli("simulate", "--law", SYM_PATH, "--n", "10",
-                            "--paths", "2000", "--seed", "1", "--kmax", "3")
+        with pytest.warns(RuntimeWarning, match="below 10/paths"):
+            _, out, _ = run_cli("simulate", "--law", SYM_PATH, "--n", "10",
+                                "--paths", "2000", "--seed", "1", "--kmax",
+                                "3")
         _, _, rows = parse_csv(out)
         assert len(rows) == 4
 
