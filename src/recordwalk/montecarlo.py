@@ -2,26 +2,34 @@
 
 Paths are driven by one PCG64DXSM stream seeded by the seed, and processed
 in fixed blocks of BLOCK_SIZE paths whose integer count histograms are
-summed.  Path p reads n uniforms, one 64-bit word each, from words
-p*n .. p*n + n - 1 of the stream: the block starting at path `start` calls
-PCG64DXSM.advance(start*n), which jumps the generator's state by start*n
-words in O(log(start*n)) steps, so a block may start at any path.  The
-uniforms of a path therefore depend on neither BLOCK_SIZE nor the worker
+summed.  Step t of path p reads one 32-bit half-word: half t mod 2, low half
+first, of word p*w + t//2, where w = ceil(n/2) (an odd n leaves the last
+half of each path's last word unused).  The block starting at path `start`
+calls PCG64DXSM.advance(start*w), which jumps the generator's state by
+start*w words in O(log(start*w)) steps, so a block may start at any path.
+The halves are read as little-endian, whatever the machine's byte order.
+The draws of a path therefore depend on neither BLOCK_SIZE nor the worker
 count, blocks never overlap, and the integer merge makes the result
 bit-identical for any worker count.
 
-Inside a block, rows are drawn a slice at a time from the block's one
-Generator, at most SLICE_ROWS rows and SLICE_ROWS * 200 draws.  Row-major
-draws read the stream words in the same order whatever the slice, and each
-slice's arrays stay in cache.
+Every path of n steps draws its jumps from _jump_grid(law, n): the jumps of
+size n or more are lumped into one of size n, which no path of n steps can
+tell apart from them, and each probability p_j is floored to the 2**-32
+grid, a_j = floor(p_j * 2**32).  A half-word h below the last of the
+thresholds T_j = a_0 + ... + a_j draws the index #{j : T_j <= h}, found by
+counting h >= T_j in uint32 over the first COUNTED thresholds: they are
+nondecreasing, so the count is exact for every h below T[COUNTED - 1], and
+only the draws at or past it search the whole grid.  A half-word at or past
+the last threshold, with probability at most (n + 2) * 2**-32, draws from
+the residual weights b_j = p_j - a_j * 2**-32 instead, by a 53-bit uniform
+from word p*n + t of the refinement stream PCG64DXSM(seed).jumped(), built
+only when such a draw occurs.  So P(index = j) = p_j, up to the rounding of
+the residual CDF and the normalisation of sum(p) to 1 within the residual.
 
-Every path of n steps draws its jumps by inverse CDF from _jump_cdf(law, n):
-the jumps of size n or more are lumped into one of size n, which no path of
-n steps can tell apart from them.  The index is searchsorted(cdf, u,
-side="right"), found by counting u >= cdf[j] over the first COUNTED entries
-of the CDF: it is nondecreasing, so the count is exact for every u below
-cdf[COUNTED - 1], and only the draws at or past it (none on a CDF of at most
-COUNTED entries) search the whole CDF.
+Inside a block, rows are drawn a slice at a time from the block's one
+generator, at most SLICE_ROWS rows and SLICE_ROWS * 200 draws, 4 bytes each.
+Row-major draws read the stream words in the same order whatever the slice,
+and each slice's arrays stay in cache.
 
 A block is walked one of two ways, to the same records.
 - A path of n <= SHORT_PATH steps has each index at most n + 1 and keeps it
@@ -35,11 +43,11 @@ A block is walked one of two ways, to the same records.
   x + 1 and i fit a byte while n <= SHORT_PATH, and clipping L at n loses
   nothing: a chain at level n or above never returns to 0 within n steps.
   Memory per worker: n * BLOCK_SIZE bytes of indices, then levels (2.08 MB
-  at n = SHORT_PATH), and one slice of uniforms (0.82 MB).
+  at n = SHORT_PATH), and one slice of half-words (0.41 MB).
 - A longer path counts records slice by slice on the partial sums S, in
-  int32 while n * len(cdf), which bounds |S_m|, is below 2**31, and in
-  int64 beyond.  Memory per worker is one slice of uniforms and a few
-  arrays of its size, whatever n.
+  int32 while n times the number of thresholds, which bounds |S_m|, is
+  below 2**31, and in int64 beyond.  Memory per worker is one slice of
+  half-words and a few arrays of its size, whatever n.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from .oracle import Provenance, TailTable
 
 BLOCK_SIZE = 8192  # paths per block: see the module docstring
 SLICE_ROWS = 512  # most rows drawn and walked at a time inside a block
-COUNTED = 8  # CDF entries searched by counting
+COUNTED = 6  # thresholds searched by counting: 6 and 7 tie, 8 is slower
 SHORT_PATH = 254  # the longest path walked a step at a time: n + 1 fits a byte
 STABLE_JUMP_ORDER = 110000  # the lumping order of sample_increment
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
@@ -102,13 +110,49 @@ def _jump_cdf(law, order):
     return cdf
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """A jump law on the 2**-32 grid, as _jump_grid builds it."""
+
+    thresholds: np.ndarray  # T_j, int64, nondecreasing, at most 2**32
+    head: np.ndarray  # the first COUNTED T_j, those below 2**32, as uint32
+    searched: bool  # a draw at or past head[-1] may need more than the count
+    residual: np.ndarray  # CDF of the b_j, empty if T_last = 2**32
+
+
+@functools.lru_cache(maxsize=32)
+def _jump_grid(law, order):
+    """The law of the jump index of _jump_cdf on the 2**-32 grid (see the
+    module docstring): p = (q, p_0, ..., p_order), the jumps of size order
+    or more lumped at size order (an explicit law's from jump_tails, without
+    subtraction), and a_j = floor(p_j * 2**32) and b_j = p_j - a_j * 2**-32,
+    both exact in double."""
+    pmf = law.jump_pmf(order)[: order + 1]
+    if pmf.size > order:
+        pmf = np.append(pmf[:order], law.jump_tails(order)[order])
+    p = np.concatenate([[law.q], pmf])
+    a = np.floor(p * 2.0**32)
+    thresholds = np.cumsum(a.astype(np.int64))
+    below = np.count_nonzero(thresholds < 2**32)
+    head = thresholds[: min(below, COUNTED)].astype(np.uint32)
+    residual = np.empty(0)
+    if below == thresholds.size:
+        residual = np.cumsum(p - a * 2.0**-32)
+        residual /= residual[-1]
+    for array in (thresholds, head, residual):
+        array.setflags(write=False)  # one cached grid serves every block
+    return _Grid(thresholds, head, below > head.size or residual.size > 0,
+                 residual)
+
+
 def sample_increment(law, uniform):
     """Inverse-CDF draw of one walk increment from a uniform in [0, 1), from
     the CDF lumped at STABLE_JUMP_ORDER: a stable law's jumps of that size
     or more are drawn as one of that size."""
     if not 0.0 <= uniform < 1.0:
         raise ValueError("uniform must lie in [0, 1)")
-    idx = _jump_index(_jump_cdf(law, STABLE_JUMP_ORDER), np.array([uniform]))
+    cdf = _jump_cdf(law, STABLE_JUMP_ORDER)
+    idx = np.searchsorted(cdf, [uniform], side="right")
     return int(_increments(law, idx)[0])
 
 
@@ -120,22 +164,42 @@ def _increments(law, idx):
     return np.subtract(idx, 1, out=idx)
 
 
-def _jump_index(cdf, u, dtype=np.int32):
-    """searchsorted(cdf, u, side="right") for u in [0, 1), in a dtype that
-    holds len(cdf) - 1.
+def _grid_index(grid, h, seed, base, dtype=np.int32):
+    """Jump indices, in a dtype that holds len(grid.thresholds) - 1, of the
+    half-words h, one row of n steps per path: h[r, t] is step t of path
+    p + r, where base = p * n (see _jump_grid).
 
-    Entries of 1 or more are above every u and count nothing.  After the
-    loop `hit` holds u >= cdf[COUNTED - 1], the draws the count may miss.
+    After the count `hit` holds h >= head[-1], the draws the count may
+    miss; of those, the ones at or past T_last take the residual draw.
     """
-    idx = np.zeros(u.shape, dtype=dtype)
-    hit = np.empty(u.shape, dtype=bool)
-    head = cdf[:COUNTED]
-    for c in head[head < 1.0]:
-        np.greater_equal(u, c, out=hit)
-        idx += hit
-    if cdf.size > COUNTED and head[-1] < 1.0:
-        idx[hit] = np.searchsorted(cdf, u[hit], side="right")
+    idx = np.zeros(h.shape, dtype=dtype)
+    hit = np.empty(h.shape, dtype=bool)
+    for c in grid.head:
+        np.greater_equal(h, c, out=hit)
+        # a uint8 view adds without casting the bools
+        np.add(idx, hit.view(np.uint8), out=idx)
+    if grid.searched and hit.any():
+        pos = np.flatnonzero(hit)  # one pass over the mask, not two
+        rows, steps = np.divmod(pos, h.shape[1])
+        far = np.searchsorted(grid.thresholds, h[rows, steps], side="right")
+        out = far == grid.thresholds.size
+        if out.any():
+            far[out] = np.searchsorted(
+                grid.residual, _refine(seed, base + pos[out]), side="right")
+        idx[rows, steps] = far
     return idx
+
+
+def _refine(seed, words):
+    """53-bit uniforms from the given ascending words of the refinement
+    stream PCG64DXSM(seed).jumped()."""
+    bg = np.random.PCG64DXSM(seed).jumped()
+    uniforms, at = np.empty(len(words)), 0
+    for i, word in enumerate(words.tolist()):
+        bg.advance(word - at)
+        uniforms[i] = (bg.random_raw() >> 11) * 2.0**-53
+        at = word + 1
+    return uniforms
 
 
 def count_weak_records(path):
@@ -162,33 +226,37 @@ def reflected_zero_visits(path):
     return int(np.count_nonzero(sbar[1:] == 0))
 
 
-def _slices(gen, n, count):
-    """(first row, uniforms) of each slice of a block's count rows."""
+def _slices(grid, n, seed, start, count, dtype):
+    """(first row, jump indices) of each slice of the block of count paths
+    starting at path start."""
+    words = (n + 1) // 2
+    bg = np.random.PCG64DXSM(seed)
+    bg.advance(start * words)  # path p starts at word p*words
     rows = max(1, min(SLICE_ROWS, SLICE_ROWS * 200 // n))
-    buf = np.empty((min(rows, count), n))
     for lo in range(0, count, rows):
-        yield lo, gen.random(out=buf[: min(rows, count - lo)])
+        raw = bg.random_raw((min(rows, count - lo), words))
+        # little-endian words viewed as little-endian halves: low half first
+        halves = raw.astype("<u8", copy=False).view("<u4")[:, :n]
+        yield lo, _grid_index(grid, halves, seed, (start + lo) * n, dtype)
 
 
-def _walk_sums(law, cdf, n, gen, count):
+def _walk_sums(law, grid, n, seed, start, count):
     """Weak records per path of a long block, slice by slice on S."""
-    width = np.int32 if n * cdf.size < 2**31 else np.int64
+    width = np.int32 if n * grid.thresholds.size < 2**31 else np.int64
     records = np.empty(count, dtype=np.intp)
-    for lo, uniforms in _slices(gen, n, count):
-        inc = _increments(law, _jump_index(cdf, uniforms, width))
-        records[lo : lo + len(uniforms)] = _weak_records(
-            np.cumsum(inc, axis=-1, dtype=width))
+    for lo, idx in _slices(grid, n, seed, start, count, width):
+        records[lo : lo + len(idx)] = _weak_records(
+            np.cumsum(_increments(law, idx), axis=-1, dtype=width))
     return records
 
 
-def _walk_levels(law, cdf, n, gen, count):
+def _walk_levels(law, grid, n, seed, start, count):
     """Weak records per path of a short block: the zero visits of L = M - S,
     a step of every path at a time, each row of indices overwritten by that
     step's level (see the module docstring)."""
     steps = np.empty((n, count), dtype=np.uint8)
-    for lo, uniforms in _slices(gen, n, count):
-        steps[:, lo : lo + len(uniforms)] = _jump_index(cdf, uniforms,
-                                                        np.uint8).T
+    for lo, idx in _slices(grid, n, seed, start, count, np.uint8):
+        steps[:, lo : lo + len(idx)] = idx.T
     right = law.orientation is Orientation.RIGHT
     # constant arrays, not scalars: np.minimum(array, scalar) is not vectorized
     one, cap = np.ones(count, np.uint8), np.full(count, n, np.uint8)
@@ -206,10 +274,8 @@ def _walk_levels(law, cdf, n, gen, count):
 
 
 def _block_histogram(law, n, seed, start, count):
-    bg = np.random.PCG64DXSM(seed)
-    bg.advance(start * n)  # path p starts at word p*n
     walk = _walk_levels if n <= SHORT_PATH else _walk_sums
-    records = walk(law, _jump_cdf(law, n), n, np.random.Generator(bg), count)
+    records = walk(law, _jump_grid(law, n), n, seed, start, count)
     return np.bincount(records, minlength=n + 1)
 
 

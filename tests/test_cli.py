@@ -153,15 +153,15 @@ class TestSimulate:
 
     DRAW_DIGESTS = {
         "asym.json":
-        "ac18dd14222e6d2254af563b4e748bf8be7c5c9acea24a9a8c91e31830126a3b",
+        "4dfdf08e164f20778497e3a0a1b09e768d376c1404887781ace1395b0e693556",
         "stable_g05_b05.json":
-        "d99bf28713d2c40fa215df76077fb34c6e8c5ca6429b9681df563bf38ab51845",
+        "7a612a47af49353f290f69b06c3a5362d40d40319d0f56de4924634845c9a7cc",
         "stable_g05_b05_left.json":
-        "73c6756c05bb4d7bcf443b65472634ebf49adff7224a1c58c1defda4d6a430d1",
+        "f124865084e6181d18350e52ad12e0d7566c5c930ac7882a2e6d24c9094170d8",
         "sym.json":
-        "a46e0284e7b6f2cf4367ccd445e0245953c521338da2101fc99b5063c7cb0236",
+        "1419e3caf5469ec09b24383a6535a6023ce4027c9b597809f68a63878cfc5158",
         "sym_left.json":
-        "9673eea1c07f2369fab2de815ac9f4208fb3dd3e80be215a48897207002b2f1d",
+        "f3a7e64e486852d34438084c3f85da578de489658073816a7f5e7de852e70302",
     }
 
     # ids are the law names alone, so a re-pinned digest renames no test

@@ -1,6 +1,8 @@
 """Monte Carlo sampling, record counting, and reproducibility."""
 
 import contextlib
+import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -23,8 +25,8 @@ from recordwalk import (
 )
 from recordwalk import montecarlo
 from recordwalk.montecarlo import TooFewPathsError, _wilson
-from support import (ASYM, BUNDLED_LAWS, LONG_JUMP, LONG_JUMP_LEFT, STABLE,
-                     STABLE_LEFT, SYM, SYM_LEFT, bundled_law)
+from support import (ASYM, BUNDLED_LAWS, EDGE_LAWS, LONG_JUMP, LONG_JUMP_LEFT,
+                     STABLE, STABLE_LEFT, SYM, SYM_LEFT, bundled_law)
 
 # critical, with support 0..299: p_0 = 0.5 - 0.5/299 and p_299 = 0.5/299
 SUPPORT_300, SUPPORT_300_LEFT = (
@@ -33,14 +35,33 @@ SUPPORT_300, SUPPORT_300_LEFT = (
     for side in ("right", "left"))
 
 
-def reference_block(law, n, seed, start, count):
-    """A block's histogram the plain way: one draw of all its rows, a full
-    searchsorted and an int64 walk."""
+def half_words(seed, start, count, n):
+    """Step t of path p reads half t % 2, low half first, of stream word
+    p*ceil(n/2) + t//2: the block's half-words, split by arithmetic."""
+    words = (n + 1) // 2
     bg = np.random.PCG64DXSM(seed)
-    bg.advance(start * n)
-    uniforms = np.random.Generator(bg).random((count, n))
-    cdf = montecarlo._jump_cdf(law, max(n, montecarlo.STABLE_JUMP_ORDER))
-    idx = np.searchsorted(cdf, uniforms, side="right")
+    bg.advance(start * words)
+    raw = bg.random_raw(count * words)
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1)
+    return halves.reshape(count, 2 * words)[:, :n]
+
+
+def refinement_uniform(seed, word):
+    """The 53-bit uniform of one word of the refinement stream."""
+    bg = np.random.PCG64DXSM(seed).jumped().advance(int(word))
+    return np.random.Generator(bg).random()
+
+
+def reference_block(law, n, seed, start, count, order=None):
+    """A block's histogram the plain way, from the grid lumped at order
+    (default n): one draw of all its rows, a full searchsorted, a residual
+    draw for each half-word past the last threshold, and an int64 walk."""
+    grid = montecarlo._jump_grid(law, n if order is None else order)
+    h = half_words(seed, start, count, n)
+    idx = np.searchsorted(grid.thresholds, h, side="right")
+    for r, t in zip(*np.nonzero(idx == grid.thresholds.size)):
+        u = refinement_uniform(seed, (start + r) * n + t)
+        idx[r, t] = np.searchsorted(grid.residual, u, side="right")
     inc = 1 - idx if law.orientation is Orientation.RIGHT else idx - 1
     walk = np.cumsum(inc, axis=1, dtype=np.int64)
     return np.bincount(montecarlo._weak_records(walk), minlength=n + 1)
@@ -94,46 +115,55 @@ class TestSampling:
 
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_top_uniform_draws_the_lumped_stable_jump(self, side):
-        # A stable law's CDF ends with all jumps of size >= the lumping
-        # order in one: STABLE_JUMP_ORDER for sample_increment, and the path
-        # length for a block's walk.
+        # A stable law's jumps of size >= the lumping order are one:
+        # STABLE_JUMP_ORDER for sample_increment, and the path length for a
+        # block's walk, whose top half-word below the residual region draws
+        # the lumped jump.
         law = STABLE if side == "right" else STABLE_LEFT
         u = np.nextafter(1.0, 0.0)
         sign = -1 if side == "right" else 1
         order = montecarlo.STABLE_JUMP_ORDER
+        grid = montecarlo._jump_grid(law, 3)
+        h = np.full((2, 3), grid.thresholds[-1] - 1, dtype=np.uint32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            short = montecarlo._increments(law, montecarlo._jump_index(
-                montecarlo._jump_cdf(law, 3), np.full((2, 3), u)))
+            short = montecarlo._increments(
+                law, montecarlo._grid_index(grid, h, 1, 0))
             assert sample_increment(law, float(u)) == sign * order
         assert np.all(short == sign * 3)
 
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_counted_index_is_searchsorted(self, name):
-        cdf = montecarlo._jump_cdf(bundled_law(name),
-                                   montecarlo.STABLE_JUMP_ORDER)
-        inner = cdf[cdf < 1.0]
-        u = np.concatenate([
-            inner, np.nextafter(inner, 0.0), [0.0, np.nextafter(1.0, 0.0)],
-            np.random.default_rng(17).random(10**5),
-        ])
-        idx = montecarlo._jump_index(cdf, u)
+        # below the last threshold the count and the full search agree
+        grid = montecarlo._jump_grid(bundled_law(name),
+                                     montecarlo.STABLE_JUMP_ORDER)
+        top = grid.thresholds[-1]
+        inner = grid.thresholds[grid.thresholds < top]
+        h = np.concatenate([
+            inner, np.maximum(inner - 1, 0), [0, top - 1],
+            np.random.default_rng(17).integers(0, top, 10**5),
+        ]).astype(np.uint32)
+        idx = montecarlo._grid_index(grid, h.reshape(1, -1), 1, 0)
         assert idx.dtype == np.int32
-        assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
+        assert np.array_equal(
+            idx[0], np.searchsorted(grid.thresholds, h, side="right"))
 
     def test_counted_index_far_branch_on_explicit_law(self):
-        # Jump sizes 0..11, critical: the CDF has 12 entries below 1, past
-        # the counted head, so draws at or above cdf[COUNTED - 1] (about 4%)
-        # take the full search.
+        # Jump sizes 0..11, critical: 13 thresholds below 2**32, past the
+        # counted head, so half-words at or above T[COUNTED - 1] (about
+        # 5.3%) take the full search.
         law = IncrementLaw.explicit("right", 0.5, [5 / 12] + [1 / 132] * 11)
-        cdf = montecarlo._jump_cdf(law, montecarlo.STABLE_JUMP_ORDER)
-        assert cdf.size > montecarlo.COUNTED
-        inner = cdf[cdf < 1.0]
-        u = np.concatenate([inner, np.nextafter(inner, 0.0),
-                            np.random.default_rng(5).random(10**4)])
-        assert np.count_nonzero(u >= cdf[montecarlo.COUNTED - 1]) > 300
-        assert np.array_equal(montecarlo._jump_index(cdf, u),
-                              np.searchsorted(cdf, u, side="right"))
+        grid = montecarlo._jump_grid(law, montecarlo.STABLE_JUMP_ORDER)
+        top = grid.thresholds[-1]
+        assert grid.searched and grid.head.size == montecarlo.COUNTED
+        inner = grid.thresholds[grid.thresholds < top]
+        h = np.concatenate([inner, np.maximum(inner - 1, 0),
+                            np.random.default_rng(5).integers(0, top, 10**4)
+                            ]).astype(np.uint32)
+        assert np.count_nonzero(h >= grid.head[-1]) > 300
+        assert np.array_equal(
+            montecarlo._grid_index(grid, h.reshape(1, -1), 1, 0)[0],
+            np.searchsorted(grid.thresholds, h, side="right"))
         hist = montecarlo._block_histogram(law, 30, 4, 8, 1000)
         assert np.array_equal(hist, reference_block(law, 30, 4, 8, 1000))
 
@@ -147,6 +177,120 @@ class TestSampling:
             [sample_increment(STABLE, float(u)) for u in rng.random(4000)]
         )
         assert abs(draws.mean()) < 0.1  # critical: zero drift
+
+
+class TestGrid:
+    @pytest.mark.parametrize("law", [*map(bundled_law, BUNDLED_LAWS),
+                                     *EDGE_LAWS],
+                             ids=[*BUNDLED_LAWS,
+                                  *(f"edge-{i}" for i in range(len(EDGE_LAWS)))])
+    @pytest.mark.parametrize("n", [1, 60, 200, 254, 255, 1000])
+    def test_grid_rebuilds_the_lumped_pmf(self, law, n):
+        # P(index = j) = a_j * 2**-32 + (1 - T_last * 2**-32) * (the
+        # residual CDF's step j) is p_j, up to a rounding of the sum, the
+        # normalisation of sum(p) to 1 and the rounding of the residual
+        # CDF: a cumulative sum of n + 2 terms, on at most (n + 2) * 2**-32
+        # of the mass.  The normalisation moves p_j by at most |1 - sum(p)|,
+        # taken exactly: a deficit below half an ulp of 1 rounds the float
+        # sum to 1 and still shows in the residual.
+        grid = montecarlo._jump_grid(law, n)
+        t = grid.thresholds
+        assert t.dtype == np.int64 and not t.flags.writeable
+        assert t[0] >= 0 and np.all(np.diff(t) >= 0) and t[-1] <= 2**32
+        pmf = law.jump_pmf(n)[:n]
+        p = np.zeros(n + 2)
+        p[0], p[1 : 1 + pmf.size], p[n + 1] = law.q, pmf, law.jump_tails(n)[n]
+        rebuilt = np.zeros(n + 2)
+        rebuilt[: t.size] = np.diff(t, prepend=0) * 2.0**-32
+        if grid.residual.size:
+            assert grid.residual[-1] == 1.0
+            rebuilt[: t.size] += ((1.0 - t[-1] * 2.0**-32)
+                                  * np.diff(grid.residual, prepend=0.0))
+        else:
+            assert t[-1] == 2**32
+        eps = np.finfo(float).eps
+        bound = (eps * p + abs(math.fsum([1.0, *-p]))
+                 + 2 * (n + 2) ** 2 * eps * 2.0**-32)
+        assert np.all(np.abs(rebuilt - p) <= bound)
+
+    @pytest.mark.parametrize("law", [SYM, SYM_LEFT], ids=["right", "left"])
+    @pytest.mark.parametrize("n", [1, 60, 255])
+    def test_dyadic_law_has_no_residual_region(self, law, n):
+        # mass 1/2 and 1/2: every half-word is decided by one threshold
+        grid = montecarlo._jump_grid(law, n)
+        assert grid.thresholds.tolist() == [2**31, 2**31, 2**32]
+        assert grid.residual.size == 0 and not grid.searched
+        assert grid.head.tolist() == [2**31, 2**31]
+
+    @pytest.mark.parametrize("law", [ASYM, STABLE], ids=["asym", "stable"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_residual_branch_reads_the_refinement_stream(self, law, dtype):
+        # Half-words at or past T_last draw from the residual CDF by word
+        # p*n + t of PCG64DXSM(seed).jumped(); the rest by the thresholds.
+        n, seed, base = 3, 9, 5 * 3
+        grid = montecarlo._jump_grid(law, n)
+        top = grid.thresholds[-1]
+        assert top < 2**32
+        h = np.array([[2**32 - 1, 0, 2**32 - 1], [top - 1, 2**32 - 1, top]],
+                     dtype=np.uint32)
+        expected = np.searchsorted(grid.thresholds, h, side="right")
+        for r, t in zip(*np.nonzero(h >= top)):
+            u = refinement_uniform(seed, base + r * n + t)
+            expected[r, t] = np.searchsorted(grid.residual, u, side="right")
+        idx = montecarlo._grid_index(grid, h, seed, base, dtype)
+        assert idx.dtype == dtype
+        assert np.array_equal(idx, expected)
+        assert np.all(idx <= n + 1)
+
+    @pytest.mark.parametrize("n", [37, 255])
+    def test_residual_draws_keep_the_path_layout(self, monkeypatch, n):
+        # Residual draws are rare (about one a monte-carlo pass), so a grid
+        # with its thresholds halved sends every half-word at or past T_last
+        # (about half of them) to the refinement stream: across slices (7
+        # rows at n = 37, 7 * 200 // 255 = 5 at n = 255) of a block
+        # starting at path 5, on the short walk and the long one, word
+        # p*n + t keys step t of path p.
+        grid = montecarlo._jump_grid(ASYM, n)
+        half = grid.thresholds // 2
+        wide = dataclasses.replace(grid, thresholds=half,
+                                   head=half.astype(np.uint32))
+        assert half.size <= montecarlo.COUNTED and wide.searched
+        monkeypatch.setattr(montecarlo, "_jump_grid", lambda law, order: wide)
+        monkeypatch.setattr(montecarlo, "SLICE_ROWS", 7)
+        refined = []
+        refine = montecarlo._refine
+
+        def spy(seed, words):
+            refined.append(words.size)
+            return refine(seed, words)
+
+        monkeypatch.setattr(montecarlo, "_refine", spy)
+        hist = montecarlo._block_histogram(ASYM, n, 4, 5, 30)
+        assert len(refined) == (5 if n == 37 else 6)
+        assert sum(refined) > 30 * n // 3
+        assert np.array_equal(hist, reference_block(ASYM, n, 4, 5, 30))
+
+    def test_tiny_jump_is_drawn_only_through_the_residual(self, monkeypatch):
+        # A jump of size 5 with probability 1e-12 floors to a_6 = 0 on the
+        # grid: no threshold step draws index 6, and the residual CDF gives
+        # it its 1e-12.
+        law = IncrementLaw.explicit(
+            "right", 0.5, [0.1 + 4e-12, 0.3 - 5e-12, 0.1, 0.0, 0.0, 1e-12])
+        grid = montecarlo._jump_grid(law, 60)
+        t = grid.thresholds
+        assert t.size == 7 and t[6] == t[5] < 2**32
+        h = np.concatenate([t[:6], t[:6] - 1, [2**32 - 1] * 3,
+                            np.random.default_rng(3).integers(0, 2**32, 10**5)
+                            ]).astype(np.uint32).reshape(1, -1)
+        assert not np.any(montecarlo._grid_index(grid, h, 1, 0) == 6)
+        share = (1.0 - t[-1] * 2.0**-32) * (grid.residual[6]
+                                             - grid.residual[5])
+        assert share == pytest.approx(1e-12, rel=1e-9)
+        monkeypatch.setattr(montecarlo, "_refine",
+                            lambda seed, words: np.full(words.size,
+                                                        grid.residual[5]))
+        top = np.full((1, 4), 2**32 - 1, dtype=np.uint32)
+        assert np.all(montecarlo._grid_index(grid, top, 1, 0) == 6)
 
 
 class TestRecordCounting:
@@ -173,7 +317,7 @@ class TestRecordCounting:
     @pytest.mark.parametrize("n, width", [(46339, np.int32),
                                           (46340, np.int64)])
     def test_walk_width_guard_on_stable_law(self, monkeypatch, n, width):
-        # The stable CDF lumped at n has n + 2 entries, so n * (n + 2)
+        # The stable grid lumped at n has n + 2 thresholds, so n * (n + 2)
         # passes 2^31 from n = 46340 on.  At these n a slice holds
         # SLICE_ROWS * 200 // n = 2 rows, so the 3 rows take two slices,
         # and the long-path walk sums each in the same width.
@@ -227,27 +371,29 @@ class TestEmpiricalTail:
         assert np.array_equal(one.ci_lo, four.ci_lo)
 
     @pytest.mark.parametrize("law", [SYM, STABLE], ids=["sym", "stable-right"])
-    @pytest.mark.parametrize("n", [7, 20])
+    @pytest.mark.parametrize("n", [7, 20, 37, 253, 255])
     def test_block_size_invariance(self, monkeypatch, law, n):
-        # Path p reads stream words p*n .. p*n + n - 1 whatever the blocks:
-        # blocks of 4099 and 13 paths start at paths no multiple of 4.
+        # Path p reads stream words p*w .. p*w + w - 1, w = ceil(n/2),
+        # whatever the blocks: blocks of 4099 and 13 paths start at paths no
+        # multiple of 4, and an odd n leaves half of each path's last word
+        # unused.  n = 253 takes the short walk and 255 the long one.
         tables = []
         for block in (8192, 4099, 4096, 13, 12):
             monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block)
-            with below_10_paths(law is SYM and n == 20):
+            with below_10_paths(n >= (20 if law is SYM else 253)):
                 tables.append(empirical_tail(SimConfig(law, n, 20000, 3)))
         for table in tables[1:]:
             assert np.array_equal(table.tail, tables[0].tail)
             assert np.array_equal(table.ci_lo, tables[0].ci_lo)
 
     @pytest.mark.parametrize("law", [SYM, STABLE], ids=["sym", "stable-right"])
-    @pytest.mark.parametrize("n", [7, 20])
+    @pytest.mark.parametrize("n", [7, 20, 37, 253, 255])
     def test_row_slice_invariance(self, monkeypatch, law, n):
         # Blocks of 8192, 8192 and 3616 paths: no slice size divides all.
         tables = []
         for rows in (512, 100, 7):
             monkeypatch.setattr(montecarlo, "SLICE_ROWS", rows)
-            with below_10_paths(law is SYM and n == 20):
+            with below_10_paths(n >= (20 if law is SYM else 253)):
                 tables.append(empirical_tail(SimConfig(law, n, 20000, 3)))
         for table in tables[1:]:
             assert np.array_equal(table.tail, tables[0].tail)
@@ -260,12 +406,13 @@ class TestEmpiricalTail:
         # of slices: 512 rows up to n = 200, 404 at 253, 403 at 254 and 401
         # at 255.  At n = 20000 a slice holds SLICE_ROWS * 200 // n = 5
         # rows, so the 12 rows take 5 + 5 + 2.  A block may start at any
-        # path, start = 5 too: the stream advances by words.
+        # path, start = 5 too: the stream advances by words, ceil(n/2) a
+        # path, half of the last one unused at odd n (1, 37, 253, 255).
         law = bundled_law(name)
         assert montecarlo.SHORT_PATH == 254
         for n, seed, start, count in [
                 (1, 6, 4, 1100), (2, 6, 4, 1100), (37, 3, 12, 700),
-                (37, 3, 5, 700), (255, 3, 5, 700),
+                (37, 3, 5, 700), (253, 3, 5, 700), (255, 3, 5, 700),
                 (60, 6, 4, 1100), (200, 11, 0, 1500), (253, 6, 4, 1100),
                 (254, 6, 4, 1100), (255, 6, 4, 1100), (20000, 5, 8, 12)]:
             assert np.array_equal(
@@ -283,18 +430,20 @@ class TestEmpiricalTail:
             "support-300-255", "support-300-left-255", "support-300-299",
             "support-300-left-299"])
     def test_walks_lump_jumps_past_the_horizon(self, law, n):
-        # Both walks draw from the CDF that lumps the support at size n, so
+        # Both walks draw from the grid that lumps the support at size n, so
         # the short walk's index stays within n + 1, which fits a byte, and
-        # the long walk (n = 255, 299) never sees a jump past n; the
-        # reference draws from the whole support, and these rows draw jumps
-        # of size n or more.
-        cdf = montecarlo._jump_cdf(law, n)
-        assert cdf.size == n + 2
-        uniforms = np.random.Generator(np.random.PCG64DXSM(2)).random(
-            (1100, n))
-        assert np.count_nonzero(uniforms >= cdf[n]) > 0
+        # the long walk (n = 255, 299) never sees a jump past n.  The
+        # reference draws from the whole support, whose one jump of size n
+        # or more (299, or 50 at n = 30) has the lumped jump's mass, so the
+        # two grids differ only in its index; these rows draw it.
+        grid = montecarlo._jump_grid(law, n)
+        assert grid.thresholds.size == n + 2
+        h = half_words(2, 0, 1100, n)
+        assert np.count_nonzero(h >= grid.thresholds[n]) > 0
         hist = montecarlo._block_histogram(law, n, 2, 0, 1100)
-        assert np.array_equal(hist, reference_block(law, n, 2, 0, 1100))
+        order = montecarlo.STABLE_JUMP_ORDER
+        assert np.array_equal(hist,
+                              reference_block(law, n, 2, 0, 1100, order))
 
     @pytest.mark.parametrize("law, index, records", [
         (SYM, 0, 254), (SYM, 255, 0), (SYM_LEFT, 0, 0), (SYM_LEFT, 255, 254),
@@ -305,8 +454,9 @@ class TestEmpiricalTail:
         # with no cap.  On the right the cap at n is the reflection at L = 0,
         # and x + 1 reaches 255.  Index n + 1 = 255 is the jump lumped at n.
         n, count = montecarlo.SHORT_PATH, 64
-        monkeypatch.setattr(montecarlo, "_jump_index",
-                            lambda cdf, u, dtype: np.full(u.shape, index, dtype))
+        monkeypatch.setattr(
+            montecarlo, "_grid_index",
+            lambda grid, h, seed, base, dtype: np.full(h.shape, index, dtype))
         hist = montecarlo._block_histogram(law, n, 1, 0, count)
         inc = montecarlo._increments(law, np.full((count, n), index, np.int64))
         plain = montecarlo._weak_records(np.cumsum(inc, axis=-1))
@@ -314,12 +464,12 @@ class TestEmpiricalTail:
         assert hist[records] == count
 
     def test_long_path_block_memory_is_bounded(self):
-        # A slice takes at most SLICE_ROWS * 200 = 102400 draws, about
-        # 0.8 MB of uniforms and a few arrays of that size beside; 200
-        # rows of n = 20000 in one slice would need 32 MB of uniforms alone.
+        # A slice takes at most SLICE_ROWS * 200 = 102400 draws, 0.4 MB of
+        # half-words and a few arrays of that size beside; 200 rows of
+        # n = 20000 in one slice would need 16 MB of half-words alone.
         bound = 8 * 2**20
-        # the cached CDF is built before the trace starts
-        montecarlo._jump_cdf(STABLE, 20000)
+        # the cached grid is built before the trace starts
+        montecarlo._jump_grid(STABLE, 20000)
         tracemalloc.start()
         try:
             montecarlo._block_histogram(STABLE, 20000, 5, 0, 200)
@@ -330,12 +480,12 @@ class TestEmpiricalTail:
 
     def test_short_path_block_memory_is_bounded(self):
         # One 8192-path block at n = SHORT_PATH = 254 holds 254 * 8192 bytes
-        # of jump indices (2.08 MB) and one slice of 403 rows of uniforms
-        # (0.82 MB), plus a byte index and a mask of the slice (0.2 MB); a
+        # of jump indices (2.08 MB) and one slice of 403 rows of half-words
+        # (0.41 MB), plus a byte index and a mask of the slice (0.2 MB); a
         # two-byte index array alone would take 4.16 MB.
         bound = 3.5 * 2**20
         n = montecarlo.SHORT_PATH
-        montecarlo._jump_cdf(STABLE, n)
+        montecarlo._jump_grid(STABLE, n)
         tracemalloc.start()
         try:
             montecarlo._block_histogram(STABLE, n, 5, 0, montecarlo.BLOCK_SIZE)
@@ -377,7 +527,8 @@ class TestEmpiricalTail:
         assert np.array_equal(table.tail, plain.tail)
 
     def test_seed_changes_output(self):
-        a = empirical_tail(SimConfig(SYM, 12, 20000, 1))
+        with below_10_paths():
+            a = empirical_tail(SimConfig(SYM, 12, 20000, 1))
         with below_10_paths():
             b = empirical_tail(SimConfig(SYM, 12, 20000, 2))
         assert not np.array_equal(a.tail, b.tail)
