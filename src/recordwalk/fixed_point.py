@@ -22,9 +22,12 @@ import math
 
 import numpy as np
 
-from .laws import Orientation
-from .series import series_mul, series_reciprocal
+from numpy.lib.stride_tricks import as_strided
 
+from .laws import Orientation, expand_coefficients
+from .series import _low_product, series_reciprocal
+
+BLOCK = 128  # h_series coefficients solved at a time
 RESIDUAL_TOL = 1e-13
 U_MAX = 750.0  # |log(h/w)| beyond which h or w is 0 in double precision
 
@@ -139,30 +142,74 @@ def _finite(coeffs):
     return coeffs
 
 
+def _first_block(law):
+    """h through s^(BLOCK-1) by Lagrange inversion, h_m = [x^(m-1)] phi^m / m
+    for m >= 1, every term nonnegative.
+
+    Baby powers phi^0..phi^(t-1), t = isqrt(B-1), and giant steps
+    phi^(i*t), each through x^(B-2); [x^(m-1)] phi^(i*t) * phi^j for every
+    m = i*t + j is one contraction over a strided view of the giant steps.
+    """
+    n = BLOCK - 1
+    a = expand_coefficients(law, n - 1)
+    a = a[: np.flatnonzero(a)[-1] + 1]
+    t = math.isqrt(n)
+    baby = np.zeros((t, n))
+    baby[0, 0] = 1.0
+    for j in range(1, t):
+        baby[j] = np.convolve(baby[j - 1], a)[:n]
+    giant = np.convolve(baby[-1], a)[:n]
+    k = -(-BLOCK // t)
+    # powers[i, n + l] = [x^l] phi^(i*t), zero for l < 0 and l >= n
+    powers = np.zeros((k, 2 * n + t))
+    powers[0, n] = 1.0
+    for i in range(1, k):
+        powers[i, n : 2 * n] = np.convolve(powers[i - 1, n : 2 * n], giant)[:n]
+    # view[i, j, l] = powers[i, i*t + j + l], against baby[j] reversed
+    view = as_strided(powers, (k, t, n),
+                      (powers.strides[0] + t * powers.itemsize,
+                       powers.itemsize, powers.itemsize))
+    h = np.einsum("ijl,jl->ij", view, baby[:, ::-1]).ravel()[:BLOCK]
+    h[1:] /= np.arange(1, BLOCK)
+    return h
+
+
 def h_series(law, order):
     """Coefficients of h through s^order: a float64 array, checked finite.
 
-    Series Newton on F(H) = H - s*phi(H) up the ladder order, order//2,
-    ..., 1, from h = q*s, which is right through s^1.  F'' = -s*phi''(H)
-    carries a factor s, so a step from h right through s^lo makes it right
-    through s^(2*lo + 1), and the next rung m, with m // 2 = lo, is at most
-    that: order 10001 ends 5000 -> 10001.  F is O(s^(lo+1)), so a step
-    forms F only at s^(lo+1..m), and F' and 1/F' only through
-    s^d, d = m - lo - 1; the middle product h[lo+1:] -= F[lo+1:]*(1/F')
-    through s^d leaves h[:lo+1] as it is.
+    An online solve (van der Hoeven, J. Symb. Comput. 34, 2002): the first
+    BLOCK coefficients by _first_block, the rest by _solve_blocks, each
+    coefficient formed once.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     h = np.zeros(order + 1)
-    h[1] = law.q  # h = q*s + O(s^2)
-    for k in reversed(range(int(order).bit_length() - 1)):
-        m = order >> k
-        lo, d = m // 2, (m - 1) // 2  # h is right through s^lo
-        phi_h, phip_h = law.phi_series(h[: m + 1], m, d)
-        f_hi = h[lo + 1 : m + 1] - phi_h[lo:m]  # F at s^(lo+1..m)
-        fp = np.concatenate([[1.0], -phip_h[:d]])  # F' through s^d
-        h[lo + 1 : m + 1] -= series_mul(f_hi, series_reciprocal(fp, d), d)
+    h[:BLOCK] = _first_block(law)[: order + 1]
+    if order >= BLOCK:
+        _solve_blocks(law, h)
     return _finite(h)
+
+
+def _solve_blocks(law, h):
+    """Fill h[BLOCK:] in blocks of B = BLOCK coefficients, from its first
+    block, and return the law's running series of phi(h).
+
+    At a block start c >= B, with h final below c, the unknowns X = h[c:c+B]
+    satisfy X = R + s*phi'(h[:B])*X through s^(B-1), where R_0 = [s^(c-1)]
+    phi(h) and R_i = [s^(c+i-1)] phi(h[:c]): a product of two block
+    unknowns lands at s^(2c) or later.  So X = R*G through s^(B-1), with
+    G = 1/(1 - s*phi'(h)) formed once; R comes from the running series the
+    law keeps of phi(h) (law.running_phi), which then take their own
+    blocks.  The last block is cut at the end of h, and every coefficient
+    it keeps takes the same products as in a whole block, so a lower
+    order's coefficients are bitwise a prefix of a higher one's.
+    """
+    run = law.running_phi(h, BLOCK)
+    g = series_reciprocal(np.concatenate([[1.0], -run.phi_prime]),
+                          BLOCK - 1)
+    for c in range(BLOCK, len(h), BLOCK):
+        run.advance(c, _low_product(g, run.window(c)))
+    return run
 
 
 def f0_series(law, order):

@@ -26,8 +26,10 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import series_compose_val1, series_eval, series_exp, series_log
+from .series import (_low_product, _middle_product, series_compose_val1,
+                     series_eval, series_exp, series_log)
 
 MASS_TOL = 1e-12
 CRITICALITY_TOL = 1e-10
@@ -154,30 +156,21 @@ class IncrementLaw:
 
     # -- what the consumers need ---------------------------------------------
 
-    def phi_series(self, h, order, d):
-        """phi(H) through s^order and phi'(H) through s^d, d <= order, for
-        H = h with h[0] = 0 and len(h) = order + 1.
+    def running_phi(self, h, block):
+        """phi(h) as running series on the coefficient array h, whose first
+        block h[:block] is final: the family's half of h_series's block
+        step (see _ExplicitPhi and _StablePhi).
 
-        An explicit law composes its polynomial with H, and phi' with
-        h[:d + 1].  The stable family uses its closed forms in W = 1 - H
-        through series log/exp, because composing with its dense coefficient
-        expansion is quadratic in both order and support; log W is formed
-        once, through s^order.
+        The object's phi_prime is phi'(h) through s^(block - 2); its
+        window(c), for a block start c >= block with h final through
+        s^(c - 1), returns R with R_0 = [s^(c-1)] phi(h) and
+        R_i = [s^(c+i-1)] phi(h_c), h_c = h[:c]; its advance(c, x, last)
+        stores the block x = h[c:c+block] (cut at the end of h) and, unless
+        last, the running series' blocks that it implies.
         """
         if self.is_stable:
-            g, b = self.gamma, self.beta
-            w = -h.copy()
-            w[0] += 1.0  # w = 1 - H
-            lw = series_log(w, order)
-            # phi(H) = H + (g/(1+b)) * w^(1+b); phi'(H) = 1 - g * w^b
-            phi_h = h + (g / (1.0 + b)) * series_exp((1.0 + b) * lw, order)
-            phip_h = -g * series_exp(b * lw[: d + 1], d)
-            phip_h[0] += 1.0
-            return phi_h, phip_h
-        a = np.array([self.q, *self.p[: order + 1]])
-        ap = a[1:] * np.arange(1, len(a))  # coefficients of phi'
-        return (series_compose_val1(a, h, order),
-                series_compose_val1(ap, h[: d + 1], d))
+            return _StablePhi(self, h, block)
+        return _ExplicitPhi(np.array([self.q, *self.p]), h, block)
 
     def gap_over_w(self, h, w):
         """D/w = w * sum_j c_j h^j, or gamma/(1+beta) * w^beta, at h = 1 - w,
@@ -376,6 +369,174 @@ def expand_coefficients(law, order):
     a = gamma / (1.0 + beta) * d
     a[1] += 1.0  # the leading s term of phi
     return a
+
+
+# -- phi(h) as running series, one block of coefficients at a time ---------
+
+def _cross(a, b, c, width):
+    """[s^(c+i)] of a[1:c] * b[1:c], i = 0..width - 1, for arrays a and b
+    whose entries from s^c on are still zero: one middle product with the
+    known prefix of b."""
+    return _middle_product(a[1 : c + width - 1], b[1:c])
+
+
+class _ExplicitPhi:
+    """phi(h) = sum_k a_k h^k on series_compose_val1's Paterson-Stockmeyer
+    plan, each node a running series.
+
+    Node 0 is h; then the baby powers h^2..h^k, k = isqrt(len(a)), the
+    last the giant step; then the Horner accumulators over the rows of a
+    in h^k, the last of which is phi(h).  A node is const + sum coef*node
+    (+ node_p*node_q), every coefficient nonnegative, and keeps an array
+    of h's length, final through the blocks stored.  With every node final
+    below c, a product node's window, its block of the nodes evaluated at
+    h_c = h[:c], is _cross of the operands' prefixes plus p_low*W_q +
+    q_low*W_p, products with the operands' first blocks and windows
+    (W_h = 0).  Each node's block is then W + D*X for h's block X, with D
+    the node's derivative in h through the block, formed once: one matrix
+    product for every node.  That is one middle product and at most two
+    B-term products a product node a block, for about 2*sqrt(deg phi)
+    product nodes.
+    """
+
+    def __init__(self, a, h, block):
+        a = a[: np.flatnonzero(a)[-1] + 1]
+        k = math.isqrt(len(a))
+        rows = np.concatenate([a, np.zeros(-len(a) % k)]).reshape(-1, k)
+        # h^j is node j - 1, so h^k, the giant step, is node k - 1
+        nodes = [(0.0, (), None)] + [(0.0, (), (j - 2, 0))
+                                     for j in range(2, k + 1)]
+        acc, scale = None, 0.0  # the accumulator: a node, or the constant
+        for row in rows[::-1]:
+            lin = [(v, j - 1) for j, v in enumerate(row) if j and v]
+            if acc is None and scale:
+                lin.append((scale, k - 1))
+            if acc is None and not lin:
+                scale = row[0]
+                continue
+            nodes.append((row[0], tuple(lin),
+                          None if acc is None else (acc, k - 1)))
+            acc = len(nodes) - 1
+        self.h, self.block, self.nodes = h, block, nodes
+        self.series = [h] + [np.zeros(len(h)) for _ in nodes[1:]]
+        self.low = [h[:block]]  # each node's first block
+        for c0, lin, prod in nodes[1:]:
+            v = (np.convolve(self.low[prod[0]], self.low[prod[1]])[:block]
+                 if prod else np.zeros(block))
+            for coef, j in lin:
+                v += coef * self.low[j]
+            v[0] += c0
+            self.low.append(v)
+        for s, v in zip(self.series[1:], self.low[1:]):
+            s[:block] = v
+        self.one = np.zeros(block)
+        self.one[0] = 1.0
+        if len(h) > 2 * block:  # some block is not the last
+            self.deriv = np.array(self._linear(self.one, {})[1:])
+        # phi'(h) on the same plan, from the baby powers and the giant step
+        d = a[1:] * np.arange(1, len(a))
+        rows = np.concatenate([d, np.zeros(-len(d) % k)]).reshape(-1, k)
+        rows = rows @ np.array([self.one] + self.low[: k - 1])
+        acc = rows[-1]
+        for row in rows[-2::-1]:
+            acc = _low_product(self.low[k - 1], acc) + row
+        self.phi_prime = acc[: block - 1]
+
+    def _linear(self, x, cross):
+        """Each node's linear response to h's block x (None: zero) through
+        the block, plus its cross terms; at x = self.one, the series 1,
+        that is the node's derivative in h."""
+        out = [x]
+        for i, (_, lin, prod) in enumerate(self.nodes[1:], 1):
+            v = cross.get(i)
+            if prod:
+                p, q = prod
+                for f, g in ((self.low[p], out[q]), (self.low[q], out[p])):
+                    if g is not None:
+                        part = f if g is self.one else _low_product(f, g)
+                        v = part if v is None else v + part
+            for coef, j in lin:
+                if out[j] is not None:
+                    v = coef * out[j] if v is None else v + coef * out[j]
+            out.append(v)
+        return out
+
+    def window(self, c):
+        s = self.series
+        b = min(self.block, len(self.h) - c)
+        self.w = self._linear(None, {
+            i: _cross(s[prod[0]], s[prod[1]], c, b)
+            for i, (_, _, prod) in enumerate(self.nodes) if prod})
+        r = np.empty(b)
+        r[0] = s[-1][c - 1]
+        r[1:] = self.w[-1][: b - 1]
+        return r
+
+    def advance(self, c, x):
+        b = len(x)
+        self.h[c : c + b] = x
+        if c + b < len(self.h):
+            xt = sliding_window_view(np.concatenate([np.zeros(b - 1), x]),
+                                     b)[::-1]  # xt[j, i] = x[i - j]
+            blocks = self.deriv @ xt
+            for s, w, v in zip(self.series[1:], self.w[1:], blocks):
+                s[c : c + b] = v if w is None else w + v
+
+
+class _StablePhi:
+    """phi(h) = h + q*W^(1+beta), W = 1 - h, as one running series
+    P = W^(1+beta), by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    4.7): m P_m = sum_{j=1..m} ((2+beta) j - m) w_j P_(m-j).
+
+    The first blocks of P, V = W^beta and U = W^-(2+beta) come from the
+    recurrence itself, one step a coefficient, U's from terms of one sign.
+    For a block at c >= B, the terms with j <= i of the recurrence at
+    s^(c+i) hold the block's own unknowns: with h_c = h[:c], the history
+    H_i, the terms with i < j < c, is two middle products (j*w_j and w_j
+    against P's prefix), and the rest is solved as series_exp solves its
+    blocks, W_c^(1+beta) = P_low * ((H*U)_i / (c+i)) through the block
+    (the window).  h's block X adds -(1+beta)*(V*X) to it, the
+    first-order term of W^(1+beta) in h: two middle products and four
+    B-term products a block.
+    """
+
+    def __init__(self, law, h, block):
+        B = block
+        self.h, self.block, self.q, self.e = h, block, law.q, 1.0 + law.beta
+        self.jh = np.arange(len(h)) * h  # j*h_j = -j*w_j, j >= 1
+        self.P = np.zeros(len(h))
+        # rows B-1-m of c: P_m, V_m and U_m, so that the recurrence reads
+        # the earlier rows forwards; w_j = -h_j
+        e1 = np.array([self.e, law.beta, -1.0 - self.e]) + 1.0
+        c = np.zeros((B, 3))
+        c[-1] = 1.0
+        hs = np.stack([self.jh[:B], h[:B]])
+        for m in range(1, B):
+            s1, s0 = hs[:, 1 : m + 1] @ c[B - m :]
+            c[B - 1 - m] = s0 - e1 / m * s1
+        self.P[:B], self.V, self.U = c[::-1].T
+        self.E = self.P[:B].copy()
+        self.phi_prime = -law.gamma * self.V[: B - 1]  # 1 - gamma*W^beta
+        self.phi_prime[0] += 1.0
+
+    def window(self, c):
+        h, P = self.h, self.P
+        b = min(self.block, len(h) - c)
+        i = np.arange(b, dtype=float)
+        u = c * h[:c] - (1.0 + self.e) * self.jh[:c]
+        hist = _cross(P, u, c, b) + i * _cross(P, h, c, b)
+        self.y = _low_product(self.E, _low_product(self.U, hist) / (c + i))
+        r = np.empty(b)
+        r[0] = h[c - 1] + self.q * P[c - 1]
+        r[1:] = self.q * self.y[: b - 1]
+        return r
+
+    def advance(self, c, x):
+        b = len(x)
+        self.h[c : c + b] = x
+        if c + b < len(self.h):
+            self.P[c : c + b] = self.y - self.e * _low_product(self.V, x)
+            self.jh[c : c + b] = np.arange(c, c + b) * x
 
 
 def truncated_explicit(law, order=10000):

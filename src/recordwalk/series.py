@@ -69,6 +69,19 @@ def _middle_product(x, y):
     return out
 
 
+def _low_product(a, b):
+    """a*b through s^(len(b) - 1), for len(a) >= len(b).
+
+    np.convolve sums the last term of a product of two factors of at most 4
+    terms another way, so a factor that short is zero-padded: the sums are
+    then the same bits as for longer factors.
+    """
+    n = len(b)
+    if n <= 4:
+        a, b = a[:5], np.concatenate([b, np.zeros(5 - n)])
+    return np.convolve(a[: len(b)], b)[:n]
+
+
 def series_reciprocal(f, order):
     """Series inverse of f with f[0] != 0, truncated at the given order.
 

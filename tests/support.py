@@ -7,6 +7,7 @@ they equal, so a test of either route compares it against the other.
 """
 
 import contextlib
+import functools
 import io
 import json
 from importlib import resources
@@ -159,3 +160,40 @@ def hitting_time_returns(law, n):
         power = np.convolve(power, phi)[: n - 1]  # phi^(m-1) through x^(n-2)
         f[m] = np.dot(jc[1:m], power[m - 2 :: -1]) / (m - 1)
     return f
+
+
+def h_reference(law, order):
+    """Coefficients of h through s^order in long double, one at a time from
+    those below: h_m = sum_k a_k [s^(m-1)] h^k for an explicit law, every
+    term nonnegative, with the powers of h carried along; for the stable
+    family h_m = h_(m-1) + q P_(m-1), P = W^(1+beta) by Miller's
+    recurrence m P_m = sum_{j=1..m} ((2+beta) j - m) w_j P_(m-j), W = 1 - h.
+    h does not depend on the orientation."""
+    return _h_reference(law.q, law.p, law.gamma, law.beta, order).copy()
+
+
+@functools.cache
+def _h_reference(q, p, gamma, beta, order):
+    ld = np.longdouble
+    h = np.zeros(order + 1, ld)
+    if gamma is not None:
+        q, e = ld(gamma) / (1 + ld(beta)), 2 + ld(beta)
+        w, pw = np.zeros(order + 1, ld), np.zeros(order + 1, ld)
+        w[0] = pw[0] = 1
+        jw = np.zeros(order + 1, ld)
+        for m in range(1, order + 1):
+            h[m] = h[m - 1] + q * pw[m - 1]
+            w[m], jw[m] = -h[m], -m * h[m]
+            pw[m] = (e * np.dot(jw[1 : m + 1], pw[m - 1 :: -1])
+                     - m * np.dot(w[1 : m + 1], pw[m - 1 :: -1])) / m
+        return h
+    a = np.array([q, *p], ld)
+    a = a[: min(np.flatnonzero(a)[-1] + 1, order + 1)]
+    powers = np.zeros((len(a), order + 1), ld)  # row k: h^k
+    powers[0, 0] = 1
+    for m in range(1, order + 1):
+        if m >= 2 and len(a) > 2:  # [s^(m-1)] h^k from h^(k-1) below it
+            powers[2:, m - 1] = powers[1:-1, m - 2 :: -1] @ h[1:m]
+        powers[1, m - 1] = h[m - 1]
+        h[m] = a @ powers[:, m - 1]
+    return h

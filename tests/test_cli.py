@@ -206,8 +206,9 @@ class TestSeries:
         assert float(rows[2][1]) == 0.5
 
     def test_nonfinite_coefficients_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(fixed_point, "series_mul",
-                            lambda a, b, order: np.full(order + 1, np.nan))
+        coefficients = fixed_point.expand_coefficients
+        monkeypatch.setattr(fixed_point, "expand_coefficients",
+                            lambda law, n: coefficients(law, n) * np.nan)
         assert main(["series", "--law", SYM_PATH, "--what", "h"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

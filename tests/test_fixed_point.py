@@ -18,11 +18,12 @@ from recordwalk import (
     truncated_explicit,
 )
 from recordwalk import fixed_point
-from recordwalk.fixed_point import (ConvergenceError, _log,
+from recordwalk.fixed_point import (BLOCK, ConvergenceError, _log,
                                     one_minus_s_phi_prime_h)
 from recordwalk.series import series_eval
-from support import (ASYM, BUNDLED_LAWS, STABLE, SYM, SYM_LEFT,
-                     bundled_law)
+from support import (ASYM, BUNDLED_LAWS, JUMP_9, JUMP_9_LEFT, LAZY, LAZY_LEFT,
+                     LONG_JUMP, LONG_JUMP_LEFT, STABLE, STABLE_EDGE_LAWS,
+                     STABLE_LEFT, SYM, SYM_LEFT, bundled_law, h_reference)
 
 LAWS = [SYM, SYM_LEFT, ASYM, STABLE]
 
@@ -137,23 +138,73 @@ class TestHSeries:
                                        10001])
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_ladder_prefix_of_the_longest(self, name, order):
-        # Each order takes its own precision ladder, order >> k, so its
-        # coefficients are rounded along another path than order 10001's,
-        # except on the rungs the two share (1, 2, 4, 9, ...).  Explicit
-        # laws sum nonnegative terms: 4.1e-15 measured.  The stable laws'
-        # log and exp of W = 1 - H cancel, and both orders are about
-        # 1.1e-13 off a long-double Newton run at 4097, so they differ by
-        # 9.0e-14 there.  An exact zero stays exactly zero.
+        # Every order solves the same blocks of BLOCK coefficients, the
+        # first by Lagrange inversion formed whole, and cuts only the last
+        # block, whose kept coefficients take the same products: a lower
+        # order is bitwise a prefix of order 10001, on the stable laws as
+        # on the explicit ones.  An exact zero stays exactly zero.
         law = bundled_law(name)
         ref = _longest_h_series(name)[: order + 1]
         got = h_series(law, order)
         assert len(got) == order + 1
-        assert np.array_equal(got == 0.0, ref == 0.0)
-        nz = ref != 0.0
-        tol = 2e-13 if law.is_stable else 1e-14
-        assert np.max(np.abs(got[nz] - ref[nz]) / ref[nz]) <= tol
+        assert np.array_equal(got, ref)
         if name.startswith("sym"):  # h(s) is odd in s
             assert np.all(got[::2] == 0.0)
+
+
+# Relative error of h_series against the long-double recurrence
+# (support.h_reference) at order 2000, each law's bound twice what the
+# Newton ladder that h_series replaced read there, and at least 2e-15.  The
+# stable law gamma = 0.98, beta = 0.03 read 3.0e-11 through the ladder's log
+# and exp of W = 1 - H; its bound is 1e-12 rather than 6.0e-11.
+LADDER_ERRORS = [
+    ("sym", SYM, 7.1e-16), ("sym_left", SYM_LEFT, 7.1e-16),
+    ("asym", ASYM, 2.9e-15), ("stable", STABLE, 6.0e-14),
+    ("stable_left", STABLE_LEFT, 6.0e-14),
+    *((f"stable_{law.orientation.value}_{law.gamma}_{law.beta}", law, err)
+      for law, err in zip(STABLE_EDGE_LAWS, 2 * [6.4e-14, 8.8e-14, 3.0e-11,
+                                                  8.2e-14])),
+    ("lazy", LAZY, 6.7e-14), ("lazy_left", LAZY_LEFT, 6.7e-14),
+    ("long_jump", LONG_JUMP, 1.1e-14), ("long_jump_left", LONG_JUMP_LEFT, 1.1e-14),
+    ("jump_9", JUMP_9, 2.8e-14), ("jump_9_left", JUMP_9_LEFT, 2.8e-14),
+]
+LONG_DOUBLE = np.finfo(np.longdouble).eps < 1e-18
+
+
+def _check_against_reference(law, ladder, order):
+    ref = h_reference(law, 2000)[: order + 1]
+    got = h_series(law, order)
+    assert np.array_equal(got == 0.0, ref == 0.0)  # exact zeros stay zero
+    nz = ref != 0.0
+    err = float(np.max(np.abs(got[nz] - ref[nz]) / ref[nz]))
+    assert err <= min(max(2.0 * ladder, 2e-15), 1e-12), err
+
+
+@pytest.mark.skipif(not LONG_DOUBLE,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("name, law, ladder", LADDER_ERRORS,
+                         ids=[case[0] for case in LADDER_ERRORS])
+def test_h_series_against_long_double(name, law, ladder):
+    # read: sym 7.7e-16, asym 2.2e-15, stable 2.0e-14; stable edges
+    # 1.1e-14 (0.02, 0.03), 5.3e-14 (0.02, 0.97), 1.5e-13 (0.98, 0.03),
+    # 5.4e-14 (0.98, 0.97); lazy 3.3e-14, long jump 3.1e-15, jump 9
+    # 5.2e-14 (the first block's Lagrange sums carry 3.4e-15 there, twice
+    # the ladder's, and later blocks grow it with the order as the ladder
+    # grew its own)
+    _check_against_reference(law, ladder, 2000)
+
+
+@pytest.mark.skipif(not LONG_DOUBLE,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("name, law, ladder", LADDER_ERRORS,
+                         ids=[case[0] for case in LADDER_ERRORS])
+def test_h_series_block_edges_long_double(name, law, ladder):
+    # orders at the block edges, from the first block alone to one
+    # coefficient into the third; sym's even coefficients and jump 9's off
+    # the orders 1 mod 10 are exactly zero
+    for order in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+                  2 * BLOCK, 2 * BLOCK + 1):
+        _check_against_reference(law, ladder, order)
 
 
 class TestF0Series:
@@ -194,10 +245,19 @@ class TestSeriesArrays:
                 assert c.shape == (order + 1,)
 
     def test_h_series_rejects_nonfinite_coefficients(self, monkeypatch):
-        monkeypatch.setattr(fixed_point, "series_mul",
-                            lambda a, b, order: np.full(order + 1, np.nan))
+        # a NaN in phi's coefficients reaches every coefficient through the
+        # first block's Lagrange sums; one in G = 1/(1 - s*phi'(h)) every
+        # block after the first
+        coefficients = fixed_point.expand_coefficients
+        monkeypatch.setattr(fixed_point, "expand_coefficients",
+                            lambda law, n: coefficients(law, n) * np.nan)
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             h_series(SYM, 8)
+        monkeypatch.undo()
+        monkeypatch.setattr(fixed_point, "series_reciprocal",
+                            lambda f, n: np.full(n + 1, np.nan))
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            h_series(SYM, 300)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_f0_series_rejects_nonfinite_coefficients(self, monkeypatch, law):

@@ -19,8 +19,10 @@ from recordwalk import (
     solve_h,
     truncated_explicit,
 )
-from recordwalk.fixed_point import one_minus_s_phi_prime_h
-from recordwalk.series import series_eval
+from recordwalk.fixed_point import (BLOCK, _first_block, _solve_blocks,
+                                    one_minus_s_phi_prime_h)
+from recordwalk.series import (_low_product, series_compose_val1, series_eval,
+                               series_exp, series_log, series_reciprocal)
 from support import (ALL_LAWS, ASYM, BUNDLED_LAWS, STABLE, STABLE_LEFT, SYM,
                      SYM_LEFT, MpLaw, bundled_law, parse_csv, run_cli)
 
@@ -146,6 +148,39 @@ def _mp_gap_over_w(mp_law, w):
         return (mp_law.phi(h) - h) / w
 
 
+def _phi_direct(law, h, order):
+    """phi(H) through s^order for H = h with h[0] = 0: the explicit law's
+    polynomial composed with H, or H + q*W^(1+beta), W = 1 - H, by Miller's
+    recurrence one coefficient at a time in long double."""
+    if not law.is_stable:
+        return series_compose_val1(np.array([law.q, *law.p]), h, order)
+    ld = np.longdouble
+    w = np.zeros(order + 1, ld)
+    w[: len(h)] = -h[: order + 1]
+    w[0] = 1
+    jw, e = np.arange(order + 1, dtype=ld) * w, 2 + ld(law.beta)
+    pw = np.zeros(order + 1, ld)
+    pw[0] = 1
+    for m in range(1, order + 1):
+        pw[m] = (e * np.dot(jw[1 : m + 1], pw[m - 1 :: -1])
+                 - m * np.dot(w[1 : m + 1], pw[m - 1 :: -1])) / m
+    out = ld(law.q) * pw - w  # H = 1 - W
+    out[0] += 1
+    return out
+
+
+def _phi_prime_direct(law, h, order):
+    """phi'(H) through s^order, as _phi_direct forms phi(H)."""
+    if law.is_stable:
+        w = -h[: order + 1]
+        w[0] += 1.0
+        out = -law.gamma * series_exp(law.beta * series_log(w, order), order)
+        out[0] += 1.0
+        return out
+    a = np.array([law.q, *law.p])
+    return series_compose_val1(a[1:] * np.arange(1, len(a)), h, order)
+
+
 @pytest.mark.parametrize("name", BUNDLED_LAWS)
 class TestLawInterface:
     """The family-specific methods every consumer calls, against the scalar
@@ -153,29 +188,47 @@ class TestLawInterface:
 
     @pytest.mark.parametrize("s", [0.1, 0.25])
     def test_phi_series_sums_to_phi_at_h(self, name, s):
-        law, order = bundled_law(name), 128
-        phi_h, phip_h = law.phi_series(h_series(law, order), order, order)
-        h = solve_h(law, s)
-        assert abs(series_eval(phi_h, s) - law.phi(h)) <= 1e-13
-        assert abs(series_eval(phip_h, s) - law.phi_prime(h)) <= 1e-13
+        # The running series of phi(h) that h_series solves with, summed
+        # at s: the explicit family's last node is phi(h), the stable
+        # family keeps P = W^(1+beta), each final through the last block
+        # but one; phi'(h) through s^(B-2), which G is formed from.
+        law, order = bundled_law(name), 1000
+        h = np.zeros(order + 1)
+        h[:BLOCK] = _first_block(law)
+        run = _solve_blocks(law, h)
+        phi_h = h + law.q * run.P if law.is_stable else run.series[-1]
+        x = solve_h(law, s)
+        assert abs(series_eval(phi_h, s) - law.phi(x)) <= 1e-13
+        assert abs(series_eval(run.phi_prime, s) - law.phi_prime(x)) <= 1e-13
 
     @pytest.mark.parametrize("m", [2, 3, 17, 1000, 4097, 10001])
     def test_phi_series_derivative_order(self, name, m):
-        # phi'(H) through s^d is the first d + 1 terms of phi'(H) through
-        # s^order, up to rounding: the stable family's exp recurrence and
-        # sym's two-term composition give the same bits; asym's
-        # composition with h[:d + 1] slices its long products elsewhere,
-        # 2 ulps at m = 4097 and 10001 measured, against the 16 allowed
+        # phi'(h) through s^d, d = min(m, B - 2), and the window at the
+        # last block start c <= m, R_0 = [s^(c-1)] phi(h) and
+        # R_i = [s^(c+i-1)] phi(h[:c]), against phi composed with h
+        # directly: series_compose_val1, whose terms are nonnegative as
+        # the window's are, or for the stable family log and exp of
+        # W = 1 - H for phi'(h) and a long-double Miller run for the window
+        # (at most 2.0e-14 read; log and exp read 5.2e-13 at order 10001).
         law = bundled_law(name)
-        h = h_series(law, m)
-        phi_full, phip_full = law.phi_series(h, m, m)
-        for d in sorted({0, 1, m // 2 - 1, (m - 1) // 2, m // 2, m - 1}):
-            phi_h, phip_h = law.phi_series(h, m, d)
-            assert len(phip_h) == d + 1
-            assert np.array_equal(phi_h, phi_full)
-            ref = phip_full[: d + 1]
-            assert np.all(np.abs(phip_h - ref)
-                          <= 16 * np.spacing(np.abs(ref))), d
+        h = np.zeros(max(m, BLOCK) + 1)
+        h[:BLOCK] = _first_block(law)
+        run = law.running_phi(h, BLOCK)
+        g = series_reciprocal(np.concatenate([[1.0], -run.phi_prime]),
+                              BLOCK - 1)
+        for c in range(BLOCK, m + 1, BLOCK):
+            r = run.window(c)
+            run.advance(c, _low_product(g, r))
+        d = min(m, BLOCK - 2)
+        ref = _phi_prime_direct(law, h, d)
+        assert np.all(np.abs(run.phi_prime[: d + 1] - ref)
+                      <= 1e-14 * np.abs(ref)), d
+        if m < BLOCK:
+            return
+        if law.is_stable and np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        ref = _phi_direct(law, h[:c], c + len(r) - 2)[c - 1 :]
+        assert np.all(np.abs(r - ref) <= 1e-13 * np.abs(ref))
 
     def test_one_minus_s_phi_prime(self, name):
         law, s = bundled_law(name), 0.5
