@@ -9,11 +9,17 @@ s -> 1; a sweep over the curve needs no solve, since s = h/phi(h).
 bisect_logit is the ITP method on log forms of the equation: it
 stops where bisection stops, when the bracket ends are adjacent doubles,
 takes at most one step more than bisection, and on these smooth functions
-about 11 instead of about 60.  The coefficients of h come from series
-Newton on F(H) = H - s*phi(H) up the ladder order, order//2, ..., 1 taken
-from the top: a step from h right through s^lo is right through
-s^(2*lo + 1), and forms only F above s^lo, F' = 1 - s*phi'(H) and its
-reciprocal to half the order, and their middle product.
+about 11 instead of about 60.
+
+The coefficients of h are solved online, in blocks of B = BLOCK, each
+coefficient once.  The first block is Lagrange inversion, a sum of
+nonnegative terms.  A block at c >= B is X = R*G through s^(B-1), with
+G = 1/(1 - s*phi'(h)) formed once and R read off the running series of
+phi(h) that the law keeps (IncrementLaw.running_phi): a block costs one
+middle product against the known prefix per product in phi(h), about
+2*sqrt(deg phi) for an explicit law and two for the stable family, plus
+B-term products.  Every order makes the same blocks, so a lower order's
+coefficients are bitwise a prefix of a higher one's.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
 from numpy.lib.stride_tricks import as_strided
 
 from .laws import Orientation, expand_coefficients

@@ -6,9 +6,11 @@ which has a regularly-varying jump tail and infinite variance.  Criticality
 (phi'(1) = 1, i.e. zero drift) is enforced at construction.
 
 Every quantity that depends on the family is a method of IncrementLaw,
-written once per family here: phi and its derivatives, phi(H) and phi'(H)
-on a power series, the cancellation-free gaps D, D', psi and chi of the
-rate curve, the closed-form moderate-deviation constants, the jump p.m.f.
+written once per family here: phi and its derivatives, phi(h) as running
+series that h_series advances a block of coefficients at a time (an
+explicit law's Paterson-Stockmeyer nodes, or the stable family's
+W^(1+beta) by Miller's recurrence), the cancellation-free gaps D, D', psi
+and chi of the rate curve, the closed-form moderate-deviation constants, the jump p.m.f.
 that the exact oracles and simulation read, with the jumps a walk of n steps
 cannot tell apart lumped, and the jump tails T_j = sum_{n>=j} p_n with
 their generating function.  No other module asks which family a law
@@ -279,7 +281,7 @@ class IncrementLaw:
 
     def tail_series(self, h, order):
         """rho(H) = sum_j T_j H^j = (1 - phi(H))/(1 - H) through s^order,
-        for H as phi_series takes it.
+        for a series H with H[0] = 0 of at least order + 1 terms.
 
         An explicit law composes its nonnegative tails with H.  The stable
         family has rho = 1 - q W^beta in W = 1 - H, through series log/exp.
@@ -419,16 +421,13 @@ class _ExplicitPhi:
             acc = len(nodes) - 1
         self.h, self.block, self.nodes = h, block, nodes
         self.series = [h] + [np.zeros(len(h)) for _ in nodes[1:]]
-        self.low = [h[:block]]  # each node's first block
-        for c0, lin, prod in nodes[1:]:
-            v = (np.convolve(self.low[prod[0]], self.low[prod[1]])[:block]
-                 if prod else np.zeros(block))
+        self.low = [s[:block] for s in self.series]  # the first blocks
+        for (c0, lin, prod), v in zip(nodes[1:], self.low[1:]):
+            if prod:
+                v[:] = np.convolve(self.low[prod[0]], self.low[prod[1]])[:block]
             for coef, j in lin:
                 v += coef * self.low[j]
             v[0] += c0
-            self.low.append(v)
-        for s, v in zip(self.series[1:], self.low[1:]):
-            s[:block] = v
         self.one = np.zeros(block)
         self.one[0] = 1.0
         if len(h) > 2 * block:  # some block is not the last
@@ -492,9 +491,9 @@ class _StablePhi:
     recurrence itself, one step a coefficient, U's from terms of one sign.
     For a block at c >= B, the terms with j <= i of the recurrence at
     s^(c+i) hold the block's own unknowns: with h_c = h[:c], the history
-    H_i, the terms with i < j < c, is two middle products (j*w_j and w_j
-    against P's prefix), and the rest is solved as series_exp solves its
-    blocks, W_c^(1+beta) = P_low * ((H*U)_i / (c+i)) through the block
+    H_i, the terms with i < j < c, is two middle products against P's
+    prefix (((2+beta) j - c) w_j, and w_j times i), and the rest is solved
+    as series_exp solves its blocks, W_c^(1+beta) = P_low * ((H*U)_i / (c+i)) through the block
     (the window).  h's block X adds -(1+beta)*(V*X) to it, the
     first-order term of W^(1+beta) in h: two middle products and four
     B-term products a block.
@@ -503,19 +502,17 @@ class _StablePhi:
     def __init__(self, law, h, block):
         B = block
         self.h, self.block, self.q, self.e = h, block, law.q, 1.0 + law.beta
-        self.jh = np.arange(len(h)) * h  # j*h_j = -j*w_j, j >= 1
         self.P = np.zeros(len(h))
         # rows B-1-m of c: P_m, V_m and U_m, so that the recurrence reads
         # the earlier rows forwards; w_j = -h_j
         e1 = np.array([self.e, law.beta, -1.0 - self.e]) + 1.0
         c = np.zeros((B, 3))
         c[-1] = 1.0
-        hs = np.stack([self.jh[:B], h[:B]])
+        hs = np.stack([np.arange(B) * h[:B], h[:B]])
         for m in range(1, B):
             s1, s0 = hs[:, 1 : m + 1] @ c[B - m :]
             c[B - 1 - m] = s0 - e1 / m * s1
         self.P[:B], self.V, self.U = c[::-1].T
-        self.E = self.P[:B].copy()
         self.phi_prime = -law.gamma * self.V[: B - 1]  # 1 - gamma*W^beta
         self.phi_prime[0] += 1.0
 
@@ -523,9 +520,10 @@ class _StablePhi:
         h, P = self.h, self.P
         b = min(self.block, len(h) - c)
         i = np.arange(b, dtype=float)
-        u = c * h[:c] - (1.0 + self.e) * self.jh[:c]
+        u = (c - (1.0 + self.e) * np.arange(c)) * h[:c]  # -((2+beta) j - c) w_j
         hist = _cross(P, u, c, b) + i * _cross(P, h, c, b)
-        self.y = _low_product(self.E, _low_product(self.U, hist) / (c + i))
+        self.y = _low_product(P[: self.block],
+                              _low_product(self.U, hist) / (c + i))
         r = np.empty(b)
         r[0] = h[c - 1] + self.q * P[c - 1]
         r[1:] = self.q * self.y[: b - 1]
@@ -536,7 +534,6 @@ class _StablePhi:
         self.h[c : c + b] = x
         if c + b < len(self.h):
             self.P[c : c + b] = self.y - self.e * _low_product(self.V, x)
-            self.jh[c : c + b] = np.arange(c, c + b) * x
 
 
 def truncated_explicit(law, order=10000):
