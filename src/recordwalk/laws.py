@@ -378,17 +378,28 @@ def expand_coefficients(law, order):
 def _cross(a, b, c, width):
     """[s^(c+i)] of a[1:c] * b[1:c], i = 0..width - 1, for arrays a and b
     whose entries from s^c on are still zero: one middle product with the
-    known prefix of b."""
-    return _middle_product(a[1 : c + width - 1], b[1:c])
+    known prefix of b.
+
+    A square (a is b) takes each pair of terms once: a[k] for k below
+    half = ceil(c/2) pairs only with a[c+i-k] at or above half, twice,
+    and the pairs within a[half:c] are a product of its first block with
+    itself."""
+    if a is not b:
+        return _middle_product(a[1 : c + width - 1], b[1:c])
+    half = (c + 1) // 2
+    out = 2.0 * _middle_product(a[c - half + 1 : c + width - 1], a[1:half])
+    seg = a[half : half + width]
+    out[2 * half - c :] += _low_product(seg, seg)[: width + c - 2 * half]
+    return out
 
 
 class _ExplicitPhi:
     """phi(h) = sum_k a_k h^k on series_compose_val1's Paterson-Stockmeyer
     plan, each node a running series.
 
-    Node 0 is h; then the baby powers h^2..h^k, k = isqrt(len(a)), the
-    last the giant step; then the Horner accumulators over the rows of a
-    in h^k, the last of which is phi(h).  A node is const + sum coef*node
+    Node 0 is h; then the baby powers h^2..h^k, k = isqrt(len(a)) or 2,
+    the last the giant step; then the Horner accumulators over the rows of
+    a in h^k, the last of which is phi(h).  A node is const + sum coef*node
     (+ node_p*node_q), every coefficient nonnegative, and keeps an array
     of h's length, final through the blocks stored.  With every node final
     below c, a product node's window, its block of the nodes evaluated at
@@ -396,14 +407,14 @@ class _ExplicitPhi:
     q_low*W_p, products with the operands' first blocks and windows
     (W_h = 0).  Each node's block is then W + D*X for h's block X, with D
     the node's derivative in h through the block, formed once: one matrix
-    product for every node.  That is one middle product and at most two
-    B-term products a product node a block, for about 2*sqrt(deg phi)
-    product nodes.
+    product for every node.  That is one middle product (half of one for
+    h*h) and at most two B-term products a product node a block, for about
+    2*sqrt(deg phi) product nodes: h*h alone for phi of degree 2.
     """
 
     def __init__(self, a, h, block):
         a = a[: np.flatnonzero(a)[-1] + 1]
-        k = math.isqrt(len(a))
+        k = max(2, math.isqrt(len(a)))  # h^2 = h*h, a square, is a node
         rows = np.concatenate([a, np.zeros(-len(a) % k)]).reshape(-1, k)
         # h^j is node j - 1, so h^k, the giant step, is node k - 1
         nodes = [(0.0, (), None)] + [(0.0, (), (j - 2, 0))
