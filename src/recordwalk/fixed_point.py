@@ -203,15 +203,21 @@ def _solve_blocks(law, h):
     satisfy X = R + s*phi'(h[:B])*X through s^(B-1), where R_0 = [s^(c-1)]
     phi(h) and R_i = [s^(c+i-1)] phi(h[:c]): a product of two block
     unknowns lands at s^(2c) or later.  So X = R*G through s^(B-1), with
-    G = 1/(1 - s*phi'(h)) formed once; R comes from the running series the
-    law keeps of phi(h) (law.running_phi), which then take their own
-    blocks.  The last block is cut at the end of h, and every coefficient
+    G = 1/(1 - s*phi'(h)) formed once, from nonnegative terms; R comes from
+    the running series the law keeps of phi(h) (law.running_phi), which
+    then take their own blocks.  The last block is cut at the end of h, and every coefficient
     it keeps takes the same products as in a whole block, so a lower
     order's coefficients are bitwise a prefix of a higher one's.
     """
     run = law.running_phi(h, BLOCK)
-    g = series_reciprocal(np.concatenate([[1.0], -run.phi_prime]),
-                          BLOCK - 1)
+    # G = 1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)... for x = s*phi'(h), whose
+    # terms are nonnegative, as the products' are; x^B vanishes in a block
+    x = np.concatenate([[0.0], run.phi_prime])
+    g = x.copy()
+    g[0] = 1.0
+    for _ in range((BLOCK - 1).bit_length() - 1):
+        x = _low_product(x, x)
+        g += _low_product(g, x)
     for c in range(BLOCK, len(h), BLOCK):
         run.advance(c, _low_product(g, run.window(c)))
     return run

@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import (_low_product, _middle_product, series_compose_val1,
-                     series_eval, series_exp, series_log)
+from .series import (CONV_SLICE, _low_product, _middle_product,
+                     series_compose_val1, series_eval, series_exp, series_log)
 
 MASS_TOL = 1e-12
 CRITICALITY_TOL = 1e-10
@@ -380,11 +380,11 @@ def _cross(a, b, c, width):
     whose entries from s^c on are still zero: one middle product with the
     known prefix of b.
 
-    A square (a is b) takes each pair of terms once: a[k] for k below
-    half = ceil(c/2) pairs only with a[c+i-k] at or above half, twice,
-    and the pairs within a[half:c] are a product of its first block with
-    itself."""
-    if a is not b:
+    A square (a is b) past 2*CONV_SLICE terms, where that is faster, takes
+    each pair of terms once: a[k] for k below half = ceil(c/2) pairs only
+    with a[c+i-k] at or above half, twice, and the pairs within
+    a[half:c] are a product of its first block with itself."""
+    if a is not b or c < 2 * CONV_SLICE:
         return _middle_product(a[1 : c + width - 1], b[1:c])
     half = (c + 1) // 2
     out = 2.0 * _middle_product(a[c - half + 1 : c + width - 1], a[1:half])
@@ -393,43 +393,75 @@ def _cross(a, b, c, width):
     return out
 
 
-class _ExplicitPhi:
-    """phi(h) = sum_k a_k h^k on series_compose_val1's Paterson-Stockmeyer
-    plan, each node a running series.
+def _ps_nodes(a):
+    """series_compose_val1's Paterson-Stockmeyer plan for sum_k a_k h^k as
+    nodes (see _ExplicitPhi): the baby powers h^2..h^k, k = isqrt(len(a)),
+    the last the giant step, then the Horner accumulators over the rows of
+    a in h^k, the last of which is phi(h)."""
+    k = math.isqrt(len(a))
+    rows = np.concatenate([a, np.zeros(-len(a) % k)]).reshape(-1, k)
+    # h^j is node j - 1, so h^k, the giant step, is node k - 1
+    nodes = [(0.0, (), None)] + [(0.0, (), (j - 2, 0))
+                                 for j in range(2, k + 1)]
+    acc, scale = None, 0.0  # the accumulator: a node, or the constant
+    for row in rows[::-1]:
+        lin = [(v, j - 1) for j, v in enumerate(row) if j and v]
+        if acc is None and scale:
+            lin.append((scale, k - 1))
+        if acc is None and not lin:
+            scale = row[0]
+            continue
+        nodes.append((row[0], tuple(lin),
+                      None if acc is None else (acc, k - 1)))
+        acc = len(nodes) - 1
+    return nodes
 
-    Node 0 is h; then the baby powers h^2..h^k, k = isqrt(len(a)) or 2,
-    the last the giant step; then the Horner accumulators over the rows of
-    a in h^k, the last of which is phi(h).  A node is const + sum coef*node
-    (+ node_p*node_q), every coefficient nonnegative, and keeps an array
-    of h's length, final through the blocks stored.  With every node final
-    below c, a product node's window, its block of the nodes evaluated at
-    h_c = h[:c], is _cross of the operands' prefixes plus p_low*W_q +
-    q_low*W_p, products with the operands' first blocks and windows
-    (W_h = 0).  Each node's block is then W + D*X for h's block X, with D
-    the node's derivative in h through the block, formed once: one matrix
-    product for every node.  That is one middle product (half of one for
-    h*h) and at most two B-term products a product node a block, for about
-    2*sqrt(deg phi) product nodes: h*h alone for phi of degree 2.
+
+def _power_nodes(a):
+    """sum_k a_k h^k from h^2, h^4, ..., each the square of the last, and
+    each power of h in a's support a product of those, high bits first:
+    far fewer products than _ps_nodes when the support is sparse."""
+    nodes, node = [(0.0, (), None)], {1: 0}
+    support = np.flatnonzero(a[1:]) + 1
+    while 2 * max(node) <= support[-1]:
+        nodes.append((0.0, (), (node[max(node)], node[max(node)])))
+        node[2 * max(node)] = len(nodes) - 1
+    for e in support:
+        done = 0
+        for bit in reversed(range(int(e).bit_length())):
+            if e >> bit & 1:
+                if done and done + (1 << bit) not in node:
+                    nodes.append((0.0, (), (node[done], node[1 << bit])))
+                    node[done + (1 << bit)] = len(nodes) - 1
+                done += 1 << bit
+    nodes.append((a[0], tuple((a[e], node[e]) for e in support), None))
+    return nodes
+
+
+class _ExplicitPhi:
+    """phi(h) = sum_k a_k h^k on a plan of products, each node a running
+    series: _ps_nodes, or _power_nodes where it makes fewer products (a
+    sparse support, or degree 2).
+
+    Node 0 is h and the last node phi(h).  A node is
+    const + sum coef*node (+ node_p*node_q), every coefficient nonnegative,
+    and keeps an array of h's length, final through the blocks stored.
+    With every node final below c, a product node's window, its block of
+    the nodes evaluated at h_c = h[:c], is _cross of the operands'
+    prefixes plus p_low*W_q + q_low*W_p, products with the operands' first
+    blocks and windows (W_h = 0).  Each node's block is then W + D*X for
+    h's block X, with D the node's derivative in h through the block,
+    formed once, the last one phi'(h): one matrix product for every node.
+    That is one middle product and at most two B-term products a product
+    node a block: about 2*sqrt(deg phi) product nodes on the
+    Paterson-Stockmeyer plan, and 8 for the sparse degree 51 of
+    0.5 + 0.49 h + 0.01 h^51.
     """
 
     def __init__(self, a, h, block):
         a = a[: np.flatnonzero(a)[-1] + 1]
-        k = max(2, math.isqrt(len(a)))  # h^2 = h*h, a square, is a node
-        rows = np.concatenate([a, np.zeros(-len(a) % k)]).reshape(-1, k)
-        # h^j is node j - 1, so h^k, the giant step, is node k - 1
-        nodes = [(0.0, (), None)] + [(0.0, (), (j - 2, 0))
-                                     for j in range(2, k + 1)]
-        acc, scale = None, 0.0  # the accumulator: a node, or the constant
-        for row in rows[::-1]:
-            lin = [(v, j - 1) for j, v in enumerate(row) if j and v]
-            if acc is None and scale:
-                lin.append((scale, k - 1))
-            if acc is None and not lin:
-                scale = row[0]
-                continue
-            nodes.append((row[0], tuple(lin),
-                          None if acc is None else (acc, k - 1)))
-            acc = len(nodes) - 1
+        nodes = min(_power_nodes(a), _ps_nodes(a),
+                    key=lambda nodes: sum(1 for *_, p in nodes if p))
         self.h, self.block, self.nodes = h, block, nodes
         self.series = [h] + [np.zeros(len(h)) for _ in nodes[1:]]
         self.low = [s[:block] for s in self.series]  # the first blocks
@@ -443,14 +475,8 @@ class _ExplicitPhi:
         self.one[0] = 1.0
         if len(h) > 2 * block:  # some block is not the last
             self.deriv = np.array(self._linear(self.one, {})[1:])
-        # phi'(h) on the same plan, from the baby powers and the giant step
-        d = a[1:] * np.arange(1, len(a))
-        rows = np.concatenate([d, np.zeros(-len(d) % k)]).reshape(-1, k)
-        rows = rows @ np.array([self.one] + self.low[: k - 1])
-        acc = rows[-1]
-        for row in rows[-2::-1]:
-            acc = _low_product(self.low[k - 1], acc) + row
-        self.phi_prime = acc[: block - 1]
+        self.phi_prime = series_compose_val1(
+            a[1:] * np.arange(1, len(a)), h[: block - 1], block - 2)
 
     def _linear(self, x, cross):
         """Each node's linear response to h's block x (None: zero) through
@@ -459,11 +485,13 @@ class _ExplicitPhi:
         out = [x]
         for i, (_, lin, prod) in enumerate(self.nodes[1:], 1):
             v = cross.get(i)
-            if prod:
+            if prod:  # a square's two terms are one, doubled
                 p, q = prod
-                for f, g in ((self.low[p], out[q]), (self.low[q], out[p])):
+                for f, g in ((p, q), (q, p))[: 1 + (p != q)]:
+                    f, g = self.low[f], out[g]
                     if g is not None:
                         part = f if g is self.one else _low_product(f, g)
+                        part = 2.0 * part if p == q else part
                         v = part if v is None else v + part
             for coef, j in lin:
                 if out[j] is not None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recordwalk import (
+    IncrementLaw,
     f0_series,
     h_series,
     run_suite,
@@ -152,6 +153,10 @@ class TestHSeries:
             assert np.all(got[::2] == 0.0)
 
 
+# every jump of 0 to 8 levels equally likely: a dense support, which takes
+# the Paterson-Stockmeyer plan of products where the bundled laws take powers
+DENSE_9 = IncrementLaw.explicit("right", 0.8, [1.0 / 45.0] * 9)
+
 # Relative error of h_series against the long-double recurrence
 # (support.h_reference) at order 2000, each law's bound twice what the
 # Newton ladder that h_series replaced read there, and at least 2e-15.  The
@@ -167,6 +172,7 @@ LADDER_ERRORS = [
     ("lazy", LAZY, 6.7e-14), ("lazy_left", LAZY_LEFT, 6.7e-14),
     ("long_jump", LONG_JUMP, 1.1e-14), ("long_jump_left", LONG_JUMP_LEFT, 1.1e-14),
     ("jump_9", JUMP_9, 2.8e-14), ("jump_9_left", JUMP_9_LEFT, 2.8e-14),
+    ("dense_9", DENSE_9, 2.6e-14),
 ]
 LONG_DOUBLE = np.finfo(np.longdouble).eps < 1e-18
 
@@ -246,16 +252,16 @@ class TestSeriesArrays:
 
     def test_h_series_rejects_nonfinite_coefficients(self, monkeypatch):
         # a NaN in phi's coefficients reaches every coefficient through the
-        # first block's Lagrange sums; one in G = 1/(1 - s*phi'(h)) every
-        # block after the first
+        # first block's Lagrange sums; one in the block products of
+        # G = 1/(1 - s*phi'(h)) every block after the first
         coefficients = fixed_point.expand_coefficients
         monkeypatch.setattr(fixed_point, "expand_coefficients",
                             lambda law, n: coefficients(law, n) * np.nan)
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             h_series(SYM, 8)
         monkeypatch.undo()
-        monkeypatch.setattr(fixed_point, "series_reciprocal",
-                            lambda f, n: np.full(n + 1, np.nan))
+        monkeypatch.setattr(fixed_point, "_low_product",
+                            lambda a, b: np.full(len(b), np.nan))
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             h_series(SYM, 300)
 
