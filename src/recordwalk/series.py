@@ -72,9 +72,10 @@ def _middle_product(x, y):
 def _low_product(a, b):
     """a*b through s^(len(b) - 1), for len(a) >= len(b).
 
-    np.convolve sums the last term of a product of two factors of at most 4
-    terms another way, so a factor that short is zero-padded: the sums are
-    then the same bits as for longer factors.
+    np.convolve forms the last coefficient of a product of two factors of
+    at most 4 terms by another order of summation, so a factor that short
+    is zero-padded: every coefficient then takes the same bits as from
+    longer factors.
     """
     n = len(b)
     if n <= 4:
