@@ -8,10 +8,10 @@ which has a regularly-varying jump tail and infinite variance.  Criticality
 Every quantity that depends on the family is a method of IncrementLaw,
 written once per family here: phi and its derivatives, phi(h) as running
 series that h_series advances a block of coefficients at a time (an
-explicit law's Paterson-Stockmeyer nodes, or the stable family's
+explicit law's plan of products of powers of h, or the stable family's
 W^(1+beta) by Miller's recurrence), the cancellation-free gaps D, D', psi
-and chi of the rate curve, the closed-form moderate-deviation constants, the jump p.m.f.
-that the exact oracles and simulation read, with the jumps a walk of n steps
+and chi of the rate curve, the closed-form moderate-deviation constants,
+the jump p.m.f. that the exact oracles and simulation read, with the jumps a walk of n steps
 cannot tell apart lumped, and the jump tails T_j = sum_{n>=j} p_n with
 their generating function.  No other module asks which family a law
 belongs to.
@@ -166,9 +166,10 @@ class IncrementLaw:
         The object's phi_prime is phi'(h) through s^(block - 2); its
         window(c), for a block start c >= block with h final through
         s^(c - 1), returns R with R_0 = [s^(c-1)] phi(h) and
-        R_i = [s^(c+i-1)] phi(h_c), h_c = h[:c]; its advance(c, x, last)
-        stores the block x = h[c:c+block] (cut at the end of h) and, unless
-        last, the running series' blocks that it implies.
+        R_i = [s^(c+i-1)] phi(h_c), h_c = h[:c], through the end of h or of
+        the block; its advance(c, x) stores h's block x = h[c:c+len(x)]
+        and, unless it is the last, the running series' blocks that x
+        implies.
         """
         if self.is_stable:
             return _StablePhi(self, h, block)
@@ -421,11 +422,12 @@ def _power_nodes(a):
     """sum_k a_k h^k from h^2, h^4, ..., each the square of the last, and
     each power of h in a's support a product of those, high bits first:
     far fewer products than _ps_nodes when the support is sparse."""
-    nodes, node = [(0.0, (), None)], {1: 0}
-    support = np.flatnonzero(a[1:]) + 1
-    while 2 * max(node) <= support[-1]:
-        nodes.append((0.0, (), (node[max(node)], node[max(node)])))
-        node[2 * max(node)] = len(nodes) - 1
+    nodes, node = [(0.0, (), None)], {1: 0}  # node of each power of h
+    support, j = np.flatnonzero(a[1:]) + 1, 1
+    while 2 * j <= support[-1]:
+        nodes.append((0.0, (), (node[j], node[j])))
+        node[2 * j] = len(nodes) - 1
+        j *= 2
     for e in support:
         done = 0
         for bit in reversed(range(int(e).bit_length())):
