@@ -191,12 +191,12 @@ def _check_against_reference(law, ladder, order):
 @pytest.mark.parametrize("name, law, ladder", LADDER_ERRORS,
                          ids=[case[0] for case in LADDER_ERRORS])
 def test_h_series_against_long_double(name, law, ladder):
-    # read: sym 7.7e-16, asym 2.2e-15, stable 2.0e-14; stable edges
-    # 1.1e-14 (0.02, 0.03), 5.3e-14 (0.02, 0.97), 1.5e-13 (0.98, 0.03),
-    # 5.4e-14 (0.98, 0.97); lazy 3.3e-14, long jump 3.1e-15, jump 9
-    # 5.2e-14 (the first block's Lagrange sums carry 3.4e-15 there, twice
-    # the ladder's, and later blocks grow it with the order as the ladder
-    # grew its own)
+    # read: sym 6.3e-16, asym 2.1e-15, stable 2.8e-14; stable edges
+    # 1.5e-14 (0.02, 0.03), 3.9e-14 (0.02, 0.97), 2.0e-13 (0.98, 0.03),
+    # 4.6e-14 (0.98, 0.97); lazy 1.5e-14, long jump 6.3e-15, dense 9
+    # 1.7e-14, jump 9 5.3e-14 (the first block's Lagrange sums carry
+    # 3.4e-15 there, twice the ladder's, and later blocks grow it with the
+    # order as the ladder grew its own)
     _check_against_reference(law, ladder, 2000)
 
 
