@@ -213,8 +213,9 @@ def _solve_blocks(law, h):
     """
     run = law.running_phi(h, BLOCK)
     # G = 1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)... for x = s*phi'(h), whose
-    # terms are nonnegative, as the products' are; x^B vanishes in a block
-    x = np.concatenate([[0.0], run.phi_prime])
+    # terms are nonnegative, as the products' are; x^B vanishes in a block,
+    # and G is formed only through the widest block that h has
+    x = np.concatenate([[0.0], run.phi_prime])[: len(h) - BLOCK]
     g = x.copy()
     g[0] = 1.0
     for _ in range((BLOCK - 1).bit_length() - 1):

@@ -79,7 +79,7 @@ def _low_product(a, b):
     """
     n = len(b)
     if n <= 4:
-        a, b = a[:5], np.concatenate([b, np.zeros(5 - n)])
+        a, b = (np.concatenate([f[:n], np.zeros(5 - n)]) for f in (a, b))
     return np.convolve(a[: len(b)], b)[:n]
 
 
