@@ -11,9 +11,9 @@ series that h_series advances a block of coefficients at a time (an
 explicit law's plan of products of powers of h, or the stable family's
 W^(1+beta) by Miller's recurrence), the cancellation-free gaps D, D', psi
 and chi of the rate curve, the closed-form moderate-deviation constants,
-the jump p.m.f. that the exact oracles and simulation read, with the jumps a walk of n steps
-cannot tell apart lumped, and the jump tails T_j = sum_{n>=j} p_n with
-their generating function.  No other module asks which family a law
+the jump p.m.f. that the exact oracles and simulation read, with the jumps
+a walk of n steps cannot tell apart lumped, and the jump tails
+T_j = sum_{n>=j} p_n with their generating function.  No other module asks which family a law
 belongs to.
 """
 
@@ -469,7 +469,8 @@ class _ExplicitPhi:
         self.low = [s[:block] for s in self.series]  # the first blocks
         for (c0, lin, prod), v in zip(nodes[1:], self.low[1:]):
             if prod:
-                v[:] = np.convolve(self.low[prod[0]], self.low[prod[1]])[:block]
+                p, q = prod
+                v[:] = np.convolve(self.low[p], self.low[q])[:block]
             for coef, j in lin:
                 v += coef * self.low[j]
             v[0] += c0
@@ -489,8 +490,8 @@ class _ExplicitPhi:
             v = cross.get(i)
             if prod:  # a square's two terms are one, doubled
                 p, q = prod
-                for f, g in ((p, q), (q, p))[: 1 + (p != q)]:
-                    f, g = self.low[f], out[g]
+                for j, k in ((p, q), (q, p))[: 1 + (p != q)]:
+                    f, g = self.low[j], out[k]
                     if g is not None:
                         part = f if g is self.one else _low_product(f, g)
                         part = 2.0 * part if p == q else part
@@ -534,8 +535,8 @@ class _StablePhi:
     s^(c+i) hold the block's own unknowns: with h_c = h[:c], the history
     H_i, the terms with i < j < c, is two middle products against P's
     prefix (((2+beta) j - c) w_j, and w_j times i), and the rest is solved
-    as series_exp solves its blocks, W_c^(1+beta) = P_low * ((H*U)_i / (c+i)) through the block
-    (the window).  h's block X adds -(1+beta)*(V*X) to it, the
+    as series_exp solves its blocks: W_c^(1+beta) through the block (the
+    window) is P_low * ((H*U)_i / (c+i)).  h's block X adds -(1+beta)*(V*X) to it, the
     first-order term of W^(1+beta) in h: two middle products and four
     B-term products a block.
     """
@@ -561,7 +562,7 @@ class _StablePhi:
         h, P = self.h, self.P
         b = min(self.block, len(h) - c)
         i = np.arange(b, dtype=float)
-        u = (c - (1.0 + self.e) * np.arange(c)) * h[:c]  # -((2+beta) j - c) w_j
+        u = (c - (1.0 + self.e) * np.arange(c)) * h[:c]  # ((2+b) j - c) w_j
         hist = _cross(P, u, c, b) + i * _cross(P, h, c, b)
         self.y = _low_product(P[: self.block],
                               _low_product(self.U, hist) / (c + i))

@@ -170,7 +170,8 @@ LADDER_ERRORS = [
       for law, err in zip(STABLE_EDGE_LAWS, 2 * [6.4e-14, 8.8e-14, 3.0e-11,
                                                   8.2e-14])),
     ("lazy", LAZY, 6.7e-14), ("lazy_left", LAZY_LEFT, 6.7e-14),
-    ("long_jump", LONG_JUMP, 1.1e-14), ("long_jump_left", LONG_JUMP_LEFT, 1.1e-14),
+    ("long_jump", LONG_JUMP, 1.1e-14),
+    ("long_jump_left", LONG_JUMP_LEFT, 1.1e-14),
     ("jump_9", JUMP_9, 2.8e-14), ("jump_9_left", JUMP_9_LEFT, 2.8e-14),
     ("dense_9", DENSE_9, 2.6e-14),
 ]
