@@ -439,7 +439,7 @@ def ld_tau_pmf(law, order):
                     reason="long double is no wider than double here")
 @pytest.mark.parametrize("side, tol", [("right", 2e-13), ("left", 1e-13)])
 def test_stable_tau_pmf_against_long_double(side, tol):
-    # Measured at order 3000: right 5.8e-14, left 4.5e-14.  The series
+    # Measured at order 3000: right 6.2e-14, left 5.0e-14.  The series
     # Newton for h, through log and exp of W = 1 - H, read right 5.6e-13
     # and left 3.9e-14, under a right bound of 1e-12.  The right side's
     # error is h_series': from the long-double h, the double reciprocal
