@@ -30,8 +30,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .laws import Orientation, expand_coefficients
-from .series import _low_product, series_reciprocal
+from .laws import expand_coefficients
+from .series import _low_product
 
 BLOCK = 128  # h_series coefficients solved at a time
 RESIDUAL_TOL = 1e-13
@@ -230,19 +230,11 @@ def f0_series(law, order):
     """Coefficients of f0(s) = E[s^tau], tau the return time of the
     reflected chain to 0: a float64 array, checked finite as h_series's.
 
-    Right orientation: f0 = 1 + q s - q s/h(s).  Left orientation:
-    f0 = s*rho(h) with rho(H) = (1 - phi(H))/(1 - H) = sum_j T_j H^j
-    (law.tail_series), a consequence of h = s*phi(h), with no subtraction.
+    law.f0_of_h forms it from h through s^(order + 1): s*sum_j c_j h^j,
+    composed from nonnegative terms, on every law but the stable right one,
+    which subtracts, 1 + q s - q s/h.
     """
-    h = h_series(law, order + 1)
-    f0 = np.zeros(order + 1)  # tau >= 1
-    if law.orientation is Orientation.RIGHT:
-        r = series_reciprocal(h[1:], order)  # s/h; h/s has constant term q
-        f0[1:] = -law.q * r[1:]
-        f0[1] += law.q
-    else:
-        f0[1:] = law.tail_series(h[:order], order - 1)
-    return _finite(f0)
+    return _finite(law.f0_of_h(h_series(law, order + 1), order))
 
 
 def one_minus_s_phi_prime_h(law, s):

@@ -12,9 +12,9 @@ explicit law's plan of products of powers of h, or the stable family's
 W^(1+beta) by Miller's recurrence), the cancellation-free gaps D, D', psi
 and chi of the rate curve, the closed-form moderate-deviation constants,
 the jump p.m.f. that the exact oracles and simulation read, with the jumps
-a walk of n steps cannot tell apart lumped, and the jump tails
-T_j = sum_{n>=j} p_n with their generating function.  No other module asks which family a law
-belongs to.
+a walk of n steps cannot tell apart lumped, the jump tails
+T_j = sum_{n>=j} p_n with their generating function, and the return-time
+series f0 of h.  No other module asks which family a law belongs to.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import (CONV_SLICE, _low_product, _middle_product,
-                     series_compose_val1, series_eval, series_exp, series_log)
+                     series_compose_val1, series_eval, series_exp, series_log,
+                     series_reciprocal)
 
 MASS_TOL = 1e-12
 CRITICALITY_TOL = 1e-10
@@ -295,6 +295,31 @@ class IncrementLaw:
             return rho
         return series_compose_val1(self.jump_tails(order), h, order)
 
+    def f0_of_h(self, h, order):
+        """f0(s) = E[s^tau] through s^order, tau the return time of the
+        reflected chain to 0, from the coefficients h of h(s) through
+        s^(order + 1).
+
+        A first step from 0 either stays at the maximum or leaves it by j
+        levels, and then returns after j descending passages, so
+        f0 = s*sum_j c_j h^j with the nonnegative c = (q + p_0, p_1, ...)
+        on the right and the jump tails c_j = T_j on the left (tail_series):
+        a composition with no subtraction.  The stable right law, whose c
+        has no end, keeps f0 = 1 + q s - q s/h, one series reciprocal.
+        """
+        f0 = np.zeros(order + 1)  # tau >= 1
+        if self.orientation is Orientation.LEFT:
+            f0[1:] = self.tail_series(h[:order], order - 1)
+        elif self.is_stable:
+            r = series_reciprocal(h[1:], order)  # s/h; h/s has constant term q
+            f0[1:] = -self.q * r[1:]
+            f0[1] += self.q
+        else:
+            c = np.array(self.p)
+            c[0] += self.q
+            f0[1:] = series_compose_val1(c, h[:order], order - 1)
+        return f0
+
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
@@ -453,8 +478,8 @@ class _ExplicitPhi:
     prefixes plus p_low*W_q + q_low*W_p, products with the operands' first
     blocks and windows (W_h = 0).  Each node's block is then W + D*X for
     h's block X, with D the node's derivative in h through the block,
-    formed once, the last one phi'(h): one matrix product for every node.
-    That is one middle product and at most two B-term products a product
+    formed once, the last one phi'(h): one B-term product for every node.
+    That is one middle product and at most three B-term products a product
     node a block: about 2*sqrt(deg phi) product nodes on the
     Paterson-Stockmeyer plan, and 8 for the sparse degree 51 of
     0.5 + 0.49 h + 0.01 h^51.
@@ -517,10 +542,8 @@ class _ExplicitPhi:
         b = len(x)
         self.h[c : c + b] = x
         if c + b < len(self.h):
-            xt = sliding_window_view(np.concatenate([np.zeros(b - 1), x]),
-                                     b)[::-1]  # xt[j, i] = x[i - j]
-            blocks = self.deriv @ xt
-            for s, w, v in zip(self.series[1:], self.w[1:], blocks):
+            for s, w, d in zip(self.series[1:], self.w[1:], self.deriv):
+                v = _low_product(d, x)
                 s[c : c + b] = v if w is None else w + v
 
 

@@ -13,7 +13,8 @@ come from:
 
 Both then sum the powers of that p.m.f. in one routine, by baby and giant
 steps (Paterson and Stockmeyer): about 2*sqrt(kmax) truncated products and
-one matrix-vector product per giant step.  Every term on both routes is
+one matrix-vector product per giant step.  A single row, renewal_tail, is
+one power by binary powering instead.  Every term on both routes is
 nonnegative, and both are exact for both families.
 
 For level cap L the kernel is one Toeplitz band of p_0..p_L from
@@ -158,8 +159,10 @@ def exact_An_distribution(kernel, n, kmax=None):
 def tau_pmf(law, order):
     """P(tau = m) for m = 0..order: f0's coefficients, a float64 array.
 
-    Coefficients must be (numerically) nonnegative with partial sums <= 1;
-    a violation beyond slack flags an unstable series step.
+    f0_series composes them from nonnegative terms on every law but the
+    stable right one, whose f0 = 1 + q s - q s/h subtracts.  Coefficients
+    must be (numerically) nonnegative with partial sums <= 1; a violation
+    beyond slack flags an unstable series step.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -201,7 +204,13 @@ def _renewal_masses(f, n, kmax):
 
 def renewal_tail(tau, n, k):
     """P(Y_1 + ... + Y_k <= n), a float, for i.i.d. Y >= 1 whose p.m.f. is
-    the array tau[:n + 1], as tau_pmf returns it."""
+    the array tau[:n + 1], as tau_pmf returns it.
+
+    The one row k of _renewal_masses: the sum of the coefficients of g^k
+    through s^(n - k), g = tau/s, with g^k by binary powering (Knuth, TAOCP
+    vol. 2, 4.6.3), at most 2*log2(k) truncated products of nonnegative
+    series, summed in extended precision.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     f = np.asarray(tau)
@@ -209,7 +218,16 @@ def renewal_tail(tau, n, k):
         raise ValueError("tau p.m.f. must be truncated at >= n")
     if f[0] != 0.0:
         raise ValueError("tau p.m.f. must put no mass at 0")
-    return float(_renewal_masses(f, n, k)[k])
+    order = n - k
+    square, power = f[1 : order + 2], None  # g^(2^i) and g^(k mod 2^i)
+    while k:
+        if k & 1:
+            power = square if power is None else series_mul(power, square,
+                                                            order)
+        k >>= 1
+        if k:
+            square = series_mul(square, square, order)
+    return float(np.sum(power, dtype=np.longdouble))
 
 
 def renewal_tail_table(law, n, kmax=None):

@@ -192,7 +192,9 @@ def _suite_tauberian(law):
 def _suite_ldp_trend(law):
     """r_n = -log P(A_n >= ceil(x*n))/n at x = LDP_TREND_X_REC from the
     renewal oracle, n = 100 to 800, against the LDP rate at x: monotone
-    toward it, and a geometric extrapolant within 10% of it."""
+    toward it, and a geometric extrapolant within 10% of it.  Each tail is
+    one renewal_tail of one tau series, a power of it by binary powering,
+    not a table of every row."""
     analytic = rates.ldp_rate(law, LDP_TREND_X_REC)
     ns = (100, 200, 400, 800)
     tau = oracle.tau_pmf(law, ns[-1])  # one series for every horizon

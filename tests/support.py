@@ -197,3 +197,22 @@ def _h_reference(q, p, gamma, beta, order):
         powers[1, m - 1] = h[m - 1]
         h[m] = a @ powers[:, m - 1]
     return h
+
+
+def f0_reference(law, order):
+    """Coefficients of f0 = s*sum_j c_j h^j through s^order in long double,
+    for an explicit right law, c = (q + p_0, p_1, ...), from h_reference:
+    Horner in h, each step a full product truncated at s^(order - 1),
+    every term nonnegative."""
+    ld = np.longdouble
+    c = np.array(law.p, ld)
+    c[0] += ld(law.q)
+    c = c[: min(np.flatnonzero(c)[-1] + 1, order)]
+    h = h_reference(law, order - 1).astype(ld)
+    acc = np.array([c[-1]], ld)
+    for cj in c[-2::-1]:
+        acc = np.convolve(acc, h)[:order]
+        acc[0] += cj
+    f0 = np.zeros(order + 1, ld)
+    f0[1 : len(acc) + 1] = acc
+    return f0

@@ -24,7 +24,8 @@ from recordwalk.fixed_point import (BLOCK, ConvergenceError, _log,
 from recordwalk.series import series_eval
 from support import (ASYM, BUNDLED_LAWS, JUMP_9, JUMP_9_LEFT, LAZY, LAZY_LEFT,
                      LONG_JUMP, LONG_JUMP_LEFT, STABLE, STABLE_EDGE_LAWS,
-                     STABLE_LEFT, SYM, SYM_LEFT, bundled_law, h_reference)
+                     STABLE_LEFT, SYM, SYM_LEFT, bundled_law, f0_reference,
+                     h_reference)
 
 LAWS = [SYM, SYM_LEFT, ASYM, STABLE]
 
@@ -212,6 +213,32 @@ def test_h_series_block_edges_long_double(name, law, ladder):
     for order in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
                   2 * BLOCK, 2 * BLOCK + 1):
         _check_against_reference(law, ladder, order)
+
+
+# f0 = s*sum_j c_j h^j, c = (q + p_0, p_1, ...), of the explicit right laws,
+# against support.f0_reference at order 2000.  Bounds fixed before the first
+# run: twice a prototype's reading, and at least 2e-15.  Through the
+# subtraction 1 + q s - q s/h these laws read sym 3.2e-15, asym 6.2e-15,
+# lazy 1.2e-11, long jump 9.4e-15 with 42 nonzero coefficients where f0 is
+# exactly zero, and jump 9 5.4e-14
+F0_RIGHT_BOUNDS = [("sym", SYM, 2e-15), ("asym", ASYM, 4.0e-15),
+                   ("lazy", LAZY, 3.0e-14), ("long_jump", LONG_JUMP, 1.04e-14),
+                   ("jump_9", JUMP_9, 1.06e-13)]
+
+
+@pytest.mark.skipif(not LONG_DOUBLE,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("name, law, tol", F0_RIGHT_BOUNDS,
+                         ids=[case[0] for case in F0_RIGHT_BOUNDS])
+def test_f0_series_of_right_laws_against_long_double(name, law, tol):
+    # read: sym 6.3e-16, asym 1.9e-15, lazy 1.5e-14, long jump 4.8e-15,
+    # jump 9 5.3e-14
+    ref = f0_reference(law, 2000)
+    got = f0_series(law, 2000)
+    assert np.array_equal(got == 0.0, ref == 0.0)  # exact zeros stay zero
+    nz = ref != 0.0
+    err = float(np.max(np.abs(got[nz] - ref[nz]) / ref[nz]))
+    assert err <= tol, err
 
 
 class TestF0Series:

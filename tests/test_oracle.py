@@ -20,8 +20,8 @@ from recordwalk import (
 from recordwalk.laws import Orientation
 from recordwalk.oracle import ChainKernel, _first_returns
 from recordwalk.series import series_mul, series_reciprocal
-from support import (ALL_LAWS, ASYM, ASYM_LEFT, STABLE, STABLE_LEFT, SYM,
-                     SYM_LEFT, hitting_time_returns)
+from support import (ALL_LAWS, ASYM, ASYM_LEFT, EDGE_LAWS, STABLE,
+                     STABLE_LEFT, SYM, SYM_LEFT, hitting_time_returns)
 
 # critical laws with a jump of 10 levels: a band of width 10 on one side
 WIDE = IncrementLaw.explicit("right", 0.1, [0.89] + [0.0] * 9 + [0.01])
@@ -418,6 +418,29 @@ class TestRenewal:
         tail = renewal_tail_table(law, n).tail
         for k in (1, 15, 16, 17, 30, n):
             assert abs(renewal_tail(tau, n, k) - tail[k]) <= 1e-13 * tail[k]
+
+    @pytest.mark.parametrize("n", [100, 400, 1600])
+    @pytest.mark.parametrize("law", ALL_LAWS + EDGE_LAWS)
+    def test_binary_powering_matches_table_rows(self, law, n):
+        # renewal_tail powers g = tau/s by squaring, the table by baby and
+        # giant steps: two orders of products of nonnegative series.  Bound
+        # fixed before the first run, 6.4e-14 read on a prototype: 2e-13
+        # relative on normal rows, a zero row exactly zero, and n*tiny
+        # absolute below the normal range, where the two orders underflow
+        # at different products.  Read: 6.4e-14, 23 zero rows, no row
+        # below the normal range
+        tiny = np.finfo(float).tiny
+        tau = tau_pmf(law, n)
+        tail = renewal_tail_table(law, n).tail
+        powers = [1 << i for i in range(n.bit_length())]
+        for k in sorted({1, 2, 3, 5, *powers, n // 2, n - 1, n}):
+            got, want = renewal_tail(tau, n, k), tail[k]
+            if want == 0.0:
+                assert got == 0.0, k
+            elif want < tiny:
+                assert abs(got - want) <= n * tiny, k
+            else:
+                assert abs(got - want) <= 2e-13 * want, (k, got, want)
 
     @pytest.mark.parametrize("law", ALL_LAWS)
     def test_dp_equals_renewal(self, law):

@@ -371,12 +371,12 @@ def test_tail_series_against_reference(name):
                                        ("sym_left.json", 1e-14)])
 def test_tau_pmf_against_closed_form(name, tol):
     # Both laws have f0 = (1 + s - sqrt(1 - s^2))/2, so P(tau = 2k) =
-    # |binom(1/2, k)|/2 and tau is never odd beyond 1.  sym_left forms f0
-    # as s*rho(h), with rho(H) = sum_j T_j H^j composed from the
-    # nonnegative jump tails, so nothing cancels, and an odd h gives
-    # exactly zero odd coefficients.  Measured: sym 5.6e-15 and sym_left
-    # 3.8e-15 (6.9e-15 and 5.2e-15 before h_series formed only the
-    # coefficients each Newton step changes).
+    # |binom(1/2, k)|/2 and tau is never odd beyond 1.  Both form f0 as
+    # s*sum_j c_j h^j composed from nonnegative terms, so nothing cancels,
+    # and an odd h gives exactly zero odd coefficients: c = (q + p_0, p_1)
+    # on the right and the jump tails (T_0, T_1) on the left are both
+    # (1/2, 1/2), so the two read the same bits.  Measured: 6.2e-15 on both
+    # (sym 7.5e-15 through 1 + q s - q s/h).
     order = 10000
     law = bundled_law(name)
     exact = np.zeros(order + 1)
