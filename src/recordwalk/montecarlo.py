@@ -2,15 +2,18 @@
 
 Paths are driven by one PCG64DXSM stream seeded by the seed, and processed
 in fixed blocks of BLOCK_SIZE paths whose integer count histograms are
-summed.  Step t of path p reads one 32-bit half-word: half t mod 2, low half
-first, of word p*w + t//2, where w = ceil(n/2) (an odd n leaves the last
-half of each path's last word unused).  The block starting at path `start`
-calls PCG64DXSM.advance(start*w), which jumps the generator's state by
-start*w words in O(log(start*w)) steps, so a block may start at any path.
-The halves are read as little-endian, whatever the machine's byte order.
-The draws of a path therefore depend on neither BLOCK_SIZE nor the worker
-count, blocks never overlap, and the integer merge makes the result
-bit-identical for any worker count.
+summed.  The stream is keyed by step within a block: step t of column c of
+the block of `count` paths starting at path `start` (a multiple of
+BLOCK_SIZE) reads one 32-bit half-word, half c mod 2, low half first, of
+word start*n/2 + t*w + c//2, where w = ceil(count/2) (an odd count leaves
+the last half of each row unused).  The block calls
+PCG64DXSM.advance(start*n/2), which jumps the generator's state in
+O(log(start*n)) steps, and draws STEP_ROWS steps of all its columns at a
+time as one (rows, w) array of words.  The halves are read as
+little-endian, whatever the machine's byte order.  Blocks never overlap,
+so the draws depend on neither STEP_ROWS nor the worker count, and the
+integer merge makes the result bit-identical for any worker count; the
+block width is part of the key, so BLOCK_SIZE is part of the stream.
 
 Every path of n steps draws its jumps from _jump_grid(law, n): the jumps of
 size n or more are lumped into one of size n, which no path of n steps can
@@ -22,32 +25,24 @@ nondecreasing, so the count is exact for every h below T[COUNTED - 1], and
 only the draws at or past it search the whole grid.  A half-word at or past
 the last threshold, with probability at most (n + 2) * 2**-32, draws from
 the residual weights b_j = p_j - a_j * 2**-32 instead, by a 53-bit uniform
-from word p*n + t of the refinement stream PCG64DXSM(seed).jumped(), built
-only when such a draw occurs.  So P(index = j) = p_j, up to the rounding of
-the residual CDF and the normalisation of sum(p) to 1 within the residual.
+from word k of the refinement stream PCG64DXSM(seed).jumped(), where
+k = start*n + t*2w + c is the half-word's own index in the main stream;
+the refinement stream is built only when such a draw occurs.  So
+P(index = j) = p_j, up to the rounding of the residual CDF and the
+normalisation of sum(p) to 1 within the residual.
 
-Inside a block, rows are drawn a slice at a time from the block's one
-generator, at most SLICE_ROWS rows and SLICE_ROWS * 200 draws, 4 bytes each.
-Row-major draws read the stream words in the same order whatever the slice,
-and each slice's arrays stay in cache.
-
-A block is walked one of two ways, to the same records.
-- A path of n <= SHORT_PATH steps has each index at most n + 1 and keeps it
-  in one byte, in a row per step holding that step of every path.  The
-  reflected chain L = M - S is walked a row at a time across the whole
-  block, each row overwritten by that step's level, and a weak record is a
-  visit of L to 0, all counted in one sum over the rows.  The walk keeps
-  x = L on the left and x = n - L on the right, where a step with index i
-  is x <- max(x + 1 - i, 0), then x <- min(x, n) on the right only, the
-  reflection at L = 0; on the left L grows by at most 1 a step, so x <= n.
-  x + 1 and i fit a byte while n <= SHORT_PATH, and clipping L at n loses
-  nothing: a chain at level n or above never returns to 0 within n steps.
-  Memory per worker: n * BLOCK_SIZE bytes of indices, then levels (2.08 MB
-  at n = SHORT_PATH), and one slice of half-words (0.41 MB).
-- A longer path counts records slice by slice on the partial sums S, in
-  int32 while n times the number of thresholds, which bounds |S_m|, is
-  below 2**31, and in int64 beyond.  Memory per worker is one slice of
-  half-words and a few arrays of its size, whatever n.
+A block walks the reflected chain L = M - S a step of every path at a
+time, each row of indices overwritten by that step's level, and a weak
+record is a visit of L to 0, counted once per STEP_ROWS rows.  The walk
+keeps x = L on the left and x = n - L on the right, where a step with index
+i is x <- max(x + 1 - i, 0), then x <- min(x, n) on the right only, the
+reflection at L = 0; on the left L grows by at most 1 a step, so x <= n.
+Each index is at most n + 1, so x + 1 and i fit np.min_scalar_type(n + 1):
+one byte up to n = 254, two up to 65534.  Clipping L at n loses nothing: a
+chain at level n or above never returns to 0 within n steps.  The level
+carries from one draw of STEP_ROWS rows to the next, so memory per worker
+is one draw of words (0.66 MB for a full block) and its indices and mask,
+whatever n.
 """
 
 from __future__ import annotations
@@ -64,9 +59,8 @@ from .laws import IncrementLaw, Orientation
 from .oracle import Provenance, TailTable
 
 BLOCK_SIZE = 8192  # paths per block: see the module docstring
-SLICE_ROWS = 512  # most rows drawn and walked at a time inside a block
+STEP_ROWS = 20  # steps of a block drawn and walked at a time
 COUNTED = 6  # thresholds searched by counting: 6 and 7 tie, 8 is slower
-SHORT_PATH = 254  # the longest path walked a step at a time: n + 1 fits a byte
 STABLE_JUMP_ORDER = 110000  # the lumping order of sample_increment
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
@@ -166,8 +160,9 @@ def _increments(law, idx):
 
 def _grid_index(grid, h, seed, base, dtype=np.int32):
     """Jump indices, in a dtype that holds len(grid.thresholds) - 1, of the
-    half-words h, one row of n steps per path: h[r, t] is step t of path
-    p + r, where base = p * n (see _jump_grid).
+    2-D array of half-words h, whose element at flat position k is
+    half-word base + k of the stream: its residual draw reads that word of
+    the refinement stream (see the module docstring).
 
     After the count `hit` holds h >= head[-1], the draws the count may
     miss; of those, the ones at or past T_last take the residual draw.
@@ -226,56 +221,36 @@ def reflected_zero_visits(path):
     return int(np.count_nonzero(sbar[1:] == 0))
 
 
-def _slices(grid, n, seed, start, count, dtype):
-    """(first row, jump indices) of each slice of the block of count paths
-    starting at path start."""
-    words = (n + 1) // 2
+def _block_histogram(law, n, seed, start, count):
+    """Weak-record histogram of the block of count paths starting at path
+    start, a multiple of BLOCK_SIZE: the zero visits of L = M - S, walked a
+    step of every path at a time, STEP_ROWS steps to a draw (see the module
+    docstring)."""
+    grid, dtype = _jump_grid(law, n), np.min_scalar_type(n + 1)
     bg = np.random.PCG64DXSM(seed)
-    bg.advance(start * words)  # path p starts at word p*words
-    rows = max(1, min(SLICE_ROWS, SLICE_ROWS * 200 // n))
-    for lo in range(0, count, rows):
-        raw = bg.random_raw((min(rows, count - lo), words))
-        # little-endian words viewed as little-endian halves: low half first
-        halves = raw.astype("<u8", copy=False).view("<u4")[:, :n]
-        yield lo, _grid_index(grid, halves, seed, (start + lo) * n, dtype)
-
-
-def _walk_sums(law, grid, n, seed, start, count):
-    """Weak records per path of a long block, slice by slice on S."""
-    width = np.int32 if n * grid.thresholds.size < 2**31 else np.int64
-    records = np.empty(count, dtype=np.intp)
-    for lo, idx in _slices(grid, n, seed, start, count, width):
-        records[lo : lo + len(idx)] = _weak_records(
-            np.cumsum(_increments(law, idx), axis=-1, dtype=width))
-    return records
-
-
-def _walk_levels(law, grid, n, seed, start, count):
-    """Weak records per path of a short block: the zero visits of L = M - S,
-    a step of every path at a time, each row of indices overwritten by that
-    step's level (see the module docstring)."""
-    steps = np.empty((n, count), dtype=np.uint8)
-    for lo, idx in _slices(grid, n, seed, start, count, np.uint8):
-        steps[:, lo : lo + len(idx)] = idx.T
+    bg.advance(start * n // 2)  # the blocks before it read n*start/2 words
     right = law.orientation is Orientation.RIGHT
     # constant arrays, not scalars: np.minimum(array, scalar) is not vectorized
-    one, cap = np.ones(count, np.uint8), np.full(count, n, np.uint8)
+    one, cap = np.ones(count, dtype), np.full(count, n, dtype)
     x0 = cap if right else np.zeros_like(cap)  # x where L = 0
-    x, t = x0, np.empty_like(cap)
-    for idx in steps:
-        np.add(x, one, out=t)
-        np.maximum(t, idx, out=t)
-        x = np.subtract(t, idx, out=idx)
-        if right:
-            np.minimum(x, cap, out=x)
-    # into the uint8 rows themselves: a bool view as out makes numpy copy
-    np.equal(steps, x0, out=steps)
-    return np.add.reduce(steps, axis=0, dtype=np.uint8)
-
-
-def _block_histogram(law, n, seed, start, count):
-    walk = _walk_levels if n <= SHORT_PATH else _walk_sums
-    records = walk(law, _jump_grid(law, n), n, seed, start, count)
+    level, t, records = x0.copy(), np.empty_like(cap), np.zeros_like(cap)
+    for lo in range(0, n, STEP_ROWS):
+        raw = bg.random_raw((min(STEP_ROWS, n - lo), (count + 1) // 2))
+        # little-endian words viewed as little-endian halves: low half first
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        base = start * n + lo * halves.shape[1]  # index of its first half
+        steps = _grid_index(grid, halves, seed, base, dtype)[:, :count]
+        x = level
+        for idx in steps:  # each row of indices overwritten by its level
+            np.add(x, one, out=t)
+            np.maximum(t, idx, out=t)
+            x = np.subtract(t, idx, out=idx)
+            if right:
+                np.minimum(x, cap, out=x)
+        np.copyto(level, x)  # x is a row of steps, which the count overwrites
+        # into the rows themselves: a bool view as out makes numpy copy
+        np.equal(steps, x0, out=steps)
+        np.add(records, np.add.reduce(steps, axis=0, dtype=dtype), out=records)
     return np.bincount(records, minlength=n + 1)
 
 
@@ -291,12 +266,12 @@ def empirical_tail(config):
     counts = [min(BLOCK_SIZE, paths - s) for s in starts]
     block = functools.partial(_block_histogram, law, n, config.seed)
     workers = min(config.workers, len(starts), _usable_cpus())
+    # each block's histogram is added as it comes, not held to the end
     if workers == 1:
-        hists = list(map(block, starts, counts))
+        hist = sum(map(block, starts, counts))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hists = list(pool.map(block, starts, counts))
-    hist = np.sum(hists, axis=0)
+            hist = sum(pool.map(block, starts, counts))
     tail_counts = np.cumsum(hist[::-1])[::-1]
     x = tail_counts.astype(float)
     est = x / paths

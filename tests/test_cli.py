@@ -153,15 +153,15 @@ class TestSimulate:
 
     DRAW_DIGESTS = {
         "asym.json":
-        "4dfdf08e164f20778497e3a0a1b09e768d376c1404887781ace1395b0e693556",
+        "33fb26b953c12e41b8a8f04392a18233067512eb170106dd3ed722f9d056e22c",
         "stable_g05_b05.json":
-        "7a612a47af49353f290f69b06c3a5362d40d40319d0f56de4924634845c9a7cc",
+        "4ccd7af1933c1d43ae0ef7bfc7c3c816b8856d9e22738364d59276da9f9d4814",
         "stable_g05_b05_left.json":
-        "f124865084e6181d18350e52ad12e0d7566c5c930ac7882a2e6d24c9094170d8",
+        "fac864f62dbcef93ca94224406a014dcf4aafd489f127e44b85360f0e1b595c2",
         "sym.json":
-        "1419e3caf5469ec09b24383a6535a6023ce4027c9b597809f68a63878cfc5158",
+        "fc2ed0a8f11b528768dd47e02dc72b43e5ecbfd1e321b3fb8fb11974e54fd782",
         "sym_left.json":
-        "f3a7e64e486852d34438084c3f85da578de489658073816a7f5e7de852e70302",
+        "76c94c3a1abc99509836d1783ea29f35c6a54737409b59fa83bbccbe93a7b175",
     }
 
     # ids are the law names alone, so a re-pinned digest renames no test

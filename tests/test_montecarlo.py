@@ -36,14 +36,16 @@ SUPPORT_300, SUPPORT_300_LEFT = (
 
 
 def half_words(seed, start, count, n):
-    """Step t of path p reads half t % 2, low half first, of stream word
-    p*ceil(n/2) + t//2: the block's half-words, split by arithmetic."""
-    words = (n + 1) // 2
+    """Step t of column c of the block of count paths at path start reads
+    half c % 2, low half first, of stream word start*n/2 + t*w + c//2,
+    w = ceil(count/2): the block's half-words, split by arithmetic, one row
+    of n steps per path."""
+    words = (count + 1) // 2
     bg = np.random.PCG64DXSM(seed)
-    bg.advance(start * words)
-    raw = bg.random_raw(count * words)
+    bg.advance(start * n // 2)
+    raw = bg.random_raw(n * words)
     halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1)
-    return halves.reshape(count, 2 * words)[:, :n]
+    return halves.reshape(n, 2 * words)[:, :count].T
 
 
 def refinement_uniform(seed, word):
@@ -55,13 +57,15 @@ def refinement_uniform(seed, word):
 def reference_block(law, n, seed, start, count, order=None):
     """A block's histogram the plain way, from the grid lumped at order
     (default n): one draw of all its rows, a full searchsorted, a residual
-    draw for each half-word past the last threshold, and an int64 walk."""
+    draw for each half-word past the last threshold, keyed by its index
+    start*n + t*2w + c in the stream, and an int64 walk."""
     grid = montecarlo._jump_grid(law, n if order is None else order)
     h = half_words(seed, start, count, n)
     idx = np.searchsorted(grid.thresholds, h, side="right")
-    for r, t in zip(*np.nonzero(idx == grid.thresholds.size)):
-        u = refinement_uniform(seed, (start + r) * n + t)
-        idx[r, t] = np.searchsorted(grid.residual, u, side="right")
+    row = 2 * ((count + 1) // 2)
+    for c, t in zip(*np.nonzero(idx == grid.thresholds.size)):
+        u = refinement_uniform(seed, start * n + t * row + c)
+        idx[c, t] = np.searchsorted(grid.residual, u, side="right")
     inc = 1 - idx if law.orientation is Orientation.RIGHT else idx - 1
     walk = np.cumsum(inc, axis=1, dtype=np.int64)
     return np.bincount(montecarlo._weak_records(walk), minlength=n + 1)
@@ -164,8 +168,8 @@ class TestSampling:
         assert np.array_equal(
             montecarlo._grid_index(grid, h.reshape(1, -1), 1, 0)[0],
             np.searchsorted(grid.thresholds, h, side="right"))
-        hist = montecarlo._block_histogram(law, 30, 4, 8, 1000)
-        assert np.array_equal(hist, reference_block(law, 30, 4, 8, 1000))
+        hist = montecarlo._block_histogram(law, 30, 4, 8192, 1000)
+        assert np.array_equal(hist, reference_block(law, 30, 4, 8192, 1000))
 
     def test_uniform_domain(self):
         with pytest.raises(ValueError):
@@ -226,7 +230,8 @@ class TestGrid:
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
     def test_residual_branch_reads_the_refinement_stream(self, law, dtype):
         # Half-words at or past T_last draw from the residual CDF by word
-        # p*n + t of PCG64DXSM(seed).jumped(); the rest by the thresholds.
+        # base + (flat position) of PCG64DXSM(seed).jumped(); the rest by
+        # the thresholds.
         n, seed, base = 3, 9, 5 * 3
         grid = montecarlo._jump_grid(law, n)
         top = grid.thresholds[-1]
@@ -246,17 +251,17 @@ class TestGrid:
     def test_residual_draws_keep_the_path_layout(self, monkeypatch, n):
         # Residual draws are rare (about one a monte-carlo pass), so a grid
         # with its thresholds halved sends every half-word at or past T_last
-        # (about half of them) to the refinement stream: across slices (7
-        # rows at n = 37, 7 * 200 // 255 = 5 at n = 255) of a block
-        # starting at path 5, on the short walk and the long one, word
-        # p*n + t keys step t of path p.
+        # (about half of them) to the refinement stream: across draws of 7
+        # steps of a block of 31 paths starting at path 8192, with one byte
+        # of level at n = 37 and two at 255, half-word start*n + t*32 + c
+        # keys step t of column c (the 32nd half-word of each row unused).
         grid = montecarlo._jump_grid(ASYM, n)
         half = grid.thresholds // 2
         wide = dataclasses.replace(grid, thresholds=half,
                                    head=half.astype(np.uint32))
         assert half.size <= montecarlo.COUNTED and wide.searched
         monkeypatch.setattr(montecarlo, "_jump_grid", lambda law, order: wide)
-        monkeypatch.setattr(montecarlo, "SLICE_ROWS", 7)
+        monkeypatch.setattr(montecarlo, "STEP_ROWS", 7)
         refined = []
         refine = montecarlo._refine
 
@@ -265,10 +270,10 @@ class TestGrid:
             return refine(seed, words)
 
         monkeypatch.setattr(montecarlo, "_refine", spy)
-        hist = montecarlo._block_histogram(ASYM, n, 4, 5, 30)
-        assert len(refined) == (5 if n == 37 else 6)
-        assert sum(refined) > 30 * n // 3
-        assert np.array_equal(hist, reference_block(ASYM, n, 4, 5, 30))
+        hist = montecarlo._block_histogram(ASYM, n, 4, 8192, 31)
+        assert len(refined) == -(-n // 7)  # every draw refines some
+        assert sum(refined) > 31 * n // 3
+        assert np.array_equal(hist, reference_block(ASYM, n, 4, 8192, 31))
 
     def test_tiny_jump_is_drawn_only_through_the_residual(self, monkeypatch):
         # A jump of size 5 with probability 1e-12 floors to a_6 = 0 on the
@@ -304,35 +309,6 @@ class TestRecordCounting:
     def test_empty_path(self):
         with pytest.raises(ValueError):
             count_weak_records([])
-
-    def test_wide_walk_takes_int64(self):
-        # Partial sums 2^30, 2^31, 3*2^30: all three are records, but an
-        # int32 walk wraps at 2^31 and sees only the first.
-        inc = np.full((1, 3), 2**30, dtype=np.int32)
-        wrapped = np.cumsum(inc, axis=-1, dtype=np.int32)
-        assert montecarlo._weak_records(wrapped)[0] == 1
-        assert montecarlo._weak_records(
-            np.cumsum(inc, axis=-1, dtype=np.int64))[0] == 3
-
-    @pytest.mark.parametrize("n, width", [(46339, np.int32),
-                                          (46340, np.int64)])
-    def test_walk_width_guard_on_stable_law(self, monkeypatch, n, width):
-        # The stable grid lumped at n has n + 2 thresholds, so n * (n + 2)
-        # passes 2^31 from n = 46340 on.  At these n a slice holds
-        # SLICE_ROWS * 200 // n = 2 rows, so the 3 rows take two slices,
-        # and the long-path walk sums each in the same width.
-        widths = []
-        weak_records = montecarlo._weak_records
-
-        def spy(s):
-            widths.append(s.dtype)
-            return weak_records(s)
-
-        monkeypatch.setattr(montecarlo, "_weak_records", spy)
-        hist = montecarlo._block_histogram(STABLE, n, 9, 4, 3)
-        assert widths == [width, width]
-        monkeypatch.undo()
-        assert np.array_equal(hist, reference_block(STABLE, n, 9, 4, 3))
 
     @given(st.lists(st.sampled_from([-3, -2, -1, 0, 1]), min_size=1,
                     max_size=60))
@@ -372,27 +348,14 @@ class TestEmpiricalTail:
 
     @pytest.mark.parametrize("law", [SYM, STABLE], ids=["sym", "stable-right"])
     @pytest.mark.parametrize("n", [7, 20, 37, 253, 255])
-    def test_block_size_invariance(self, monkeypatch, law, n):
-        # Path p reads stream words p*w .. p*w + w - 1, w = ceil(n/2),
-        # whatever the blocks: blocks of 4099 and 13 paths start at paths no
-        # multiple of 4, and an odd n leaves half of each path's last word
-        # unused.  n = 253 takes the short walk and 255 the long one.
-        tables = []
-        for block in (8192, 4099, 4096, 13, 12):
-            monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block)
-            with below_10_paths(n >= (20 if law is SYM else 253)):
-                tables.append(empirical_tail(SimConfig(law, n, 20000, 3)))
-        for table in tables[1:]:
-            assert np.array_equal(table.tail, tables[0].tail)
-            assert np.array_equal(table.ci_lo, tables[0].ci_lo)
-
-    @pytest.mark.parametrize("law", [SYM, STABLE], ids=["sym", "stable-right"])
-    @pytest.mark.parametrize("n", [7, 20, 37, 253, 255])
     def test_row_slice_invariance(self, monkeypatch, law, n):
-        # Blocks of 8192, 8192 and 3616 paths: no slice size divides all.
+        # A block draws STEP_ROWS steps of all its columns at a time and
+        # carries the level from one draw to the next; the words are read
+        # in the same order whatever the draw, which ends short unless
+        # STEP_ROWS divides n.  Blocks of 8192, 8192 and 3616 paths.
         tables = []
-        for rows in (512, 100, 7):
-            monkeypatch.setattr(montecarlo, "SLICE_ROWS", rows)
+        for rows in (20, 25, 7, 1):
+            monkeypatch.setattr(montecarlo, "STEP_ROWS", rows)
             with below_10_paths(n >= (20 if law is SYM else 253)):
                 tables.append(empirical_tail(SimConfig(law, n, 20000, 3)))
         for table in tables[1:]:
@@ -401,20 +364,21 @@ class TestEmpiricalTail:
 
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_block_matches_plain_draw(self, name):
-        # n <= SHORT_PATH = 254 walks the reflected chain a step at a time
-        # and n = 255 is the first long path.  1100 rows are no whole number
-        # of slices: 512 rows up to n = 200, 404 at 253, 403 at 254 and 401
-        # at 255.  At n = 20000 a slice holds SLICE_ROWS * 200 // n = 5
-        # rows, so the 12 rows take 5 + 5 + 2.  A block may start at any
-        # path, start = 5 too: the stream advances by words, ceil(n/2) a
-        # path, half of the last one unused at odd n (1, 37, 253, 255).
+        # The level is one byte up to n = 254 and two from 255 on.  Draws
+        # of STEP_ROWS = 20 steps end short at n = 1, 2, 37, 253 and 255.
+        # The second block starts at path 8192: the stream advances by
+        # 8192 * n / 2 words.  An odd count (the last block of an odd
+        # number of paths) leaves half of each row's last word unused.
         law = bundled_law(name)
-        assert montecarlo.SHORT_PATH == 254
+        assert montecarlo.STEP_ROWS == 20
+        assert np.min_scalar_type(254 + 1) == np.uint8
+        assert np.min_scalar_type(255 + 1) == np.uint16
         for n, seed, start, count in [
-                (1, 6, 4, 1100), (2, 6, 4, 1100), (37, 3, 12, 700),
-                (37, 3, 5, 700), (253, 3, 5, 700), (255, 3, 5, 700),
-                (60, 6, 4, 1100), (200, 11, 0, 1500), (253, 6, 4, 1100),
-                (254, 6, 4, 1100), (255, 6, 4, 1100), (20000, 5, 8, 12)]:
+                (1, 6, 0, 1100), (2, 6, 8192, 1101), (37, 3, 0, 701),
+                (37, 3, 8192, 700), (253, 3, 8192, 701), (255, 3, 8192, 700),
+                (60, 6, 8192, 1100), (200, 11, 0, 1500), (253, 6, 0, 1100),
+                (254, 6, 8192, 1099), (255, 6, 0, 1101),
+                (20000, 5, 8192, 13)]:
             assert np.array_equal(
                 montecarlo._block_histogram(law, n, seed, start, count),
                 reference_block(law, n, seed, start, count))
@@ -430,9 +394,10 @@ class TestEmpiricalTail:
             "support-300-255", "support-300-left-255", "support-300-299",
             "support-300-left-299"])
     def test_walks_lump_jumps_past_the_horizon(self, law, n):
-        # Both walks draw from the grid that lumps the support at size n, so
-        # the short walk's index stays within n + 1, which fits a byte, and
-        # the long walk (n = 255, 299) never sees a jump past n.  The
+        # The walk draws from the grid that lumps the support at size n, so
+        # its index stays within n + 1, which fits the level's dtype (one
+        # byte up to n = 254, two at 255 and 299), and no path sees a jump
+        # past n.  The
         # reference draws from the whole support, whose one jump of size n
         # or more (299, or 50 at n = 30) has the lumped jump's mass, so the
         # two grids differ only in its index; these rows draw it.
@@ -445,46 +410,44 @@ class TestEmpiricalTail:
         assert np.array_equal(hist,
                               reference_block(law, n, 2, 0, 1100, order))
 
-    @pytest.mark.parametrize("law, index, records", [
-        (SYM, 0, 254), (SYM, 255, 0), (SYM_LEFT, 0, 0), (SYM_LEFT, 255, 254),
+    @pytest.mark.parametrize("law, lumped, all_records", [
+        (SYM, False, True), (SYM, True, False), (SYM_LEFT, False, False),
+        (SYM_LEFT, True, True),
     ], ids=["right-up", "right-lumped-down", "left-down", "left-lumped-up"])
-    def test_short_walk_byte_edge(self, monkeypatch, law, index, records):
-        # At n = SHORT_PATH = 254 every step of index 0 takes the left level
-        # x = L up by one, to 254 at the last step: x + 1 stays within a byte
-        # with no cap.  On the right the cap at n is the reflection at L = 0,
-        # and x + 1 reaches 255.  Index n + 1 = 255 is the jump lumped at n.
-        n, count = montecarlo.SHORT_PATH, 64
-        monkeypatch.setattr(
-            montecarlo, "_grid_index",
-            lambda grid, h, seed, base, dtype: np.full(h.shape, index, dtype))
-        hist = montecarlo._block_histogram(law, n, 1, 0, count)
-        inc = montecarlo._increments(law, np.full((count, n), index, np.int64))
-        plain = montecarlo._weak_records(np.cumsum(inc, axis=-1))
-        assert np.array_equal(hist, np.bincount(plain, minlength=n + 1))
-        assert hist[records] == count
+    def test_short_walk_byte_edge(self, monkeypatch, law, lumped, all_records):
+        # The level and the indices take np.min_scalar_type(n + 1): one byte
+        # up to n = 254, two from 255 to 65534, four from 65535.  At the top
+        # of each width every step of index 0 takes the left level x = L up
+        # by one, to n at the last step: x + 1 stays within the dtype with
+        # no cap.  On the right the cap at n is the reflection at L = 0, and
+        # x + 1 reaches n + 1, the dtype's top.  Index n + 1 is the jump
+        # lumped at n.  9 columns: an odd count.
+        count = 9
+        for n, dtype in [(254, np.uint8), (255, np.uint16),
+                         (65534, np.uint16), (65535, np.uint32)]:
+            index = n + 1 if lumped else 0
 
-    def test_long_path_block_memory_is_bounded(self):
-        # A slice takes at most SLICE_ROWS * 200 = 102400 draws, 0.4 MB of
-        # half-words and a few arrays of that size beside; 200 rows of
-        # n = 20000 in one slice would need 16 MB of half-words alone.
-        bound = 8 * 2**20
-        # the cached grid is built before the trace starts
-        montecarlo._jump_grid(STABLE, 20000)
-        tracemalloc.start()
-        try:
-            montecarlo._block_histogram(STABLE, 20000, 5, 0, 200)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound, peak
+            def stub(grid, h, seed, base, dt):
+                assert dt == dtype and h.shape[1] == count + 1
+                return np.full(h.shape, index, dt)
 
-    def test_short_path_block_memory_is_bounded(self):
-        # One 8192-path block at n = SHORT_PATH = 254 holds 254 * 8192 bytes
-        # of jump indices (2.08 MB) and one slice of 403 rows of half-words
-        # (0.41 MB), plus a byte index and a mask of the slice (0.2 MB); a
-        # two-byte index array alone would take 4.16 MB.
+            monkeypatch.setattr(montecarlo, "_grid_index", stub)
+            hist = montecarlo._block_histogram(law, n, 1, 0, count)
+            inc = montecarlo._increments(
+                law, np.full((count, n), index, np.int64))
+            plain = montecarlo._weak_records(np.cumsum(inc, axis=-1))
+            assert np.array_equal(hist, np.bincount(plain, minlength=n + 1))
+            assert hist[n if all_records else 0] == count
+
+    @pytest.mark.parametrize("n", [254, 255, 20000])
+    def test_block_memory_is_bounded(self, n):
+        # A full block holds one draw of STEP_ROWS = 20 steps at a time:
+        # 0.66 MB of words, their indices (0.16 MB in one byte at n = 254,
+        # 0.33 MB in two at 255 and 20000) and a mask of them (0.16 MB),
+        # whatever n.  A block of all its steps at once would hold 2.08 MB
+        # of one-byte indices at n = 254, and 82 MB of words at n = 20000.
         bound = 3.5 * 2**20
-        n = montecarlo.SHORT_PATH
+        # the cached grid is built before the trace starts
         montecarlo._jump_grid(STABLE, n)
         tracemalloc.start()
         try:
@@ -493,6 +456,28 @@ class TestEmpiricalTail:
         finally:
             tracemalloc.stop()
         assert peak <= bound, peak
+
+    def test_block_histograms_are_added_as_they_come(self, monkeypatch):
+        # 100 blocks whose histograms are 0.8 MB each: held to the end they
+        # would take 80 MB, added as they come a few of them at a time.
+        n, paths = 10**5, 100 * montecarlo.BLOCK_SIZE
+
+        def block(law, n, seed, start, count):
+            hist = np.zeros(n + 1, dtype=np.int64)
+            hist[start // montecarlo.BLOCK_SIZE] = count
+            return hist
+
+        monkeypatch.setattr(montecarlo, "_block_histogram", block)
+        tracemalloc.start()
+        try:
+            table = empirical_tail(SimConfig(SYM, n, paths, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, peak
+        k = np.arange(n + 1)
+        assert np.array_equal(table.tail,
+                              np.where(k < 100, (100 - k) / 100, 0.0))
 
     @pytest.mark.parametrize("workers, cpus, pool", [
         (100000, 3, 3),  # capped by the usable CPUs
@@ -519,11 +504,11 @@ class TestEmpiricalTail:
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialExecutor)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1000)
-        table = empirical_tail(SimConfig(ASYM, 9, 4500, 2, workers=workers))
+        paths = 4 * montecarlo.BLOCK_SIZE + 500  # five blocks
+        table = empirical_tail(SimConfig(ASYM, 9, paths, 2, workers=workers))
         assert started == ([] if pool is None else [pool])
         monkeypatch.undo()
-        plain = empirical_tail(SimConfig(ASYM, 9, 4500, 2))
+        plain = empirical_tail(SimConfig(ASYM, 9, paths, 2))
         assert np.array_equal(table.tail, plain.tail)
 
     def test_seed_changes_output(self):
@@ -544,8 +529,8 @@ class TestEmpiricalTail:
     @pytest.mark.parametrize("n", [60, 300])
     @pytest.mark.filterwarnings("ignore:.*below 10/paths")
     def test_every_bundled_law_matches_dp(self, name, n):
-        # n = 60 takes the short walk and n = 300 the long one; two blocks,
-        # the second starting at path 8192.
+        # n = 60 walks in one byte and n = 300 in two; two blocks, the
+        # second starting at path 8192.
         law = bundled_law(name)
         mc = empirical_tail(SimConfig(law, n, 16384, 23))
         dp = exact_An_distribution(build_kernel(law, n), n)
