@@ -234,6 +234,8 @@ def f0_series(law, order):
     composed from nonnegative terms, on every law but the stable right one,
     which subtracts, 1 + q s - q s/h.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
     return _finite(law.f0_of_h(h_series(law, order + 1), order))
 
 

@@ -29,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .series import (CONV_SLICE, _low_product, _middle_product,
-                     series_compose_val1, series_eval, series_exp, series_log,
-                     series_reciprocal)
+from .series import (CONV_SLICE, _evaluate, _low_product, _middle_product,
+                     _plan, series_compose_val1, series_eval, series_exp,
+                     series_log, series_reciprocal)
 
 MASS_TOL = 1e-12
 CRITICALITY_TOL = 1e-10
@@ -253,17 +253,18 @@ class IncrementLaw:
     def jump_pmf(self, order):
         """p_n = P(opposite jump of size n), with every jump of size >= order
         lumped at index order, with mass T_order (jump_tails); order >= 1.
+        An explicit support shorter than that is returned unpadded.
 
         A walk of n <= order steps cannot tell the lumped jumps apart: a
         right-continuous reflected chain falls one level per step, so from
         level order or above it never returns to 0 within the horizon, and a
         left-continuous one rises one level per step, so such a jump always
-        lands on 0.  An explicit law lists its whole support.
+        lands on 0.
         """
-        if self.is_stable:
-            return np.append(expand_coefficients(self, order)[1:],
-                             self.jump_tails(order)[order])
-        return np.asarray(self.p)
+        if not self.is_stable and len(self.p) <= order:
+            return np.asarray(self.p)
+        return np.append(expand_coefficients(self, order)[1:],
+                         self.jump_tails(order)[order])
 
     def jump_tails(self, order):
         """T_j = sum_{n>=j} p_n, the mass of the opposite jumps of size j or
@@ -419,62 +420,12 @@ def _cross(a, b, c, width):
     return out
 
 
-def _ps_nodes(a):
-    """series_compose_val1's Paterson-Stockmeyer plan for sum_k a_k h^k as
-    nodes (see _ExplicitPhi): the baby powers h^2..h^k, k = isqrt(len(a)),
-    the last the giant step, then the Horner accumulators over the rows of
-    a in h^k, the last of which is phi(h)."""
-    k = math.isqrt(len(a))
-    rows = np.concatenate([a, np.zeros(-len(a) % k)]).reshape(-1, k)
-    # h^j is node j - 1, so h^k, the giant step, is node k - 1
-    nodes = [(0.0, (), None)] + [(0.0, (), (j - 2, 0))
-                                 for j in range(2, k + 1)]
-    acc, scale = None, 0.0  # the accumulator: a node, or the constant
-    for row in rows[::-1]:
-        lin = [(v, j - 1) for j, v in enumerate(row) if j and v]
-        if acc is None and scale:
-            lin.append((scale, k - 1))
-        if acc is None and not lin:
-            scale = row[0]
-            continue
-        nodes.append((row[0], tuple(lin),
-                      None if acc is None else (acc, k - 1)))
-        acc = len(nodes) - 1
-    return nodes
-
-
-def _power_nodes(a):
-    """sum_k a_k h^k from h^2, h^4, ..., each the square of the last, and
-    each power of h in a's support a product of those, high bits first:
-    far fewer products than _ps_nodes when the support is sparse."""
-    nodes, node = [(0.0, (), None)], {1: 0}  # node of each power of h
-    support, j = np.flatnonzero(a[1:]) + 1, 1
-    while 2 * j <= support[-1]:
-        nodes.append((0.0, (), (node[j], node[j])))
-        node[2 * j] = len(nodes) - 1
-        j *= 2
-    for e in support:
-        done = 0
-        for bit in reversed(range(int(e).bit_length())):
-            if e >> bit & 1:
-                if done and done + (1 << bit) not in node:
-                    nodes.append((0.0, (), (node[done], node[1 << bit])))
-                    node[done + (1 << bit)] = len(nodes) - 1
-                done += 1 << bit
-    nodes.append((a[0], tuple((a[e], node[e]) for e in support), None))
-    return nodes
-
-
 class _ExplicitPhi:
-    """phi(h) = sum_k a_k h^k on a plan of products, each node a running
-    series: _ps_nodes, or _power_nodes where it makes fewer products (a
-    sparse support, or degree 2).
-
-    Node 0 is h and the last node phi(h).  A node is
-    const + sum coef*node (+ node_p*node_q), every coefficient nonnegative,
-    and keeps an array of h's length, final through the blocks stored.
-    With every node final below c, a product node's window, its block of
-    the nodes evaluated at h_c = h[:c], is _cross of the operands'
+    """phi(h) = sum_k a_k h^k on series._plan's products, each node a
+    running series that keeps an array of h's length, final through the
+    blocks stored, its first block series._evaluate's, as a composition
+    forms it.  With every node final below c, a product node's window, its
+    block of the nodes evaluated at h_c = h[:c], is _cross of the operands'
     prefixes plus p_low*W_q + q_low*W_p, products with the operands' first
     blocks and windows (W_h = 0).  Each node's block is then W + D*X for
     h's block X, with D the node's derivative in h through the block,
@@ -486,19 +437,11 @@ class _ExplicitPhi:
     """
 
     def __init__(self, a, h, block):
-        a = a[: np.flatnonzero(a)[-1] + 1]
-        nodes = min(_power_nodes(a), _ps_nodes(a),
-                    key=lambda nodes: sum(1 for *_, p in nodes if p))
-        self.h, self.block, self.nodes = h, block, nodes
-        self.series = [h] + [np.zeros(len(h)) for _ in nodes[1:]]
+        self.h, self.block, self.nodes = h, block, _plan(a)
+        first = _evaluate(self.nodes, h[:block], block - 1)[1:]
+        pad = np.zeros(len(h) - block)
+        self.series = [h] + [np.concatenate([v, pad]) for v in first]
         self.low = [s[:block] for s in self.series]  # the first blocks
-        for (c0, lin, prod), v in zip(nodes[1:], self.low[1:]):
-            if prod:
-                p, q = prod
-                v[:] = np.convolve(self.low[p], self.low[q])[:block]
-            for coef, j in lin:
-                v += coef * self.low[j]
-            v[0] += c0
         self.one = np.zeros(block)
         self.one[0] = 1.0
         if len(h) > 2 * block:  # some block is not the last

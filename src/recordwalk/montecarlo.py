@@ -93,12 +93,11 @@ def _jump_cdf(law, order):
 
     Fixed ordering: the skip-free unit step comes first (mass q), then the
     opposite-direction jump sizes in increasing order, from
-    law.jump_pmf(order), with an explicit law's support cut at size order.
-    Its last jump carries all the mass left, so the CDF ends at 1 or above
-    and rounding in the cumulative sum cannot leave uniforms below 1 past it.
+    law.jump_pmf(order).  Its last jump carries all the mass left, so the
+    CDF ends at 1 or above and rounding in the cumulative sum cannot leave
+    uniforms below 1 past it.
     """
-    pmf = law.jump_pmf(order)[: order + 1]
-    cdf = law.q + np.concatenate([[0.0], np.cumsum(pmf)])
+    cdf = law.q + np.concatenate([[0.0], np.cumsum(law.jump_pmf(order))])
     cdf[-1] = max(cdf[-1], 1.0)
     cdf.setflags(write=False)  # one cached array serves every block
     return cdf
@@ -117,14 +116,10 @@ class _Grid:
 @functools.lru_cache(maxsize=32)
 def _jump_grid(law, order):
     """The law of the jump index of _jump_cdf on the 2**-32 grid (see the
-    module docstring): p = (q, p_0, ..., p_order), the jumps of size order
-    or more lumped at size order (an explicit law's from jump_tails, without
-    subtraction), and a_j = floor(p_j * 2**32) and b_j = p_j - a_j * 2**-32,
-    both exact in double."""
-    pmf = law.jump_pmf(order)[: order + 1]
-    if pmf.size > order:
-        pmf = np.append(pmf[:order], law.jump_tails(order)[order])
-    p = np.concatenate([[law.q], pmf])
+    module docstring): p = (q, law.jump_pmf(order)), the jumps of size
+    order or more lumped at size order, and a_j = floor(p_j * 2**32) and
+    b_j = p_j - a_j * 2**-32, both exact in double."""
+    p = np.concatenate([[law.q], law.jump_pmf(order)])
     a = np.floor(p * 2.0**32)
     thresholds = np.cumsum(a.astype(np.int64))
     below = np.count_nonzero(thresholds < 2**32)

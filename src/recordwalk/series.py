@@ -12,8 +12,10 @@ full product.  Reciprocals use Newton doubling, exact through the
 truncation order after ceil(log2(order+1)) steps, each a middle product and
 a truncated product; log W integrates W'/W through one reciprocal; exp runs
 its recurrence in blocks, one middle product with the history per block,
-and a lower order's exp is a bitwise prefix of a higher one's; composition
-is Paterson-Stockmeyer.
+and a lower order's exp is a bitwise prefix of a higher one's.  A
+polynomial in a series (composition, and an explicit law's phi(h)) runs one
+plan of products, Paterson-Stockmeyer's or binary powers', whichever makes
+fewer.
 """
 
 from __future__ import annotations
@@ -156,37 +158,91 @@ def series_exp(a, order):
     return e[: order + 1]
 
 
+def _ps_nodes(a):
+    """Paterson and Stockmeyer's plan (SIAM J. Comput. 2, 1973): the baby
+    powers h^2..h^k, k = isqrt(len(a)), the last the giant step, then the
+    Horner accumulators over the rows of a in h^k."""
+    k = math.isqrt(len(a))
+    rows = np.concatenate([a, np.zeros(-len(a) % k)]).reshape(-1, k).tolist()
+    # h^j is node j - 1, so h^k, the giant step, is node k - 1
+    nodes = [(0.0, (), None)] + [(0.0, (), (j - 2, 0))
+                                 for j in range(2, k + 1)]
+    acc, scale = None, 0.0  # the accumulator: a node, or the constant
+    for row in rows[::-1]:
+        lin = [(v, j - 1) for j, v in enumerate(row) if j and v]
+        if acc is None and scale:
+            lin.append((scale, k - 1))
+        if acc is None and not lin:
+            scale = row[0]
+            continue
+        nodes.append((row[0], tuple(lin),
+                      None if acc is None else (acc, k - 1)))
+        acc = len(nodes) - 1
+    return nodes
+
+
+def _power_nodes(a):
+    """sum_k a_k h^k from h^2, h^4, ..., each the square of the last, and
+    each power of h in a's support a product of those, high bits first:
+    far fewer products than _ps_nodes when the support is sparse."""
+    nodes, node = [(0.0, (), None)], {1: 0}  # node of each power of h
+    support, j = (np.flatnonzero(a[1:]) + 1).tolist(), 1
+    while 2 * j <= support[-1]:
+        nodes.append((0.0, (), (node[j], node[j])))
+        node[2 * j] = len(nodes) - 1
+        j *= 2
+    for e in support:
+        done = 0
+        for bit in reversed(range(e.bit_length())):
+            if e >> bit & 1:
+                if done and done + (1 << bit) not in node:
+                    nodes.append((0.0, (), (node[done], node[1 << bit])))
+                    node[done + (1 << bit)] = len(nodes) - 1
+                done += 1 << bit
+    nodes.append((a[0], tuple((a[e], node[e]) for e in support), None))
+    return nodes
+
+
+def _plan(a):
+    """The products that form sum_k a_k h^k, as nodes: node 0 is h, the
+    last the sum, and each const + sum coef*node (+ node_p*node_q), its
+    coefficients a's.  _ps_nodes, or _power_nodes where that makes fewer
+    products (a sparse support, or degree 2); a constant a is one node."""
+    nz = np.flatnonzero(a)
+    if not nz.size or not nz[-1]:
+        return [(0.0, (), None), (a[0] if nz.size else 0.0, (), None)]
+    a = a[: nz[-1] + 1]
+    return min(_power_nodes(a), _ps_nodes(a),
+               key=lambda nodes: sum(1 for *_, p in nodes if p))
+
+
+def _evaluate(nodes, inner, order):
+    """Every node of a plan through s^order, node 0 being inner, zero-padded:
+    each product one series_mul, to which the linear terms and then the
+    constant are added."""
+    inner = inner[: order + 1]
+    out = [np.concatenate([inner, np.zeros(order + 1 - len(inner))])]
+    for c0, lin, prod in nodes[1:]:
+        v = (series_mul(out[prod[0]], out[prod[1]], order) if prod
+             else np.zeros(order + 1))
+        for coef, j in lin:
+            v += coef * out[j]
+        v[0] += c0
+        out.append(v)
+    return out
+
+
 def series_compose_val1(outer, inner, order):
     """Compose sum_j outer[j] * inner^j where inner has zero constant term.
 
     Because inner has valuation >= 1, inner^j vanishes beyond order j, so
-    only outer coefficients up to the truncation order contribute.
-
-    Paterson-Stockmeyer, about 2*sqrt(len(outer)) convolutions: one matrix
-    product of the outer coefficients in blocks of k = isqrt(len(outer)) by
-    the baby powers inner^0..inner^(k-1), then Horner in inner^k over the
-    blocks.  For nonnegative outer and inner every intermediate is a sum of
-    nonnegative products, so the result keeps relative accuracy.
+    only outer coefficients up to the truncation order contribute.  The
+    products are _plan's, about 2*sqrt(len(outer)) of them, or fewer on a
+    sparse outer.  For nonnegative outer and inner every intermediate is a
+    sum of nonnegative products, so the result keeps relative accuracy.
     """
     inner = np.asarray(inner, dtype=float)[: order + 1]
     if inner[0] != 0.0:
         raise ValueError("inner series must have zero constant term")
     outer = np.asarray(outer, dtype=float)[: order + 1]
-    nz = np.nonzero(outer)[0]
-    outer = outer[: nz[-1] + 1] if nz.size else outer[:1]
-    k = math.isqrt(len(outer))
-    # rows j of baby: inner^j for j < k, as long as inner^(k-1) can be
-    baby = np.zeros((k, min(order + 1, (k - 1) * (len(inner) - 1) + 1)))
-    baby[0, 0] = 1.0
-    if k > 1:
-        baby[1, : len(inner)] = inner
-    for j in range(2, k):
-        baby[j] = series_mul(baby[j - 1], inner, baby.shape[1] - 1)
-    giant = series_mul(baby[-1], inner, order)  # inner^k
-    blocks = np.concatenate([outer, np.zeros(-len(outer) % k)])
-    rows = blocks.reshape(-1, k) @ baby  # row i: block i as a series
-    acc = rows[-1]
-    for row in rows[-2::-1]:
-        acc = series_mul(acc, giant, order)
-        acc[: len(row)] += row
-    return np.concatenate([acc, np.zeros(order + 1 - len(acc))])
+    return _evaluate(_plan(outer), inner, order)[-1]

@@ -1,6 +1,6 @@
 """What the test modules share: the test laws, the bundled-law names and
 loader, the in-process CLI runner and CSV parser, the bundled laws in
-mpmath, and the series references that run in more than one dtype.
+mpmath, and the series references, some in more than one dtype.
 
 The test laws are built by the factories, not read from the bundled files
 they equal, so a test of either route compares it against the other.
@@ -122,6 +122,23 @@ def reciprocal_reference(f, order, dtype=float):
     return np.concatenate([r, np.zeros(order + 1 - len(r), dtype)])
 
 
+def compose_reference(outer, inner, order):
+    """sum_j outer[j] * inner^j through s^order, one convolution per outer
+    coefficient: the plain definition, with no plan of products."""
+    inner = np.asarray(inner, dtype=float)[: order + 1]
+    outer = np.asarray(outer, dtype=float)[: order + 1]
+    nz = np.nonzero(outer)[0]
+    outer = outer[: nz[-1] + 1] if nz.size else outer[:1]
+    out = np.zeros(order + 1)
+    out[0] = outer[0]
+    power = np.array([1.0])
+    for j in range(1, len(outer)):
+        power = np.convolve(power, inner)[: order + 1]
+        if outer[j] != 0.0:
+            out[: len(power)] += outer[j] * power
+    return out
+
+
 def exp_reference(a, order, dtype=float):
     """e_m = (1/m) sum_{j=1..m} j a_j e_{m-j}, reading e backwards, one
     dot per coefficient in the given dtype."""
@@ -201,12 +218,16 @@ def _h_reference(q, p, gamma, beta, order):
 
 def f0_reference(law, order):
     """Coefficients of f0 = s*sum_j c_j h^j through s^order in long double,
-    for an explicit right law, c = (q + p_0, p_1, ...), from h_reference:
-    Horner in h, each step a full product truncated at s^(order - 1),
-    every term nonnegative."""
+    for an explicit law, c = (q + p_0, p_1, ...) on the right and the jump
+    tails T_j, summed from the top, on the left, from h_reference: Horner
+    in h, each step a full product truncated at s^(order - 1), every term
+    nonnegative."""
     ld = np.longdouble
-    c = np.array(law.p, ld)
-    c[0] += ld(law.q)
+    if law.orientation is Orientation.RIGHT:
+        c = np.array(law.p, ld)
+        c[0] += ld(law.q)
+    else:
+        c = np.cumsum(np.array(law.p, ld)[::-1])[::-1]
     c = c[: min(np.flatnonzero(c)[-1] + 1, order)]
     h = h_reference(law, order - 1).astype(ld)
     acc = np.array([c[-1]], ld)

@@ -22,10 +22,10 @@ from recordwalk import fixed_point
 from recordwalk.fixed_point import (BLOCK, ConvergenceError, _log,
                                     one_minus_s_phi_prime_h)
 from recordwalk.series import series_eval
-from support import (ASYM, BUNDLED_LAWS, JUMP_9, JUMP_9_LEFT, LAZY, LAZY_LEFT,
-                     LONG_JUMP, LONG_JUMP_LEFT, STABLE, STABLE_EDGE_LAWS,
-                     STABLE_LEFT, SYM, SYM_LEFT, bundled_law, f0_reference,
-                     h_reference)
+from support import (ALL_LAWS, ASYM, ASYM_LEFT, BUNDLED_LAWS, JUMP_9,
+                     JUMP_9_LEFT, LAZY, LAZY_LEFT, LONG_JUMP, LONG_JUMP_LEFT,
+                     STABLE, STABLE_EDGE_LAWS, STABLE_LEFT, SYM, SYM_LEFT,
+                     bundled_law, f0_reference, h_reference)
 
 LAWS = [SYM, SYM_LEFT, ASYM, STABLE]
 
@@ -233,6 +233,10 @@ F0_RIGHT_BOUNDS = [("sym", SYM, 2e-15), ("asym", ASYM, 4.0e-15),
 def test_f0_series_of_right_laws_against_long_double(name, law, tol):
     # read: sym 6.3e-16, asym 1.9e-15, lazy 1.5e-14, long jump 4.8e-15,
     # jump 9 5.3e-14
+    _check_f0_against_long_double(law, tol)
+
+
+def _check_f0_against_long_double(law, tol):
     ref = f0_reference(law, 2000)
     got = f0_series(law, 2000)
     assert np.array_equal(got == 0.0, ref == 0.0)  # exact zeros stay zero
@@ -241,7 +245,33 @@ def test_f0_series_of_right_laws_against_long_double(name, law, tol):
     assert err <= tol, err
 
 
+# f0 = s*sum_j T_j h^j of the explicit left laws, composed from their jump
+# tails, by the same rule: twice the reading before the composition shared
+# _ExplicitPhi's plan of products (sym left 6.3e-16, asym left 2.0e-15,
+# lazy left 1.5e-14, long jump left 5.1e-15, jump 9 left 5.3e-14), and at
+# least 2e-15
+F0_LEFT_BOUNDS = [("sym_left", SYM_LEFT, 2e-15),
+                  ("asym_left", ASYM_LEFT, 4.0e-15),
+                  ("lazy_left", LAZY_LEFT, 3.0e-14),
+                  ("long_jump_left", LONG_JUMP_LEFT, 1.02e-14),
+                  ("jump_9_left", JUMP_9_LEFT, 1.06e-13)]
+
+
+@pytest.mark.skipif(not LONG_DOUBLE,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("name, law, tol", F0_LEFT_BOUNDS,
+                         ids=[case[0] for case in F0_LEFT_BOUNDS])
+def test_f0_series_of_left_laws_against_long_double(name, law, tol):
+    _check_f0_against_long_double(law, tol)
+
+
 class TestF0Series:
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_check(self, law, order):
+        with pytest.raises(ValueError, match="^order must be >= 1$"):
+            f0_series(law, order)
+
     def test_symmetric_right(self):
         c = f0_series(SYM, 8)
         assert np.allclose(

@@ -21,10 +21,11 @@ from recordwalk import (
 )
 from recordwalk.fixed_point import (BLOCK, _first_block, _solve_blocks,
                                     one_minus_s_phi_prime_h)
-from recordwalk.series import (_low_product, series_compose_val1, series_eval,
-                               series_exp, series_log, series_reciprocal)
+from recordwalk.series import (_low_product, series_eval, series_exp,
+                               series_log, series_reciprocal)
 from support import (ALL_LAWS, ASYM, BUNDLED_LAWS, STABLE, STABLE_LEFT, SYM,
-                     SYM_LEFT, MpLaw, bundled_law, parse_csv, run_cli)
+                     SYM_LEFT, MpLaw, bundled_law, compose_reference,
+                     parse_csv, run_cli)
 
 
 class TestExplicitFactory:
@@ -153,7 +154,7 @@ def _phi_direct(law, h, order):
     polynomial composed with H, or H + q*W^(1+beta), W = 1 - H, by Miller's
     recurrence one coefficient at a time in long double."""
     if not law.is_stable:
-        return series_compose_val1(np.array([law.q, *law.p]), h, order)
+        return compose_reference(np.array([law.q, *law.p]), h, order)
     ld = np.longdouble
     w = np.zeros(order + 1, ld)
     w[: len(h)] = -h[: order + 1]
@@ -178,7 +179,7 @@ def _phi_prime_direct(law, h, order):
         out[0] += 1.0
         return out
     a = np.array([law.q, *law.p])
-    return series_compose_val1(a[1:] * np.arange(1, len(a)), h, order)
+    return compose_reference(a[1:] * np.arange(1, len(a)), h, order)
 
 
 @pytest.mark.parametrize("name", BUNDLED_LAWS)
@@ -206,8 +207,9 @@ class TestLawInterface:
         # phi'(h) through s^d, d = min(m, B - 2), and the window at the
         # last block start c <= m, R_0 = [s^(c-1)] phi(h) and
         # R_i = [s^(c+i-1)] phi(h[:c]), against phi composed with h
-        # directly: series_compose_val1, whose terms are nonnegative as
-        # the window's are, or for the stable family log and exp of
+        # directly: support.compose_reference, one convolution per
+        # coefficient and no plan of products, whose terms are nonnegative
+        # as the window's are, or for the stable family log and exp of
         # W = 1 - H for phi'(h) and a long-double Miller run for the window
         # (at most 2.6e-14 read; log and exp read 5.2e-13 at order 10001).
         # Any accurate G drives the blocks, here Newton's reciprocal: the

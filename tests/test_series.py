@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recordwalk import h_series, truncated_explicit
+from recordwalk import Orientation, h_series, truncated_explicit
 from recordwalk.series import (
     CONV_SLICE,
     EXP_BLOCK,
     _middle_product,
+    _plan,
     series_compose_val1,
     series_eval,
     series_exp,
@@ -19,25 +20,11 @@ from recordwalk.series import (
     series_mul,
     series_reciprocal,
 )
-from support import STABLE, STABLE_LEFT, exp_reference, reciprocal_reference
+from support import (ALL_LAWS, JUMP_9, LONG_JUMP, LONG_JUMP_LEFT, STABLE,
+                     STABLE_LEFT, compose_reference, exp_reference,
+                     reciprocal_reference)
 
 STABLE_LAWS = [STABLE, STABLE_LEFT]
-
-
-def _compose_reference(outer, inner, order):
-    """One convolution per outer coefficient, the plain definition."""
-    inner = np.asarray(inner, dtype=float)[: order + 1]
-    outer = np.asarray(outer, dtype=float)[: order + 1]
-    nz = np.nonzero(outer)[0]
-    outer = outer[: nz[-1] + 1] if nz.size else outer[:1]
-    out = np.zeros(order + 1)
-    out[0] = outer[0]
-    power = np.array([1.0])
-    for j in range(1, len(outer)):
-        power = np.convolve(power, inner)[: order + 1]
-        if outer[j] != 0.0:
-            out[: len(power)] += outer[j] * power
-    return out
 
 
 def _log_reference(w, order):
@@ -162,10 +149,45 @@ def test_compose_matches_reference(outer, inner_tail, order, zero_outer):
     outer = np.zeros(len(outer)) if zero_outer else np.array(outer)
     inner = np.array([0.0, *inner_tail])
     out = series_compose_val1(outer, inner, order)
-    ref = _compose_reference(outer, inner, order)
+    ref = compose_reference(outer, inner, order)
     assert len(out) == order + 1
     assert out[0] == outer[0]
     assert _within_rel(out, ref, 1e-13)
+
+
+def _products(nodes):
+    return sum(1 for *_, prod in nodes if prod)
+
+
+def _f0_outer(law):
+    """The c of f0 = s*sum_j c_j h^j that an explicit law composes."""
+    if law.orientation is Orientation.LEFT:
+        return law.jump_tails(len(law.p))
+    c = np.array(law.p)
+    c[0] += law.q
+    return c
+
+
+@pytest.mark.parametrize("law, products",
+                         [(LONG_JUMP, 7), (JUMP_9, 4), (LONG_JUMP_LEFT, 13)],
+                         ids=["long_jump", "jump_9", "long_jump_left"])
+def test_plan_product_count(law, products):
+    # binary powers for the sparse c of long jump and jump 9, where
+    # Paterson-Stockmeyer took 13 and 5; long jump left's tails are dense
+    assert _products(_plan(_f0_outer(law))) == products
+
+
+@pytest.mark.parametrize("law", [law for law in ALL_LAWS if not law.is_stable])
+def test_plan_makes_no_more_products_on_bundled_laws(law):
+    # series_compose_val1 made max(k - 2, 0) baby products, the giant step
+    # and one product per Horner row but the first for n coefficients in
+    # rows of k = isqrt(n): the polynomials an explicit bundled law
+    # composes, phi' and f0's c, take no more on the shared plan
+    a = np.array([law.q, *law.p])
+    for outer in (a[1:] * np.arange(1, len(a)), _f0_outer(law)):
+        n = np.flatnonzero(outer)[-1] + 1
+        k = math.isqrt(n)
+        assert _products(_plan(outer)) <= max(k - 2, 0) + -(-n // k)
 
 
 @pytest.mark.parametrize("law", STABLE_LAWS, ids=["right", "left"])
@@ -175,7 +197,7 @@ def test_compose_truncated_stable_law(law, order):
     outer = np.array([explicit.q, *explicit.p])
     inner = h_series(law, order)
     out = series_compose_val1(outer, inner, order)
-    assert _within_rel(out, _compose_reference(outer, inner, order), 1e-14)
+    assert _within_rel(out, compose_reference(outer, inner, order), 1e-14)
 
 
 @pytest.mark.parametrize("law", STABLE_LAWS, ids=["right", "left"])
