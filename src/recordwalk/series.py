@@ -207,7 +207,7 @@ def _plan(a):
     """The products that form sum_k a_k h^k, as nodes: node 0 is h, the
     last the sum, and each const + sum coef*node (+ node_p*node_q), its
     coefficients a's.  _ps_nodes, or _power_nodes where that makes fewer
-    products (a sparse support, or degree 2); a constant a is one node."""
+    products (a sparse support, or degree 2); a constant a, one node."""
     nz = np.flatnonzero(a)
     if not nz.size or not nz[-1]:
         return [(0.0, (), None), (a[0] if nz.size else 0.0, (), None)]
