@@ -18,9 +18,9 @@ G = 1/(1 - s*phi'(h)) formed once and R read off the running series of
 phi(h) that the law keeps (IncrementLaw.running_phi): a block costs one
 middle product against the known prefix per product in phi(h) (one for a
 law of degree 2, 8 for the sparse degree 51 of 0.5 + 0.49 h + 0.01 h^51,
-two for the stable family), plus B-term products.  Every order makes the
-same blocks, so a lower order's coefficients are bitwise a prefix of a
-higher one's.
+two for the stable family), plus B-term products.  Every order solves the
+same whole blocks and cuts them only on return, so a lower order's
+coefficients are bitwise a prefix of a higher one's.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .laws import expand_coefficients
-from .series import _low_product
+from .series import BLOCK, series_mul
 
-BLOCK = 128  # h_series coefficients solved at a time
 RESIDUAL_TOL = 1e-13
 U_MAX = 750.0  # |log(h/w)| beyond which h or w is 0 in double precision
 
@@ -163,14 +162,15 @@ def _first_block(law):
     baby = np.zeros((t, n))
     baby[0, 0] = 1.0
     for j in range(1, t):
-        baby[j] = np.convolve(baby[j - 1], a)[:n]
-    giant = np.convolve(baby[-1], a)[:n]
+        baby[j] = series_mul(baby[j - 1], a, n - 1)
+    giant = series_mul(baby[-1], a, n - 1)
     k = -(-BLOCK // t)
     # powers[i, n + l] = [x^l] phi^(i*t), zero for l < 0 and l >= n
     powers = np.zeros((k, 2 * n + t))
     powers[0, n] = 1.0
     for i in range(1, k):
-        powers[i, n : 2 * n] = np.convolve(powers[i - 1, n : 2 * n], giant)[:n]
+        powers[i, n : 2 * n] = series_mul(powers[i - 1, n : 2 * n], giant,
+                                          n - 1)
     # view[i, j, l] = powers[i, i*t + j + l], against baby[j] reversed
     view = as_strided(powers, (k, t, n),
                       (powers.strides[0] + t * powers.itemsize,
@@ -184,21 +184,21 @@ def h_series(law, order):
     """Coefficients of h through s^order: a float64 array, checked finite.
 
     An online solve (van der Hoeven, J. Symb. Comput. 34, 2002): the first
-    BLOCK coefficients by _first_block, the rest by _solve_blocks, each
-    coefficient formed once.
+    BLOCK coefficients by _first_block, the rest by _solve_blocks, in whole
+    blocks cut at the order as series_exp's, each coefficient formed once.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    h = np.zeros(order + 1)
-    h[:BLOCK] = _first_block(law)[: order + 1]
+    h = np.zeros(-(-(order + 1) // BLOCK) * BLOCK)
+    h[:BLOCK] = _first_block(law)
     if order >= BLOCK:
         _solve_blocks(law, h)
-    return _finite(h)
+    return _finite(h[: order + 1])
 
 
 def _solve_blocks(law, h):
-    """Fill h[BLOCK:] in blocks of B = BLOCK coefficients, from its first
-    block, and return the law's running series of phi(h).
+    """Fill h[BLOCK:], whole blocks of B = BLOCK coefficients, from its
+    first block, and return the law's running series of phi(h).
 
     At a block start c >= B, with h final below c, the unknowns X = h[c:c+B]
     satisfy X = R + s*phi'(h[:B])*X through s^(B-1), where R_0 = [s^(c-1)]
@@ -206,23 +206,18 @@ def _solve_blocks(law, h):
     unknowns lands at s^(2c) or later.  So X = R*G through s^(B-1), with
     G = 1/(1 - s*phi'(h)) formed once, from nonnegative terms; R comes from
     the running series the law keeps of phi(h) (law.running_phi), which
-    then take their own blocks.  The last block is cut at the end of h,
-    and every coefficient it keeps takes the same products as in a whole
-    block, so a lower order's coefficients are bitwise a prefix of a
-    higher one's.
+    then take their own blocks.  Every block makes the same products,
+    whatever the length of h.
     """
     run = law.running_phi(h, BLOCK)
     # G = 1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)... for x = s*phi'(h), whose
-    # terms are nonnegative, as the products' are; x^B vanishes in a block,
-    # and G is formed only through the widest block that h has
-    x = np.concatenate([[0.0], run.phi_prime])[: len(h) - BLOCK]
-    g = x.copy()
-    g[0] = 1.0
+    # terms are nonnegative, as the products' are; x^B vanishes in a block
+    x, g = np.r_[0.0, run.phi_prime], np.r_[1.0, run.phi_prime]
     for _ in range((BLOCK - 1).bit_length() - 1):
-        x = _low_product(x, x)
-        g += _low_product(g, x)
+        x = series_mul(x, x, BLOCK - 1)
+        g += series_mul(g, x, BLOCK - 1)
     for c in range(BLOCK, len(h), BLOCK):
-        run.advance(c, _low_product(g, run.window(c)))
+        run.advance(c, series_mul(g, run.window(c), BLOCK - 1))
     return run
 
 

@@ -29,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .series import (CONV_SLICE, _evaluate, _low_product, _middle_product,
-                     _plan, series_compose_val1, series_eval, series_exp,
-                     series_log, series_reciprocal)
+from .series import (CONV_SLICE, _evaluate, _middle_product, _plan,
+                     series_compose_val1, series_eval, series_exp,
+                     series_log, series_mul, series_reciprocal)
 
 MASS_TOL = 1e-12
 CRITICALITY_TOL = 1e-10
@@ -159,17 +159,17 @@ class IncrementLaw:
     # -- what the consumers need ---------------------------------------------
 
     def running_phi(self, h, block):
-        """phi(h) as running series on the coefficient array h, whose first
-        block h[:block] is final: the family's half of h_series's block
-        step (see _ExplicitPhi and _StablePhi).
+        """phi(h) as running series on the coefficient array h, which holds
+        whole blocks of `block` coefficients, the first of them final: the
+        family's half of h_series's block step (see _ExplicitPhi and
+        _StablePhi).
 
         The object's phi_prime is phi'(h) through s^(block - 2); its
         window(c), for a block start c >= block with h final through
         s^(c - 1), returns R with R_0 = [s^(c-1)] phi(h) and
-        R_i = [s^(c+i-1)] phi(h_c), h_c = h[:c], through the end of h or of
-        the block; its advance(c, x) stores h's block x = h[c:c+len(x)]
-        and, unless it is the last, the running series' blocks that x
-        implies.
+        R_i = [s^(c+i-1)] phi(h_c), h_c = h[:c], through the block; its
+        advance(c, x) stores h's block x = h[c:c+block] and the running
+        series' blocks that x implies.
         """
         if self.is_stable:
             return _StablePhi(self, h, block)
@@ -415,8 +415,8 @@ def _cross(a, b, c, width):
         return _middle_product(a[1 : c + width - 1], b[1:c])
     half = (c + 1) // 2
     out = 2.0 * _middle_product(a[c - half + 1 : c + width - 1], a[1:half])
-    seg = a[half : half + width]
-    out[2 * half - c :] += _low_product(seg, seg)[: width + c - 2 * half]
+    sq = series_mul(a[half : half + width], a[half : half + width], width - 1)
+    out[2 * half - c :] += sq[: width + c - 2 * half]
     return out
 
 
@@ -442,10 +442,8 @@ class _ExplicitPhi:
         pad = np.zeros(len(h) - block)
         self.series = [h] + [np.concatenate([v, pad]) for v in first]
         self.low = [s[:block] for s in self.series]  # the first blocks
-        self.one = np.zeros(block)
-        self.one[0] = 1.0
-        if len(h) > 2 * block:  # some block is not the last
-            self.deriv = np.array(self._linear(self.one, {})[1:])
+        self.one = np.r_[1.0, np.zeros(block - 1)]
+        self.deriv = np.array(self._linear(self.one, {})[1:])
         self.phi_prime = series_compose_val1(
             a[1:] * np.arange(1, len(a)), h[: block - 1], block - 2)
 
@@ -461,7 +459,8 @@ class _ExplicitPhi:
                 for j, k in ((p, q), (q, p))[: 1 + (p != q)]:
                     f, g = self.low[j], out[k]
                     if g is not None:
-                        part = f if g is self.one else _low_product(f, g)
+                        part = (f if g is self.one
+                                else series_mul(f, g, len(g) - 1))
                         part = 2.0 * part if p == q else part
                         v = part if v is None else v + part
             for coef, j in lin:
@@ -471,8 +470,7 @@ class _ExplicitPhi:
         return out
 
     def window(self, c):
-        s = self.series
-        b = min(self.block, len(self.h) - c)
+        s, b = self.series, self.block
         self.w = self._linear(None, {
             i: _cross(s[prod[0]], s[prod[1]], c, b)
             for i, (_, _, prod) in enumerate(self.nodes) if prod})
@@ -482,12 +480,11 @@ class _ExplicitPhi:
         return r
 
     def advance(self, c, x):
-        b = len(x)
+        b = self.block
         self.h[c : c + b] = x
-        if c + b < len(self.h):
-            for s, w, d in zip(self.series[1:], self.w[1:], self.deriv):
-                v = _low_product(d, x)
-                s[c : c + b] = v if w is None else w + v
+        for s, w, d in zip(self.series[1:], self.w[1:], self.deriv):
+            v = series_mul(d, x, b - 1)
+            s[c : c + b] = v if w is None else w + v
 
 
 class _StablePhi:
@@ -525,23 +522,21 @@ class _StablePhi:
         self.phi_prime[0] += 1.0
 
     def window(self, c):
-        h, P = self.h, self.P
-        b = min(self.block, len(h) - c)
+        h, P, b = self.h, self.P, self.block
         i = np.arange(b, dtype=float)
         u = (c - (1.0 + self.e) * np.arange(c)) * h[:c]  # ((2+b) j - c) w_j
         hist = _cross(P, u, c, b) + i * _cross(P, h, c, b)
-        self.y = _low_product(P[: self.block],
-                              _low_product(self.U, hist) / (c + i))
+        self.y = series_mul(P[:b], series_mul(self.U, hist, b - 1) / (c + i),
+                            b - 1)
         r = np.empty(b)
         r[0] = h[c - 1] + self.q * P[c - 1]
         r[1:] = self.q * self.y[: b - 1]
         return r
 
     def advance(self, c, x):
-        b = len(x)
+        b = self.block
         self.h[c : c + b] = x
-        if c + b < len(self.h):
-            self.P[c : c + b] = self.y - self.e * _low_product(self.V, x)
+        self.P[c : c + b] = self.y - self.e * series_mul(self.V, x, b - 1)
 
 
 def truncated_explicit(law, order=10000):

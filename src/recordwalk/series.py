@@ -4,18 +4,18 @@ All functions operate on 1-D numpy arrays where index n holds the
 coefficient of s^n, truncated at a common order: the form in which
 h_series, f0_series and tau_pmf return their series, checked finite.  Every
 product is a direct np.convolve, never an FFT, so products of nonnegative
-series keep relative accuracy.  A long product, truncated (series_mul) or
-middle, is summed over slices of CONV_SLICE terms of its shorter factor,
-one np.convolve each, so that each call's dot products run from cache; a
-truncated product makes only the terms through its order, about half of the
-full product.  Reciprocals use Newton doubling, exact through the
-truncation order after ceil(log2(order+1)) steps, each a middle product and
-a truncated product; log W integrates W'/W through one reciprocal; exp runs
-its recurrence in blocks, one middle product with the history per block,
-and a lower order's exp is a bitwise prefix of a higher one's.  A
-polynomial in a series (composition, and an explicit law's phi(h)) runs one
-plan of products, Paterson-Stockmeyer's or binary powers', whichever makes
-fewer.
+series keep relative accuracy, and every truncated one is series_mul.  A
+long product, truncated or middle, is summed over slices of CONV_SLICE
+terms of its shorter factor, one np.convolve each, so that each call's dot
+products run from cache; a truncated product makes only the terms through
+its order, about half of the full product.  Reciprocals use Newton
+doubling, exact through the truncation order after ceil(log2(order+1))
+steps, each a middle product and a truncated product; log W integrates
+W'/W through one reciprocal; exp, as h_series, runs in whole blocks of
+BLOCK coefficients, one middle product with the history per block, and a
+lower order's exp is a bitwise prefix of a higher one's.  A polynomial in
+a series (composition, and an explicit law's phi(h)) runs one plan of
+products, Paterson-Stockmeyer's or binary powers', whichever makes fewer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 CONV_SLICE = 1024  # terms of the shorter factor per np.convolve call
-EXP_BLOCK = 128  # series_exp coefficients per convolution step
+BLOCK = 128  # coefficients series_exp and h_series solve at a time
 
 
 def series_eval(coeffs, s):
@@ -71,20 +71,6 @@ def _middle_product(x, y):
     return out
 
 
-def _low_product(a, b):
-    """a*b through s^(len(b) - 1), for len(a) >= len(b).
-
-    np.convolve forms the last coefficient of a product of two factors of
-    at most 4 terms by another order of summation, so a factor that short
-    is zero-padded: every coefficient then takes the same bits as from
-    longer factors.
-    """
-    n = len(b)
-    if n <= 4:
-        a, b = (np.concatenate([f[:n], np.zeros(5 - n)]) for f in (a, b))
-    return np.convolve(a[: len(b)], b)[:n]
-
-
 def series_reciprocal(f, order):
     """Series inverse of f with f[0] != 0, truncated at the given order.
 
@@ -125,7 +111,7 @@ def series_log(w, order):
 
 def series_exp(a, order):
     """exp of a series with zero constant term: the recurrence
-    m e_m = sum_{j=1..m} j a_j e_{m-j} in blocks of B = EXP_BLOCK.
+    m e_m = sum_{j=1..m} j a_j e_{m-j} in blocks of B = BLOCK.
 
     The first block E is the recurrence itself.  A block X = e[c:c+B]
     takes its history R_i = sum_{k<c} e_k (ja)_{c+i-k} in one middle product
@@ -141,7 +127,7 @@ def series_exp(a, order):
     a = np.asarray(a, dtype=float)[: order + 1]
     if a[0] != 0.0:
         raise ValueError("series must have zero constant term")
-    B = EXP_BLOCK
+    B = BLOCK
     ja = np.zeros(-(-(order + 1) // B) * B)
     ja[: len(a)] = np.arange(len(a)) * a
     e = np.zeros(len(ja))
@@ -153,8 +139,8 @@ def series_exp(a, order):
         inv = series_reciprocal(first, B - 1)
         for c in range(B, len(e), B):
             r = _middle_product(ja[1 : c + B], e[:c])
-            y = np.convolve(r, inv)[:B] / np.arange(c, c + B)
-            e[c : c + B] = np.convolve(first, y)[:B]
+            y = series_mul(r, inv, B - 1) / np.arange(c, c + B)
+            e[c : c + B] = series_mul(first, y, B - 1)
     return e[: order + 1]
 
 

@@ -194,12 +194,16 @@ def _suite_ldp_trend(law):
     renewal oracle, n = 100 to 800, against the LDP rate at x: monotone
     toward it, and a geometric extrapolant within 10% of it.  Each tail is
     one renewal_tail of one tau series, a power of it by binary powering,
-    not a table of every row."""
+    not a table of every row; one that underflows to 0 raises ValueError."""
     analytic = rates.ldp_rate(law, LDP_TREND_X_REC)
     ns = (100, 200, 400, 800)
     tau = oracle.tau_pmf(law, ns[-1])  # one series for every horizon
-    rs = [-math.log(oracle.renewal_tail(
-        tau, n, math.ceil(LDP_TREND_X_REC * n))) / n for n in ns]
+    rs = []
+    for n in ns:
+        k = math.ceil(LDP_TREND_X_REC * n)
+        if (tail := oracle.renewal_tail(tau, n, k)) == 0.0:
+            raise ValueError(f"P(A_{n} >= {k}) underflows to 0 in double")
+        rs.append(-math.log(tail) / n)
     diffs = np.diff(rs)
     toward = bool(np.all(diffs > 0) and rs[-1] < analytic) or bool(
         np.all(diffs < 0) and rs[-1] > analytic

@@ -237,3 +237,42 @@ def f0_reference(law, order):
     f0 = np.zeros(order + 1, ld)
     f0[1 : len(acc) + 1] = acc
     return f0
+
+
+def random_laws(seed, count):
+    """count critical laws drawn by numpy.random.default_rng(seed): the
+    same laws on every run, where a hypothesis search would pick its own.
+
+    Each law is stable with probability 1/5, gamma and beta uniform in
+    (0.01, 0.99).  Otherwise it is explicit:
+    - a support size N uniform in 1..59;
+    - weights r_0..r_N of one of three kinds, each with probability 1/3:
+      uniform(0, 1), uniform(0, 1) times a Bernoulli(0.2) mask, or
+      geometric rho^n with rho uniform(0, 1);
+    - r_N = 1 if r_1..r_N are all 0;
+    - with probability 0.3, each weight times 10^uniform(-3, 0);
+    - p_n = r_n/T and q = sum n r_n/T, T = sum r_n + sum n r_n, so that
+      sum n p_n = q: critical by construction.
+    Either family is oriented right or left with probability 1/2.
+    """
+    rng = np.random.default_rng(seed)
+    laws = []
+    for _ in range(count):
+        side = ("right", "left")[rng.integers(2)]
+        if rng.random() < 0.2:
+            laws.append(IncrementLaw.stable(side, *rng.uniform(0.01, 0.99, 2)))
+            continue
+        n = np.arange(rng.integers(1, 60) + 1)
+        kind = rng.integers(3)
+        if kind == 2:
+            r = rng.random() ** n
+        else:
+            r = rng.random(len(n)) * (rng.random(len(n)) < 0.2 if kind else 1)
+        if not r[1:].any():
+            r[-1] = 1.0
+        if rng.random() < 0.3:
+            r *= 10.0 ** rng.uniform(-3.0, 0.0, len(n))
+        total = r.sum() + (n * r).sum()
+        laws.append(IncrementLaw.explicit(side, (n * r).sum() / total,
+                                          r / total))
+    return laws

@@ -238,6 +238,17 @@ class TestVerify:
                                   "passed": False, "provenance": "test"}]
         assert doc["meta"]["law_sha256"] == bundled_law("sym.json").sha256()
 
+    def test_underflowing_tail_is_one_line_and_exit_1(self, tmp_path):
+        # ldp-trend's P(A_800 >= 400) of the stable law gamma = 0.98,
+        # beta = 0.03, left, is 0 in double: the one stderr line names it
+        law = tmp_path / "law.json"
+        law.write_text(IncrementLaw.stable("left", 0.98, 0.03).to_json())
+        code, out, err = run_cli("verify", "--law", str(law),
+                                 "--suite", "ldp-trend")
+        assert code == 1 and out == ""
+        assert err == ("numeric failure: P(A_800 >= 400) underflows to 0 "
+                       "in double\n")
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--law", SYM_PATH, "--suite", "nope"])
@@ -504,11 +515,12 @@ def _lower_address_space():
 
 @pytest.mark.parametrize("argv, shape", [
     (["oracle", "--mode", "dp", "--n", "30000"], "(30001, 30001)"),
-    (["series", "--what", "tau", "--order", "400000000"], "(400000002,)"),
+    (["series", "--what", "tau", "--order", "400000000"], "(400000128,)"),
 ], ids=["oracle-dp", "series-tau"])
 def test_out_of_memory_is_one_line_and_exit_1(argv, shape):
-    # the DP kernel (6.71 GiB) and the h series (2.98 GiB) do not fit under
-    # the child's own address-space limit; neither command is run without it
+    # the DP kernel (6.71 GiB) and the h series (2.98 GiB, h through
+    # s^400000001 in whole blocks of 128) do not fit under the child's own
+    # address-space limit; neither command is run without it
     proc = subprocess.run(
         [sys.executable, "-m", "recordwalk", argv[0], "--law", SYM_PATH,
          *argv[1:]],

@@ -22,10 +22,10 @@ from recordwalk import fixed_point
 from recordwalk.fixed_point import (BLOCK, ConvergenceError, _log,
                                     one_minus_s_phi_prime_h)
 from recordwalk.series import series_eval
-from support import (ALL_LAWS, ASYM, ASYM_LEFT, BUNDLED_LAWS, JUMP_9,
-                     JUMP_9_LEFT, LAZY, LAZY_LEFT, LONG_JUMP, LONG_JUMP_LEFT,
-                     STABLE, STABLE_EDGE_LAWS, STABLE_LEFT, SYM, SYM_LEFT,
-                     bundled_law, f0_reference, h_reference)
+from support import (ALL_LAWS, ASYM, ASYM_LEFT, BUNDLED_LAWS, EDGE_LAWS,
+                     JUMP_9, JUMP_9_LEFT, LAZY, LAZY_LEFT, LONG_JUMP,
+                     LONG_JUMP_LEFT, STABLE, STABLE_EDGE_LAWS, STABLE_LEFT,
+                     SYM, SYM_LEFT, bundled_law, f0_reference, h_reference)
 
 LAWS = [SYM, SYM_LEFT, ASYM, STABLE]
 
@@ -136,15 +136,17 @@ class TestHSeries:
         with pytest.raises(ValueError):
             h_series(SYM, 0)
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 9, 16, 17, 4097,
-                                       10001])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 8, 9, 16, 17, 132,
+                                       135, 137, 138, 260, 263, 517, 1033,
+                                       4097, 10001])
     @pytest.mark.parametrize("name", BUNDLED_LAWS)
     def test_ladder_prefix_of_the_longest(self, name, order):
-        # Every order solves the same blocks of BLOCK coefficients, the
-        # first by Lagrange inversion formed whole, and cuts only the last
-        # block, whose kept coefficients take the same products: a lower
-        # order is bitwise a prefix of order 10001, on the stable laws as
-        # on the explicit ones.  An exact zero stays exactly zero.
+        # Every order solves the same whole blocks of BLOCK coefficients,
+        # the first by Lagrange inversion, and is cut only when returned:
+        # a lower order is bitwise a prefix of order 10001, on the stable
+        # laws as on the explicit ones.  An exact zero stays exactly zero.
+        # Orders 132 to 1033 end in a block of 5 to 11 coefficients, where
+        # np.convolve sums a product of factors that short in another order.
         law = bundled_law(name)
         ref = _longest_h_series(name)[: order + 1]
         got = h_series(law, order)
@@ -152,6 +154,16 @@ class TestHSeries:
         assert np.array_equal(got, ref)
         if name.startswith("sym"):  # h(s) is odd in s
             assert np.all(got[::2] == 0.0)
+
+
+@pytest.mark.parametrize("law", ALL_LAWS + EDGE_LAWS)
+def test_every_order_near_a_block_start_is_a_prefix(law):
+    # the last block of 1 to 13 coefficients, at four block starts
+    ref = h_series(law, 700)
+    for c in (BLOCK, 2 * BLOCK, 4 * BLOCK, 5 * BLOCK):
+        for order in range(c, c + 13):
+            got = h_series(law, order)
+            assert np.array_equal(got, ref[: order + 1]), order
 
 
 # every jump of 0 to 8 levels equally likely: a dense support, which takes
@@ -311,15 +323,18 @@ class TestSeriesArrays:
     def test_h_series_rejects_nonfinite_coefficients(self, monkeypatch):
         # a NaN in phi's coefficients reaches every coefficient through the
         # first block's Lagrange sums; one in the block products of
-        # G = 1/(1 - s*phi'(h)) every block after the first
+        # G = 1/(1 - s*phi'(h)), through s^(B-1) where the first block's
+        # run through s^(B-2), every block after the first
         coefficients = fixed_point.expand_coefficients
         monkeypatch.setattr(fixed_point, "expand_coefficients",
                             lambda law, n: coefficients(law, n) * np.nan)
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             h_series(SYM, 8)
         monkeypatch.undo()
-        monkeypatch.setattr(fixed_point, "_low_product",
-                            lambda a, b: np.full(len(b), np.nan))
+        mul = fixed_point.series_mul
+        monkeypatch.setattr(fixed_point, "series_mul",
+                            lambda a, b, order: mul(a, b, order) * (
+                                np.nan if order == BLOCK - 1 else 1.0))
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             h_series(SYM, 300)
 

@@ -21,8 +21,8 @@ from recordwalk import (
 )
 from recordwalk.fixed_point import (BLOCK, _first_block, _solve_blocks,
                                     one_minus_s_phi_prime_h)
-from recordwalk.series import (_low_product, series_eval, series_exp,
-                               series_log, series_reciprocal)
+from recordwalk.series import (series_eval, series_exp, series_log,
+                               series_mul, series_reciprocal)
 from support import (ALL_LAWS, ASYM, BUNDLED_LAWS, STABLE, STABLE_LEFT, SYM,
                      SYM_LEFT, MpLaw, bundled_law, compose_reference,
                      parse_csv, run_cli)
@@ -191,10 +191,10 @@ class TestLawInterface:
     def test_phi_series_sums_to_phi_at_h(self, name, s):
         # The running series of phi(h) that h_series solves with, summed
         # at s: the explicit family's last node is phi(h), the stable
-        # family keeps P = W^(1+beta), each final through the last block
-        # but one; phi'(h) through s^(B-2), which G is formed from.
+        # family keeps P = W^(1+beta), each final through the whole blocks
+        # of h; phi'(h) through s^(B-2), which G is formed from.
         law, order = bundled_law(name), 1000
-        h = np.zeros(order + 1)
+        h = np.zeros(-(-(order + 1) // BLOCK) * BLOCK)
         h[:BLOCK] = _first_block(law)
         run = _solve_blocks(law, h)
         phi_h = h + law.q * run.P if law.is_stable else run.series[-1]
@@ -215,14 +215,14 @@ class TestLawInterface:
         # Any accurate G drives the blocks, here Newton's reciprocal: the
         # window is checked against the h that this loop solves.
         law = bundled_law(name)
-        h = np.zeros(max(m, BLOCK) + 1)
+        h = np.zeros(-(-(max(m, BLOCK) + 1) // BLOCK) * BLOCK)
         h[:BLOCK] = _first_block(law)
         run = law.running_phi(h, BLOCK)
         g = series_reciprocal(np.concatenate([[1.0], -run.phi_prime]),
                               BLOCK - 1)
         for c in range(BLOCK, m + 1, BLOCK):
             r = run.window(c)
-            run.advance(c, _low_product(g, r))
+            run.advance(c, series_mul(g, r, BLOCK - 1))
         d = min(m, BLOCK - 2)
         ref = _phi_prime_direct(law, h, d)
         assert np.all(np.abs(run.phi_prime[: d + 1] - ref)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from recordwalk import Orientation, h_series, truncated_explicit
 from recordwalk.series import (
+    BLOCK,
     CONV_SLICE,
-    EXP_BLOCK,
     _middle_product,
     _plan,
     series_compose_val1,
@@ -268,7 +268,7 @@ def test_truncated_product_against_long_double():
 @pytest.mark.parametrize("extra", [0, 1, 128, CONV_SLICE + 7])
 def test_middle_product_matches_convolve(ly, extra):
     # the reciprocal's middle product has len(x) = 2 len(y) - 1 at most,
-    # the exp's len(x) = len(y) + EXP_BLOCK - 1; here len(x) = ly + extra
+    # the exp's len(x) = len(y) + BLOCK - 1; here len(x) = ly + extra
     rng = np.random.default_rng(ly + extra)
     x, y = rng.uniform(0.0, 1.0, ly + extra), rng.uniform(0.0, 1.0, ly)
     out = _middle_product(x, y)
@@ -325,12 +325,12 @@ def test_exp_bit_identical_to_loop(law):
     # but its first block is still the loop's.
     lw = _stable_log_w(3000, law)
     cases = [(lw[:40], 60)] + [(f * lw, order) for f in (1.5, 0.5)
-                               for order in range(EXP_BLOCK)]
+                               for order in range(BLOCK)]
     for a, order in cases:
         assert np.array_equal(series_exp(a, order), exp_reference(a, order))
     for a, order in [(1.5 * lw, 3000), (0.5 * lw, 1100)]:
-        assert np.array_equal(series_exp(a, order)[:EXP_BLOCK],
-                              exp_reference(a, EXP_BLOCK - 1))
+        assert np.array_equal(series_exp(a, order)[:BLOCK],
+                              exp_reference(a, BLOCK - 1))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -351,7 +351,7 @@ def test_exp_against_long_double():
 
 
 def test_exp_block_edges_match_loop():
-    B = EXP_BLOCK
+    B = BLOCK
     a = 0.5 * _stable_log_w(2 * B + 1)
     cases = [(a, order) for order in (B - 1, B, B + 1, 2 * B, 2 * B + 1)]
     # an input that stops inside the second block, zero-padded; one cut
@@ -366,10 +366,10 @@ def test_exp_block_edges_match_loop():
 def test_exp_lower_orders_are_prefixes():
     # A lower order's exp shares the bits of a higher one's, as the
     # blocks are the same
-    order = 3 * EXP_BLOCK + 17
+    order = 3 * BLOCK + 17
     a = 1.5 * _stable_log_w(order)
     full = series_exp(a, order)
-    for d in (0, 1, EXP_BLOCK - 1, EXP_BLOCK, EXP_BLOCK + 1, 2 * EXP_BLOCK,
+    for d in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
               order // 2, order - 1):
         assert np.array_equal(series_exp(a[: d + 1], d), full[: d + 1]), d
         assert np.array_equal(series_exp(a, d), full[: d + 1]), d
@@ -378,7 +378,7 @@ def test_exp_lower_orders_are_prefixes():
 def test_exp_prefixes_past_one_slice():
     # Past CONV_SLICE terms the history's middle product is summed over
     # slices, which depend on the block start alone, not on the order
-    B, C = EXP_BLOCK, CONV_SLICE
+    B, C = BLOCK, CONV_SLICE
     order = 2 * C + 3 * B + 17
     a = 0.5 * _stable_log_w(order)
     full = series_exp(a, order)
@@ -395,6 +395,6 @@ def test_exp_of_a_short_polynomial():
     # h_series, and was 2.5e-12 (6.9e-15) on the Newton ladder's.  No
     # caller passes an input cut short of the order: tail_series takes
     # log W through the order it asks for.
-    a = 0.5 * _stable_log_w(4 * EXP_BLOCK + 1)[:40]
-    order = 4 * EXP_BLOCK + 1
+    a = 0.5 * _stable_log_w(4 * BLOCK + 1)[:40]
+    order = 4 * BLOCK + 1
     assert _within_rel(series_exp(a, order), exp_reference(a, order), 1e-11)

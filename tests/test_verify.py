@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from recordwalk import (SUITES, cumulant, invert_slope, legendre, run_suite,
-                        verify)
+from recordwalk import (SUITES, IncrementLaw, cumulant, invert_slope,
+                        legendre, run_suite, verify)
 from support import ALL_LAWS, BUNDLED_LAWS, EDGE_LAWS, SYM, bundled_law
 
 LEGENDRE_SLOPES = (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
@@ -50,6 +50,15 @@ def test_lambda_limits_pass_on_every_law(law):
     # grows only 1.31-fold from -1e-4 to -1e-8
     report = run_suite(law, "lambda-limits")
     assert report.passed, [c for c in report.checks if not c.passed]
+
+
+def test_ldp_trend_names_the_tail_that_underflows():
+    # P(A_800 >= 400) of the stable law gamma = 0.98, beta = 0.03, left, is
+    # 0 in double; the suite names it rather than taking the log of 0
+    law = IncrementLaw.stable("left", 0.98, 0.03)
+    with pytest.raises(ValueError, match=r"^P\(A_800 >= 400\) underflows "
+                       r"to 0 in double$"):
+        run_suite(law, "ldp-trend")
 
 
 def test_legendre_suite_on_symmetric_walk():
