@@ -29,7 +29,10 @@ from word k of the refinement stream PCG64DXSM(seed).jumped(), where
 k = start*n + t*2w + c is the half-word's own index in the main stream;
 the refinement stream is built only when such a draw occurs.  So
 P(index = j) = p_j, up to the rounding of the residual CDF and the
-normalisation of sum(p) to 1 within the residual.
+normalisation of sum(p) to 1 within the residual.  sample_increment draws
+from the same table, _jump_grid(law, STABLE_JUMP_ORDER): floor(u * 2**32)
+of its uniform u is the half-word, and the rest of u * 2**32 the uniform of
+a residual draw.
 
 A block walks the reflected chain L = M - S a step of every path at a
 time, each row of indices overwritten by that step's level, and a weak
@@ -87,22 +90,6 @@ class SimConfig:
             raise ValueError("workers must be positive")
 
 
-@functools.lru_cache(maxsize=32)
-def _jump_cdf(law, order):
-    """CDF over [+unit jump, then jumps of size 0, 1, ..., order].
-
-    Fixed ordering: the skip-free unit step comes first (mass q), then the
-    opposite-direction jump sizes in increasing order, from
-    law.jump_pmf(order).  Its last jump carries all the mass left, so the
-    CDF ends at 1 or above and rounding in the cumulative sum cannot leave
-    uniforms below 1 past it.
-    """
-    cdf = law.q + np.concatenate([[0.0], np.cumsum(law.jump_pmf(order))])
-    cdf[-1] = max(cdf[-1], 1.0)
-    cdf.setflags(write=False)  # one cached array serves every block
-    return cdf
-
-
 @dataclass(frozen=True)
 class _Grid:
     """A jump law on the 2**-32 grid, as _jump_grid builds it."""
@@ -115,10 +102,11 @@ class _Grid:
 
 @functools.lru_cache(maxsize=32)
 def _jump_grid(law, order):
-    """The law of the jump index of _jump_cdf on the 2**-32 grid (see the
-    module docstring): p = (q, law.jump_pmf(order)), the jumps of size
-    order or more lumped at size order, and a_j = floor(p_j * 2**32) and
-    b_j = p_j - a_j * 2**-32, both exact in double."""
+    """The law of the jump index on the 2**-32 grid (see the module
+    docstring): p = (q, law.jump_pmf(order)), the unit jump, then the
+    opposite jumps of size 0, 1, ..., order, the last lumping those of size
+    order or more; a_j = floor(p_j * 2**32), b_j = p_j - a_j * 2**-32, both
+    exact in double."""
     p = np.concatenate([[law.q], law.jump_pmf(order)])
     a = np.floor(p * 2.0**32)
     thresholds = np.cumsum(a.astype(np.int64))
@@ -135,13 +123,17 @@ def _jump_grid(law, order):
 
 
 def sample_increment(law, uniform):
-    """Inverse-CDF draw of one walk increment from a uniform in [0, 1), from
-    the CDF lumped at STABLE_JUMP_ORDER: a stable law's jumps of that size
-    or more are drawn as one of that size."""
+    """One walk increment from a uniform in [0, 1): the draw of a block of
+    STABLE_JUMP_ORDER steps (a stable law's jumps of that size or more drawn
+    as one of that size) for the half-word floor(uniform * 2**32), whose
+    residual draw, if it takes one, reads the rest of uniform * 2**32."""
     if not 0.0 <= uniform < 1.0:
         raise ValueError("uniform must lie in [0, 1)")
-    cdf = _jump_cdf(law, STABLE_JUMP_ORDER)
-    idx = np.searchsorted(cdf, [uniform], side="right")
+    grid = _jump_grid(law, STABLE_JUMP_ORDER)
+    word, rest = divmod(uniform * 2.0**32, 1.0)
+    idx = np.searchsorted(grid.thresholds, [word], side="right")
+    if idx[0] == grid.thresholds.size:
+        idx = np.searchsorted(grid.residual, [rest], side="right")
     return int(_increments(law, idx)[0])
 
 

@@ -167,10 +167,11 @@ def _ps_nodes(a):
     return nodes
 
 
-def _power_nodes(a):
+def _power_nodes(a, most):
     """sum_k a_k h^k from h^2, h^4, ..., each the square of the last, and
     each power of h in a's support a product of those, high bits first:
-    far fewer products than _ps_nodes when the support is sparse."""
+    far fewer products than _ps_nodes when the support is sparse.  None,
+    unfinished, once it takes more than `most` products."""
     nodes, node = [(0.0, (), None)], {1: 0}  # node of each power of h
     support, j = (np.flatnonzero(a[1:]) + 1).tolist(), 1
     while 2 * j <= support[-1]:
@@ -185,6 +186,8 @@ def _power_nodes(a):
                     nodes.append((0.0, (), (node[done], node[1 << bit])))
                     node[done + (1 << bit)] = len(nodes) - 1
                 done += 1 << bit
+        if len(nodes) - 1 > most:  # every node but h is a product
+            return None
     nodes.append((a[0], tuple((a[e], node[e]) for e in support), None))
     return nodes
 
@@ -192,14 +195,14 @@ def _power_nodes(a):
 def _plan(a):
     """The products that form sum_k a_k h^k, as nodes: node 0 is h, the
     last the sum, and each const + sum coef*node (+ node_p*node_q), its
-    coefficients a's.  _ps_nodes, or _power_nodes where that makes fewer
+    coefficients a's.  _ps_nodes, or _power_nodes where that makes no more
     products (a sparse support, or degree 2); a constant a, one node."""
     nz = np.flatnonzero(a)
     if not nz.size or not nz[-1]:
         return [(0.0, (), None), (a[0] if nz.size else 0.0, (), None)]
     a = a[: nz[-1] + 1]
-    return min(_power_nodes(a), _ps_nodes(a),
-               key=lambda nodes: sum(1 for *_, p in nodes if p))
+    ps = _ps_nodes(a)
+    return _power_nodes(a, sum(1 for *_, p in ps if p)) or ps
 
 
 def _evaluate(nodes, inner, order):

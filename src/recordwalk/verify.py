@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixed_point, oracle, rates
+from .fixed_point import U_MAX
 from .laws import Orientation
 from .series import series_eval
 
@@ -93,43 +94,60 @@ def _suite_lambda_limits(law):
     ]
 
 
-def _legendre_grid(law):
-    """lambda and Lambda at 20001 points of the curve at u = log(h/w) in
-    [-10, 10], with h = 1/(1 + e^-u) and w = 1/(1 + e^u), read off r = D/w
-    (law.gap_over_w) with no fixed point to solve: lambda = -log1p(w*r/h),
-    and Lambda = lambda + log1p(-r) (left) or log1p(-g), g = q*w/(w*r + h)
-    (right).  Where g > 1/2, 1 - g has lost digits, so Lambda = lambda +
-    log(q + psi) there, psi = sum_n p_n h^n from jump_pmf(100); h < 2/3
-    there, as phi(h) >= h, so the lumped tail moves it by < (2/3)^100."""
-    u = np.linspace(-10.0, 10.0, 20001)
-    h, w = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
-    r = law.gap_over_w(h, w)
-    lam = -np.log1p(w * r / h)
-    if law.orientation is Orientation.RIGHT:
-        g = law.q * w / (w * r + h)
-        psi = series_eval(law.jump_pmf(100), h)
-        Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(law.q + psi))
-    else:
-        Lam = lam + np.log1p(-r)
+def _legendre_grid(law, lo=-10.0, hi=10.0):
+    """lambda and Lambda at the points of the curve at u = log(h/w) in
+    [lo, hi], 1e-3 apart, with h = 1/(1 + e^-u) and w = 1/(1 + e^u), read
+    off r = D/w (law.gap_over_w) with no fixed point to solve:
+    lambda = -log1p(w*r/h), and Lambda = lambda + log1p(-r) (left) or
+    log1p(-g), g = q*w/(w*r + h) (right).  Where g > 1/2, 1 - g has lost
+    digits, so Lambda = lambda + log(q + psi) there, psi = sum_n p_n h^n
+    from jump_pmf(100); h < 2/3 there, as phi(h) >= h, so the lumped tail
+    moves it by < (2/3)^100."""
+    u = np.linspace(lo, hi, round((hi - lo) * 1e3) + 1)
+    # past u = -36.7, w rounds to 1 and g to 1 or past it: log1p(-g) is
+    # -inf or nan there, on the branch np.where drops
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h, w = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
+        r = law.gap_over_w(h, w)
+        lam = -np.log1p(w * r / h)
+        if law.orientation is Orientation.RIGHT:
+            g = law.q * w / (w * r + h)
+            psi = series_eval(law.jump_pmf(100), h)
+            Lam = np.where(g <= 0.5, np.log1p(-g), lam + np.log(law.q + psi))
+        else:
+            Lam = lam + np.log1p(-r)
     return lam, Lam
 
 
 def _suite_legendre(law):
     """Lambda*(x) against a brute-force sup of x*lambda - Lambda(lambda)
-    over the 20001 points of _legendre_grid.  The sup is where
-    Lambda' = x, and log(Lambda' - 1) is close to linear in u at both ends,
-    so the slopes 1.01 to 20 have their optima well inside the grid (u in
-    [-4.6, 6.8] on the bundled laws).  A maximum at an end of the grid may
-    miss a sup beyond it, so it fails the check."""
+    over the points of _legendre_grid.  The sup is where Lambda' = x, and
+    log(Lambda' - 1) is close to linear in u at both ends, so the slopes
+    1.01 to 20 have their optima well inside u in [-10, 10] on the bundled
+    laws (u in [-4.6, 6.8]).  Where a maximum sits at an end, the grid
+    doubles its range on that side, at the same spacing, until every
+    maximum is inside (u = 160 on the stable laws of beta = 0.03, right)
+    or a doubling would pass U_MAX, so |u| <= 640, where e^|u| is finite.
+    A maximum still at an end may miss a sup beyond it, so it fails the
+    check."""
     out = []
-    lam, Lam = _legendre_grid(law)
+    slopes, lo, hi = (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0), -10.0, 10.0
+    while True:
+        lam, Lam = _legendre_grid(law, lo, hi)
+        tops = [int(np.argmax(x * lam - Lam)) for x in slopes]
+        low = 0 in tops and 2.0 * lo >= -U_MAX
+        high = lam.size - 1 in tops and 2.0 * hi <= U_MAX
+        if not (low or high):
+            break
+        lo, hi = 2.0 * lo if low else lo, 2.0 * hi if high else hi
     max_dev = 0.0
-    for x in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0):
-        i = int(np.argmax(values := x * lam - Lam))
-        dev = abs(rates.legendre(law, x) - values[i])
+    for x, i in zip(slopes, tops):
+        dev = abs(rates.legendre(law, x) - (x * lam[i] - Lam[i]))
         max_dev = max(max_dev, dev if 0 < i < lam.size - 1 else math.inf)
+    where = ("2e4 points" if (lo, hi) == (-10.0, 10.0) else
+             f"{lam.size} points, u in [{lo:g}, {hi:g}],")
     out.append(_check("Legendre vs grid maximization (max dev)", 0.0, max_dev,
-                      1e-6, "grid sup over 2e4 points of the curve"))
+                      1e-6, f"grid sup over {where} of the curve"))
     env_dev = 0.0
     for x in (1.5, 2.0, 5.0):
         dx = 1e-5 * x

@@ -25,8 +25,9 @@ from recordwalk import (
 )
 from recordwalk import montecarlo
 from recordwalk.montecarlo import TooFewPathsError, _wilson
-from support import (ASYM, BUNDLED_LAWS, EDGE_LAWS, LONG_JUMP, LONG_JUMP_LEFT,
-                     STABLE, STABLE_LEFT, SYM, SYM_LEFT, bundled_law)
+from support import (ALL_LAWS, ASYM, BUNDLED_LAWS, EDGE_LAWS, LONG_JUMP,
+                     LONG_JUMP_LEFT, STABLE, STABLE_LEFT, SYM, SYM_LEFT,
+                     bundled_law)
 
 # critical, with support 0..299: p_0 = 0.5 - 0.5/299 and p_299 = 0.5/299
 SUPPORT_300, SUPPORT_300_LEFT = (
@@ -170,6 +171,51 @@ class TestSampling:
             np.searchsorted(grid.thresholds, h, side="right"))
         hist = montecarlo._block_histogram(law, 30, 4, 8192, 1000)
         assert np.array_equal(hist, reference_block(law, 30, 4, 8192, 1000))
+
+    @pytest.mark.parametrize("law", ALL_LAWS + EDGE_LAWS)
+    def test_single_draw_is_a_blocks_draw(self, law):
+        # sample_increment reads the table a block of STABLE_JUMP_ORDER
+        # steps reads: u = (word + r) * 2**-32 draws what the half-word
+        # draws in the counted head and the searched far region, and past
+        # the last threshold the residual draw with r as its uniform.  r is
+        # a multiple of 2**-21, so word + r is exact in double.
+        grid = montecarlo._jump_grid(law, montecarlo.STABLE_JUMP_ORDER)
+        cut, top = int(grid.head[-1]), int(grid.thresholds[-1])
+        rng = np.random.default_rng(29)
+        regions = {}
+        for name, lo, hi in (("head", 0, cut), ("far", cut, top),
+                             ("residual", top, 2**32)):
+            if lo < hi:
+                edges = grid.thresholds[(grid.thresholds >= lo)
+                                        & (grid.thresholds < hi)]
+                edges = rng.choice(edges, min(edges.size, 200), replace=False)
+                regions[name] = np.unique(np.concatenate(
+                    [[lo, hi - 1], edges, np.maximum(edges - 1, lo),
+                     rng.integers(lo, hi, 500)])).astype(np.uint32)
+        for name, words in regions.items():
+            r = rng.integers(0, 2**21, words.size) * 2.0**-21
+            if name == "residual":
+                idx = np.searchsorted(grid.residual, r, side="right")
+            else:
+                idx = montecarlo._grid_index(grid, words.reshape(1, -1),
+                                             1, 0)[0]
+            expected = montecarlo._increments(law, idx.astype(np.int64))
+            drawn = [sample_increment(law, (w + x) * 2.0**-32)
+                     for w, x in zip(words.tolist(), r.tolist())]
+            assert np.array_equal(drawn, expected), name
+        # the top uniform: half-word 2**32 - 1, rest 1 - 2**-21
+        top_word = np.full((1, 1), 2**32 - 1, dtype=np.uint32)
+        idx = (montecarlo._grid_index(grid, top_word, 1, 0)[0]
+               if "residual" not in regions else
+               np.searchsorted(grid.residual, [1 - 2.0**-21], side="right"))
+        assert idx[0] < grid.thresholds.size
+        assert sample_increment(law, float(np.nextafter(1.0, 0.0))) == \
+            montecarlo._increments(law, idx.astype(np.int64))[0]
+
+    def test_one_table_regions_occur(self):
+        # among the laws above, the stable law has all three regions
+        grid = montecarlo._jump_grid(STABLE, montecarlo.STABLE_JUMP_ORDER)
+        assert grid.searched and grid.head[-1] < grid.thresholds[-1] < 2**32
 
     def test_uniform_domain(self):
         with pytest.raises(ValueError):

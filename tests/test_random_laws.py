@@ -21,7 +21,7 @@ PREFIX_ORDERS = (132, 135, 138, 260, 263, 390)
 
 
 def check_law(law):
-    for suite in ("h-limits", "oracle-equivalence"):
+    for suite in ("h-limits", "oracle-equivalence", "legendre"):
         report = run_suite(law, suite)
         assert report.passed, (law, [c for c in report.checks if not c.passed])
     n = 300

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recordwalk import Orientation, h_series, truncated_explicit
+from recordwalk import Orientation, h_series, series, truncated_explicit
 from recordwalk.series import (
     BLOCK,
     CONV_SLICE,
     _middle_product,
     _plan,
+    _ps_nodes,
     series_compose_val1,
     series_eval,
     series_exp,
@@ -175,6 +176,22 @@ def test_plan_product_count(law, products):
     # binary powers for the sparse c of long jump and jump 9, where
     # Paterson-Stockmeyer took 13 and 5; long jump left's tails are dense
     assert _products(_plan(_f0_outer(law))) == products
+
+
+def test_dense_plan_never_finishes_binary_powers(monkeypatch):
+    # 2000 dense geometric terms take 88 Paterson-Stockmeyer products (h^2
+    # to h^44, the giant step, and 45 Horner rows after the first); the
+    # binary-power plan, which would take 1998, stops once it passes them
+    power_nodes, built = series._power_nodes, []
+
+    def spy(a, most):
+        built.append(power_nodes(a, most))
+        return built[-1]
+
+    monkeypatch.setattr(series, "_power_nodes", spy)
+    a = 0.9 ** np.arange(2000)
+    assert _plan(a) == _ps_nodes(a) and _products(_ps_nodes(a)) == 88
+    assert built == [None]
 
 
 @pytest.mark.parametrize("law", [law for law in ALL_LAWS if not law.is_stable])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from recordwalk import (SUITES, IncrementLaw, cumulant, invert_slope,
-                        legendre, run_suite, verify)
+from recordwalk import (SUITES, IncrementLaw, Orientation, cumulant,
+                        invert_slope, legendre, run_suite, verify)
 from support import ALL_LAWS, BUNDLED_LAWS, EDGE_LAWS, SYM, bundled_law
 
 LEGENDRE_SLOPES = (1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
@@ -50,6 +50,21 @@ def test_lambda_limits_pass_on_every_law(law):
     # grows only 1.31-fold from -1e-4 to -1e-8
     report = run_suite(law, "lambda-limits")
     assert report.passed, [c for c in report.checks if not c.passed]
+
+
+@pytest.mark.parametrize("law", ALL_LAWS + EDGE_LAWS)
+def test_legendre_passes_on_every_law(law):
+    # stable (0.02, 0.03) and (0.98, 0.03), right, have maxima past u = 10,
+    # and read inf on a grid fixed at [-10, 10]; their grid doubles its
+    # upper end to u = 160 (max dev 1.4e-11 and 3.6e-11 measured).  Every
+    # other law keeps [-10, 10].
+    report = run_suite(law, "legendre")
+    assert report.passed, report.checks
+    wide = (law.is_stable and law.beta == 0.03
+            and law.orientation is Orientation.RIGHT)
+    assert report.checks[0].provenance == (
+        "grid sup over 170001 points, u in [-10, 160], of the curve" if wide
+        else "grid sup over 2e4 points of the curve")
 
 
 def test_ldp_trend_names_the_tail_that_underflows():
